@@ -9,10 +9,7 @@ from .welfare import (
     satisfaction, social_objective,
 )
 from .acnetwork import Admittance, build_admittance, injection_residuals, line_flow, network_losses
-from .formulation import (
-    CurtailmentReport, Problem, build_problem, curtailment_report,
-    eval_constraints_and_jacobian, eval_objective_and_gradient,
-)
+from .formulation import CurtailmentReport, Problem, build_problem, curtailment_report
 from .solver import (
     KKTReport, Solution, SolverOptions, copper_plate_oracle,
     finite_difference_audit, kkt_check, solve,

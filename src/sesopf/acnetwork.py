@@ -4,6 +4,9 @@ Series-only line model: charging susceptance is ignored everywhere so that
 the Y-bus, the injection equations, and the directed line-flow expression
 stay mutually consistent. Dense matrices are used; target systems have at
 most a few dozen buses.
+
+The per-line flow primitives and their derivatives take scalars or equal-
+length arrays of lines, so the formulation evaluates all lines in one call.
 """
 
 from __future__ import annotations
@@ -111,39 +114,32 @@ def flow_q_grad(vi, vj, ti, tj, g, b):
 
 
 def flow_p_hess(vi, vj, ti, tj, g, b):
-    """Hessian of flow_p w.r.t. (vi, vj, ti, tj)."""
+    """Hessian of flow_p w.r.t. (vi, vj, ti, tj): shape (4, 4) for scalar
+    arguments, (nl, 4, 4) for arrays of nl lines."""
     dth = ti - tj
     ct, st = np.cos(dth), np.sin(dth)
-    a = g * ct + b * st
-    d = -g * st + b * ct
-    h = np.empty((4, 4))
-    h[0, 0] = 2 * g
-    h[0, 1] = h[1, 0] = -a
-    h[1, 1] = 0.0
-    h[0, 2] = h[2, 0] = -vj * d
-    h[0, 3] = h[3, 0] = vj * d
-    h[1, 2] = h[2, 1] = -vi * d
-    h[1, 3] = h[3, 1] = vi * d
-    h[2, 2] = h[3, 3] = vi * vj * a
-    h[2, 3] = h[3, 2] = -vi * vj * a
-    return h
+    return _flow_hess(vi, vj, 2 * g, g * ct + b * st, -g * st + b * ct)
 
 
 def flow_q_hess(vi, vj, ti, tj, g, b):
+    """Hessian of flow_q, shaped as flow_p_hess."""
     dth = ti - tj
     ct, st = np.cos(dth), np.sin(dth)
-    a = g * st - b * ct
-    d = g * ct + b * st
-    h = np.empty((4, 4))
-    h[0, 0] = -2 * b
-    h[0, 1] = h[1, 0] = -a
-    h[1, 1] = 0.0
-    h[0, 2] = h[2, 0] = -vj * d
-    h[0, 3] = h[3, 0] = vj * d
-    h[1, 2] = h[2, 1] = -vi * d
-    h[1, 3] = h[3, 1] = vi * d
-    h[2, 2] = h[3, 3] = vi * vj * a
-    h[2, 3] = h[3, 2] = -vi * vj * a
+    return _flow_hess(vi, vj, -2 * b, g * st - b * ct, g * ct + b * st)
+
+
+def _flow_hess(vi, vj, h00, a, d):
+    """Second derivatives shared by both flows, given d2/dvi2 = h00, the
+    angle term a and its derivative d = da/dti."""
+    h = np.zeros(np.broadcast(vi, vj, a).shape + (4, 4))
+    h[..., 0, 0] = h00
+    h[..., 0, 1] = h[..., 1, 0] = -a
+    h[..., 0, 2] = h[..., 2, 0] = -vj * d
+    h[..., 0, 3] = h[..., 3, 0] = vj * d
+    h[..., 1, 2] = h[..., 2, 1] = -vi * d
+    h[..., 1, 3] = h[..., 3, 1] = vi * d
+    h[..., 2, 2] = h[..., 3, 3] = vi * vj * a
+    h[..., 2, 3] = h[..., 3, 2] = -vi * vj * a
     return h
 
 

@@ -45,7 +45,8 @@ def cli_main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-6)
     common.add_argument("--max-iter", type=int, default=200)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed of the audit's random points; used only by check")
     common.add_argument("--output", default=None)
     common.add_argument("--format", choices=["csv", "json"], default=None)
 

@@ -12,6 +12,14 @@ nonnegative losses.
 Inequality convention: value <= 0 means satisfied. The objective evaluators
 work in the maximization sense (SES-weighted satisfaction minus cost, $/h);
 the solver negates internally.
+
+Every evaluator is a fixed sequence of array operations over incidence
+arrays that each Problem builds once: the bus of every generator and
+aggregator (the constant rows of the equality Jacobian), the variable
+columns of every directed line's local state, and the flat positions those
+columns take in the inequality Jacobian and the Lagrangian Hessian, where a
+single bincount scatters the per-line 4x4 blocks (MATPOWER Tech. Note 2,
+Zimmerman 2010, in real coordinates).
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ import numpy as np
 
 from . import acnetwork
 from .casemodel import CaseData, validate_case
-from .welfare import marginal_cost, marginal_satisfaction, social_objective
+# Imported for the per-layer tracer in bench/layertrace.py, which patches
+# these names on this module; the evaluators below use array forms of them.
+from .welfare import marginal_cost, marginal_satisfaction, social_objective  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,15 @@ class VariableLayout:
 
 @dataclass
 class Problem:
+    """The NLP of one case. The fields are what ``build_problem`` computes;
+    ``__post_init__`` derives the index arrays that every evaluator uses,
+    so each evaluation is a fixed sequence of array operations.
+
+    Directed line rows come from->to for every line, then to->from. For each
+    such row ``_cols`` holds the variable columns of its local state (vi, vj,
+    ti, tj); a slack angle is -1, which gathers the zero appended to x by
+    ``_extended`` and is dropped when derivatives are scattered."""
+
     case: CaseData
     layout: VariableLayout
     lb: np.ndarray
@@ -82,6 +101,52 @@ class Problem:
     line_to: np.ndarray = field(default=None)
     line_g: np.ndarray = field(default=None)
     line_b: np.ndarray = field(default=None)
+
+    def __post_init__(self):
+        case, lay = self.case, self.layout
+        n, nb, ng, na = lay.n_var, lay.n_bus, lay.n_gen, lay.n_agg
+        aggs, gens = case.aggregators, case.generators
+
+        self._sigma = np.array([a.sigma for a in aggs], dtype=float)
+        self._gamma = np.array([a.gamma for a in aggs], dtype=float)
+        self._mu = np.array([a.mu for a in aggs], dtype=float)
+        self._cost = np.array([(g.a, g.b, g.c) for g in gens], dtype=float).reshape(ng, 3).T
+
+        # power balance: each generator and aggregator enters one P and one
+        # Q row with a fixed sign; these are also the constant entries of
+        # the equality Jacobian
+        position = {bus.id: k for k, bus in enumerate(case.buses)}
+        gen_bus = np.array([position[g.bus] for g in gens], dtype=int)
+        agg_bus = np.array([position[a.bus] for a in aggs], dtype=int)
+        self._inj_row = np.concatenate([gen_bus, agg_bus, nb + gen_bus, nb + agg_bus])
+        self._inj_col = np.r_[lay.pg, lay.pa, lay.qg, lay.qa]
+        self._inj_sign = np.repeat([1.0, -1.0, 1.0, -1.0], [ng, na, ng, na])
+
+        self._th_bus = np.flatnonzero(np.arange(nb) != lay.slack)
+        self._theta_col = np.full(nb, -1)
+        self._theta_col[self._th_bus] = np.arange(lay.th.start, lay.th.stop)
+
+        fr = np.concatenate([self.line_from, self.line_to])
+        to = np.concatenate([self.line_to, self.line_from])
+        self._fr = fr
+        self._cols = np.stack([lay.v.start + fr, lay.v.start + to,
+                               self._theta_col[fr], self._theta_col[to]], axis=1)
+        self._g2 = np.tile(self.line_g, 2)
+        self._b2 = np.tile(self.line_b, 2)
+        self._smax2 = np.tile([ln.s_max / case.s_base for ln in case.lines], 2)
+
+        self._jh_valid = self._cols >= 0
+        self._jh_flat = (np.arange(len(fr))[:, None] * n + self._cols)[self._jh_valid]
+        self._hess_valid = self._jh_valid[:, :, None] & self._jh_valid[:, None, :]
+        # the objective's diagonal, then every valid (row, column) pair of
+        # each directed row's 4x4 block
+        self._hess_flat = np.concatenate([
+            np.arange(n) * (n + 1),
+            (self._cols[:, :, None] * n + self._cols[:, None, :])[self._hess_valid]])
+        # adequacy rows: sum(P_a) - sum(P_g) and sum(Q_a) - sum(Q_g)
+        self._adequacy = np.zeros((2, n))
+        self._adequacy[0, lay.pa], self._adequacy[0, lay.pg] = 1.0, -1.0
+        self._adequacy[1, lay.qa], self._adequacy[1, lay.qg] = 1.0, -1.0
 
     @property
     def n_var(self) -> int:
@@ -97,12 +162,13 @@ class Problem:
 
     # -- state helpers ------------------------------------------------------
 
+    @staticmethod
+    def _extended(x: np.ndarray) -> np.ndarray:
+        """x with a trailing zero, the fixed slack angle at column -1."""
+        return np.append(x, 0.0)
+
     def full_theta(self, x: np.ndarray) -> np.ndarray:
-        lay = self.layout
-        theta = np.zeros(lay.n_bus)
-        mask = np.arange(lay.n_bus) != lay.slack
-        theta[mask] = x[lay.th]
-        return theta
+        return self._extended(x)[self._theta_col]
 
     def unpack(self, x: np.ndarray) -> dict:
         """Decode a decision vector into named physical quantities (MW/MVAr)."""
@@ -128,56 +194,48 @@ class Problem:
         return x
 
     # -- objective ----------------------------------------------------------
+    # The same quantities as welfare.social_objective, marginal_satisfaction
+    # and marginal_cost, over all aggregators and generators at once.
+
+    def _demand_and_generation(self, x):
+        lay, sb = self.layout, self.case.s_base
+        pa = x[lay.pa] * sb
+        return pa, pa < self._gamma / self._mu, x[lay.pg] * sb
 
     def objective(self, x: np.ndarray) -> float:
-        lay, sb = self.layout, self.case.s_base
-        w, _, _ = social_objective(self.case, x[lay.pa] * sb, x[lay.pg] * sb)
-        return w
+        pa, unsaturated, pg = self._demand_and_generation(x)
+        gamma, mu = self._gamma, self._mu
+        sat = np.where(unsaturated, gamma * pa - 0.5 * mu * pa * pa, 0.5 * gamma ** 2 / mu)
+        a, b, c = self._cost
+        return float(self._sigma @ sat - np.sum(a * pg * pg + b * pg + c))
 
     def objective_gradient(self, x: np.ndarray) -> np.ndarray:
         lay, sb = self.layout, self.case.s_base
+        pa, unsaturated, pg = self._demand_and_generation(x)
+        a, b, _ = self._cost
         grad = np.zeros(self.n_var)
-        for k, agg in enumerate(self.case.aggregators):
-            p = x[lay.pa.start + k] * sb
-            grad[lay.pa.start + k] = agg.sigma * marginal_satisfaction(agg, p) * sb
-        for k, gen in enumerate(self.case.generators):
-            p = x[lay.pg.start + k] * sb
-            grad[lay.pg.start + k] = -marginal_cost(gen, p) * sb
+        grad[lay.pa] = self._sigma * np.where(unsaturated, self._gamma - self._mu * pa, 0.0) * sb
+        grad[lay.pg] = -(2.0 * a * pg + b) * sb
         return grad
 
     def objective_hessian_diag(self, x: np.ndarray) -> np.ndarray:
         lay, sb = self.layout, self.case.s_base
+        _, unsaturated, _ = self._demand_and_generation(x)
         diag = np.zeros(self.n_var)
-        for k, agg in enumerate(self.case.aggregators):
-            p = x[lay.pa.start + k] * sb
-            if p < agg.gamma / agg.mu:
-                diag[lay.pa.start + k] = -agg.sigma * agg.mu * sb * sb
-        for k, gen in enumerate(self.case.generators):
-            diag[lay.pg.start + k] = -2.0 * gen.a * sb * sb
+        diag[lay.pa] = np.where(unsaturated, -self._sigma * self._mu * sb * sb, 0.0)
+        diag[lay.pg] = -2.0 * self._cost[0] * sb * sb
         return diag
 
     # -- equality constraints (power balance, p.u.) -------------------------
 
-    def _net_injection(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lay = self.layout
-        p_net = np.zeros(lay.n_bus)
-        q_net = np.zeros(lay.n_bus)
-        for k, gen in enumerate(self.case.generators):
-            i = self.case.bus_index(gen.bus)
-            p_net[i] += x[lay.pg.start + k]
-            q_net[i] += x[lay.qg.start + k]
-        for k, agg in enumerate(self.case.aggregators):
-            i = self.case.bus_index(agg.bus)
-            p_net[i] -= x[lay.pa.start + k]
-            q_net[i] -= x[lay.qa.start + k]
-        return p_net, q_net
+    def _net_injection(self, x: np.ndarray) -> np.ndarray:
+        """Generation minus demand at each bus: P rows, then Q rows."""
+        return np.bincount(self._inj_row, weights=self._inj_sign * x[self._inj_col],
+                           minlength=self.n_eq)
 
     def equalities(self, x: np.ndarray) -> np.ndarray:
-        v = x[self.layout.v]
-        theta = self.full_theta(x)
-        p_net, q_net = self._net_injection(x)
-        rp, rq = acnetwork.injection_residuals(self.adm, v, theta, p_net, q_net)
-        return np.concatenate([rp, rq])
+        p, q = acnetwork.bus_injections(self.adm, x[self.layout.v], self.full_theta(x))
+        return self._net_injection(x) - np.concatenate([p, q])
 
     def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
         lay = self.layout
@@ -205,121 +263,47 @@ class Problem:
         np.fill_diagonal(dq_dth, p_inj - v * v * np.diag(g))
 
         jac = np.zeros((2 * nb, self.n_var))
-        for k, gen in enumerate(self.case.generators):
-            i = self.case.bus_index(gen.bus)
-            jac[i, lay.pg.start + k] = 1.0
-            jac[nb + i, lay.qg.start + k] = 1.0
-        for k, agg in enumerate(self.case.aggregators):
-            i = self.case.bus_index(agg.bus)
-            jac[i, lay.pa.start + k] = -1.0
-            jac[nb + i, lay.qa.start + k] = -1.0
-
+        jac[self._inj_row, self._inj_col] = self._inj_sign
         jac[:nb, lay.v] = -dp_dv
         jac[nb:, lay.v] = -dq_dv
-        mask = np.arange(nb) != lay.slack
-        jac[:nb, lay.th] = -dp_dth[:, mask]
-        jac[nb:, lay.th] = -dq_dth[:, mask]
+        jac[:nb, lay.th] = -dp_dth[:, self._th_bus]
+        jac[nb:, lay.th] = -dq_dth[:, self._th_bus]
         return jac
 
     # -- inequality constraints (<= 0) --------------------------------------
 
     def _line_state(self, x: np.ndarray):
-        lay = self.layout
-        v = x[lay.v]
-        theta = self.full_theta(x)
-        return v[self.line_from], v[self.line_to], theta[self.line_from], theta[self.line_to]
+        """(vi, vj, ti, tj) of every directed line row."""
+        return self._extended(x)[self._cols].T
 
     def inequalities(self, x: np.ndarray) -> np.ndarray:
-        lay = self.layout
-        vi, vj, ti, tj = self._line_state(x)
-        smax = np.array([ln.s_max for ln in self.case.lines]) / self.case.s_base
-        p_ft = acnetwork.flow_p(vi, vj, ti, tj, self.line_g, self.line_b)
-        p_tf = acnetwork.flow_p(vj, vi, tj, ti, self.line_g, self.line_b)
-        adequacy = np.array([
-            np.sum(x[lay.pa]) - np.sum(x[lay.pg]),
-            np.sum(x[lay.qa]) - np.sum(x[lay.qg]),
-        ])
-        return np.concatenate([p_ft - smax, p_tf - smax, adequacy])
+        p = acnetwork.flow_p(*self._line_state(x), self._g2, self._b2)
+        return np.concatenate([p - self._smax2, self._adequacy @ x])
 
     def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
-        lay = self.layout
-        nl = len(self.case.lines)
+        grad = acnetwork.flow_p_grad(*self._line_state(x), self._g2, self._b2)
         jac = np.zeros((self.n_ineq, self.n_var))
-        vi, vj, ti, tj = self._line_state(x)
-
-        for k in range(nl):
-            i, j = self.line_from[k], self.line_to[k]
-            g, b = self.line_g[k], self.line_b[k]
-            cols_ft = self._line_cols(i, j)
-            grad = acnetwork.flow_p_grad(vi[k], vj[k], ti[k], tj[k], g, b)
-            for c, gval in zip(cols_ft, grad):
-                if c is not None:
-                    jac[k, c] += gval
-            cols_tf = self._line_cols(j, i)
-            grad = acnetwork.flow_p_grad(vj[k], vi[k], tj[k], ti[k], g, b)
-            for c, gval in zip(cols_tf, grad):
-                if c is not None:
-                    jac[nl + k, c] += gval
-
-        jac[2 * nl, lay.pa] = 1.0
-        jac[2 * nl, lay.pg] = -1.0
-        jac[2 * nl + 1, lay.qa] = 1.0
-        jac[2 * nl + 1, lay.qg] = -1.0
+        jac.flat[self._jh_flat] = grad.T[self._jh_valid]
+        jac[-2:] = self._adequacy
         return jac
-
-    def _line_cols(self, i: int, j: int):
-        """Global column indices for local state (vi, vj, ti, tj); None for
-        the fixed slack angle."""
-        lay = self.layout
-        ci = None if i == lay.slack else lay.theta_index(i)
-        cj = None if j == lay.slack else lay.theta_index(j)
-        return (lay.v.start + i, lay.v.start + j, ci, cj)
 
     # -- Lagrangian Hessian --------------------------------------------------
 
     def lagrangian_hessian(self, x, sigma_obj, lam_eq, lam_ineq) -> np.ndarray:
         """Hessian of sigma_obj * f_min + lam_eq . c_E + lam_ineq . h, where
-        f_min = -objective (minimization sense)."""
-        n = self.n_var
-        lay = self.layout
-        nb, nl = lay.n_bus, len(self.case.lines)
-        hess = np.zeros((n, n))
-        hess[np.diag_indices(n)] -= sigma_obj * self.objective_hessian_diag(x)
+        f_min = -objective (minimization sense).
 
-        vi, vj, ti, tj = self._line_state(x)
-        for k in range(nl):
-            i, j = self.line_from[k], self.line_to[k]
-            g, b = self.line_g[k], self.line_b[k]
-            # equality rows: residual = net - injection, and per-line flows
-            # sum into the from/to bus injections
-            w_p_i = -lam_eq[i]
-            w_p_j = -lam_eq[j]
-            w_q_i = -lam_eq[nb + i]
-            w_q_j = -lam_eq[nb + j]
-            # inequality rows: directed flow limits
-            w_ft = lam_ineq[k]
-            w_tf = lam_ineq[nl + k]
-
-            h_from = ((w_p_i + w_ft)
-                      * acnetwork.flow_p_hess(vi[k], vj[k], ti[k], tj[k], g, b)
-                      + w_q_i * acnetwork.flow_q_hess(vi[k], vj[k], ti[k], tj[k], g, b))
-            h_to = ((w_p_j + w_tf)
-                    * acnetwork.flow_p_hess(vj[k], vi[k], tj[k], ti[k], g, b)
-                    + w_q_j * acnetwork.flow_q_hess(vj[k], vi[k], tj[k], ti[k], g, b))
-
-            self._scatter(hess, h_from, self._line_cols(i, j))
-            self._scatter(hess, h_to, self._line_cols(j, i))
-        return hess
-
-    @staticmethod
-    def _scatter(hess, local, cols):
-        for r, cr in enumerate(cols):
-            if cr is None:
-                continue
-            for c, cc in enumerate(cols):
-                if cc is None:
-                    continue
-                hess[cr, cc] += local[r, c]
+        A directed row's flow enters the balance residual of its sending bus
+        with weight -1 and its own limit row with weight +1."""
+        n, nb, nr = self.n_var, self.layout.n_bus, len(self._fr)
+        state = self._line_state(x)
+        w_p = (lam_ineq[:nr] - lam_eq[self._fr])[:, None, None]
+        w_q = -lam_eq[nb + self._fr][:, None, None]
+        local = (w_p * acnetwork.flow_p_hess(*state, self._g2, self._b2)
+                 + w_q * acnetwork.flow_q_hess(*state, self._g2, self._b2))
+        weights = np.concatenate([-sigma_obj * self.objective_hessian_diag(x),
+                                  local[self._hess_valid]])
+        return np.bincount(self._hess_flat, weights=weights, minlength=n * n).reshape(n, n)
 
 
 def build_problem(case: CaseData) -> Problem:
@@ -354,18 +338,6 @@ def build_problem(case: CaseData) -> Problem:
     line_b = np.array([s[1] for s in series])
 
     return Problem(case, layout, lb, ub, adm, line_from, line_to, line_g, line_b)
-
-
-def eval_objective_and_gradient(problem: Problem, x) -> tuple[float, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    return problem.objective(x), problem.objective_gradient(x)
-
-
-def eval_constraints_and_jacobian(problem: Problem, x):
-    """Equality residuals, inequality values, and both Jacobians."""
-    x = np.asarray(x, dtype=float)
-    return (problem.equalities(x), problem.inequalities(x),
-            problem.equality_jacobian(x), problem.inequality_jacobian(x))
 
 
 @dataclass(frozen=True)

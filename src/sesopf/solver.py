@@ -5,9 +5,16 @@ The solver minimizes the negated welfare objective subject to the power
 balance equalities and all inequality rows (line limits, adequacy, box
 bounds). Inequalities get positive slacks with a logarithmic barrier; the
 barrier parameter decreases monotonically; the condensed KKT system is
-factored with an inertia check and diagonal regularization; steps are
-safeguarded by the fraction-to-boundary rule and a merit-function
-backtracking line search. Everything is deterministic.
+factored with an inertia check and diagonal regularization and solved
+after symmetric equilibration; steps are safeguarded by the
+fraction-to-boundary rule and a merit-function backtracking line search.
+Everything is deterministic.
+
+Each iterate is evaluated once: its objective and constraint values come
+from the accepted line-search trial, and its gradient, Jacobians and
+Lagrangian Hessian are computed once and shared by the convergence test,
+the KKT system and the merit function. Bound rows, one +-1 entry each, are
+applied by index instead of as Jacobian rows.
 """
 
 from __future__ import annotations
@@ -59,7 +66,12 @@ class Solution:
 class _InternalNLP:
     """Minimization form of a Problem with bounds expanded to inequality
     rows. Row order: problem inequalities, finite lower bounds, finite upper
-    bounds; near-degenerate bound pairs become extra equality rows."""
+    bounds; near-degenerate bound pairs become extra equality rows.
+
+    A bound row has a single entry, -1 (lower) or +1 (upper), in the column
+    ``bound_idx``. The solver therefore keeps only the problem rows of the
+    inequality Jacobian as ``jh``; the bound rows enter every product
+    through ``bound_idx`` and ``bound_sign``."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
@@ -69,86 +81,69 @@ class _InternalNLP:
         self.fixed_idx = np.flatnonzero(np.isfinite(lb) & (ub - lb <= _FIXED_TOL))
         self.n = problem.n_var
         self.m_eq = problem.n_eq + len(self.fixed_idx)
-        self.m_ineq = problem.n_ineq + len(self.lower_idx) + len(self.upper_idx)
+        self.bound_idx = np.concatenate([self.lower_idx, self.upper_idx])
+        self.bound_sign = np.repeat([-1.0, 1.0], [len(self.lower_idx), len(self.upper_idx)])
+        self.bound_val = np.concatenate([lb[self.lower_idx], ub[self.upper_idx]])
+        self.fixed_rows = np.zeros((len(self.fixed_idx), self.n))
+        self.fixed_rows[np.arange(len(self.fixed_idx)), self.fixed_idx] = 1.0
 
-    def f(self, x):
-        return -self.problem.objective(x)
+    def values(self, x):
+        """(f, c_E, h) at x."""
+        p = self.problem
+        ce = np.concatenate([p.equalities(x), x[self.fixed_idx] - p.lb[self.fixed_idx]])
+        h = np.concatenate([p.inequalities(x),
+                            self.bound_sign * (x[self.bound_idx] - self.bound_val)])
+        return -p.objective(x), ce, h
 
     def grad(self, x):
         return -self.problem.objective_gradient(x)
 
-    def ce(self, x):
-        vals = self.problem.equalities(x)
-        if len(self.fixed_idx):
-            vals = np.concatenate([vals, x[self.fixed_idx] - self.problem.lb[self.fixed_idx]])
-        return vals
-
     def je(self, x):
-        jac = self.problem.equality_jacobian(x)
-        if len(self.fixed_idx):
-            rows = np.zeros((len(self.fixed_idx), self.n))
-            rows[np.arange(len(self.fixed_idx)), self.fixed_idx] = 1.0
-            jac = np.vstack([jac, rows])
-        return jac
+        return np.vstack([self.problem.equality_jacobian(x), self.fixed_rows])
 
-    def h(self, x):
-        vals = self.problem.inequalities(x)
-        lo = self.problem.lb[self.lower_idx] - x[self.lower_idx]
-        up = x[self.upper_idx] - self.problem.ub[self.upper_idx]
-        return np.concatenate([vals, lo, up])
+    def jh_t(self, jh, y):
+        """Transpose of the full inequality Jacobian times y."""
+        mi = len(jh)
+        return jh.T @ y[:mi] + np.bincount(self.bound_idx, weights=self.bound_sign * y[mi:],
+                                           minlength=self.n)
 
-    def jh(self, x):
-        jac = np.zeros((self.m_ineq, self.n))
-        mi = self.problem.n_ineq
-        jac[:mi] = self.problem.inequality_jacobian(x)
-        r = np.arange(len(self.lower_idx))
-        jac[mi + r, self.lower_idx] = -1.0
-        r = np.arange(len(self.upper_idx))
-        jac[mi + len(self.lower_idx) + r, self.upper_idx] = 1.0
-        return jac
+    def jh_dot(self, jh, dx):
+        """Full inequality Jacobian times dx."""
+        return np.concatenate([jh @ dx, self.bound_sign * dx[self.bound_idx]])
 
-    def hess(self, x, lam, nu):
-        lam_eq = lam[:self.problem.n_eq]
-        nu_ineq = nu[:self.problem.n_ineq]
-        return self.problem.lagrangian_hessian(x, 1.0, lam_eq, nu_ineq)
+    def condensed(self, x, lam, nu, jh, d_sigma):
+        """Lagrangian Hessian plus jh' diag(d_sigma) jh over all rows."""
+        mi = len(jh)
+        m = self.problem.lagrangian_hessian(x, 1.0, lam[:self.problem.n_eq], nu[:mi])
+        m += (jh.T * d_sigma[:mi]) @ jh
+        m.flat[::self.n + 1] += np.bincount(self.bound_idx, weights=d_sigma[mi:],
+                                            minlength=self.n)
+        return m
 
 
 def _inertia(kkt: np.ndarray) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts via LDL factorization."""
+    """(positive, negative, zero) eigenvalue counts via LDL factorization.
+
+    D is block diagonal; a nonzero subdiagonal entry marks a 2x2 block,
+    whose eigenvalues are mean -/+ radius."""
     _, d, _ = scipy.linalg.ldl(kkt, lower=True)
-    pos = neg = zero = 0
-    m = d.shape[0]
-    i = 0
-    while i < m:
-        if i + 1 < m and abs(d[i + 1, i]) > 1e-14:
-            ev = np.linalg.eigvalsh(d[i:i + 2, i:i + 2])
-            for e in ev:
-                pos, neg, zero = _count(e, pos, neg, zero)
-            i += 2
-        else:
-            pos, neg, zero = _count(d[i, i], pos, neg, zero)
-            i += 1
-    return pos, neg, zero
+    ev = np.diag(d).copy()
+    off = np.diag(d, -1)
+    i = np.flatnonzero(np.abs(off) > 1e-14)
+    mean = 0.5 * (ev[i] + ev[i + 1])
+    radius = np.hypot(0.5 * (ev[i] - ev[i + 1]), off[i])
+    ev[i], ev[i + 1] = mean - radius, mean + radius
+    pos, neg = int(np.sum(ev > 1e-12)), int(np.sum(ev < -1e-12))
+    return pos, neg, len(ev) - pos - neg
 
 
-def _count(e, pos, neg, zero):
-    if e > 1e-12:
-        return pos + 1, neg, zero
-    if e < -1e-12:
-        return pos, neg + 1, zero
-    return pos, neg, zero + 1
-
-
-def _scaled_residuals(nlp, x, s, lam, nu, mu):
-    grad_l = nlp.grad(x) + nlp.je(x).T @ lam + nlp.jh(x).T @ nu
-    r_e = nlp.ce(x)
-    r_h = nlp.h(x) + s
+def _scaled_residuals(r_d, r_e, r_h, s, lam, nu, mu):
     comp = s * nu - mu
     m = max(1, len(lam) + len(nu))
     s_d = max(_SMAX, (np.abs(lam).sum() + np.abs(nu).sum()) / m) / _SMAX
     s_c = max(_SMAX, np.abs(nu).sum() / max(1, len(nu))) / _SMAX
     inf_pr = max(np.max(np.abs(r_e), initial=0.0), np.max(np.abs(r_h), initial=0.0))
-    inf_du = np.max(np.abs(grad_l)) / s_d
+    inf_du = np.max(np.abs(r_d)) / s_d
     inf_comp = np.max(np.abs(comp), initial=0.0) / s_c
     return inf_pr, inf_du, inf_comp
 
@@ -166,16 +161,18 @@ def _screen_infeasible(problem: Problem) -> str | None:
 
 
 def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
+    """Solve ``problem`` by the interior-point method of the module docstring."""
     reason = _screen_infeasible(problem)
     if reason is not None:
         x = problem.initial_point()
         return _finish(problem, None, x, None, None, 0, [], "infeasible_detected")
 
     nlp = _InternalNLP(problem)
-    n, me, mi = nlp.n, nlp.m_eq, nlp.m_ineq
+    n, me = nlp.n, nlp.m_eq
 
     x = problem.initial_point()
-    s = np.maximum(1e-2, -nlp.h(x))
+    f, ce, h = nlp.values(x)
+    s = np.maximum(1e-2, -h)
     mu = opts.mu0
     nu = np.maximum(mu / s, 1e-8)
     lam = np.zeros(me)
@@ -183,50 +180,57 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     log = []
     status = "iteration_limit"
     it = 0
+    kkt = np.zeros((n + me, n + me))
+    kkt[n:, n:] = -1e-8 * np.eye(me)  # fixed dual regularization delta_c
+    scaled = np.empty_like(kkt)  # equilibrated copy, factored in place
+    diag = np.arange(n)
 
     for it in range(1, opts.max_iter + 1):
-        inf_pr, inf_du, inf_comp0 = _scaled_residuals(nlp, x, s, lam, nu, 0.0)
-        log.append({"iter": it, "mu": mu, "inf_pr": inf_pr, "inf_du": inf_du,
-                    "f": nlp.f(x)})
+        grad, je, jh = nlp.grad(x), nlp.je(x), problem.inequality_jacobian(x)
+        r_d = grad + je.T @ lam + nlp.jh_t(jh, nu)
+        r_h = h + s
+        inf_pr, inf_du, inf_comp0 = _scaled_residuals(r_d, ce, r_h, s, lam, nu, 0.0)
+        log.append({"iter": it, "mu": mu, "inf_pr": inf_pr, "inf_du": inf_du, "f": f})
         if max(inf_pr, inf_du, inf_comp0) <= opts.tol:
             status = "converged"
             break
-        _, _, inf_comp_mu = _scaled_residuals(nlp, x, s, lam, nu, mu)
+        _, _, inf_comp_mu = _scaled_residuals(r_d, ce, r_h, s, lam, nu, mu)
         if max(inf_pr, inf_du, inf_comp_mu) <= 10.0 * mu:
             mu = max(opts.tol / 100.0, opts.mu_reduction * mu)
 
-        grad = nlp.grad(x)
-        je = nlp.je(x)
-        jh = nlp.jh(x)
-        r_e = nlp.ce(x)
-        r_h = nlp.h(x) + s
-        r_d = grad + je.T @ lam + jh.T @ nu
-
-        w = nlp.hess(x, lam, nu)
         d_sigma = nu / s
-        m_base = w + (jh.T * d_sigma) @ jh
+        m_base = nlp.condensed(x, lam, nu, jh, d_sigma)
         rhs = np.concatenate([
-            -(r_d + jh.T @ ((mu / s - nu) + d_sigma * r_h)),
-            -r_e,
+            -(r_d + nlp.jh_t(jh, (mu / s - nu) + d_sigma * r_h)),
+            -ce,
         ])
+        kkt[:n, n:] = je.T
+        kkt[n:, :n] = je
 
         delta_w = 0.0
-        delta_c = 1e-8
         step = None
         for _ in range(30):
-            kkt = np.zeros((n + me, n + me))
-            kkt[:n, :n] = m_base + delta_w * np.eye(n)
-            kkt[:n, n:] = je.T
-            kkt[n:, :n] = je
-            kkt[n:, n:] = -delta_c * np.eye(me)
+            kkt[:n, :n] = m_base
+            kkt[diag, diag] += delta_w
             try:
                 pos, neg, zero = _inertia(kkt)
                 if pos == n and neg == me and zero == 0:
+                    # Solve the symmetrically equilibrated system: near
+                    # convergence nu/s spans many orders of magnitude, and
+                    # unscaled most KKT matrices have rcond < eps. scipy
+                    # 1.17's solve then warns and keeps ~650 bytes per call,
+                    # which grows without bound over a sweep.
+                    scale = 1.0 / np.sqrt(np.max(np.abs(kkt, out=scaled), axis=1))
+                    np.multiply(kkt, scale[:, None], out=scaled)
+                    np.multiply(scaled, scale, out=scaled)
                     with warnings.catch_warnings():
                         # near convergence the system is legitimately stiff;
                         # accuracy is guarded by the residual tests instead
                         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                        step = scipy.linalg.solve(kkt, rhs, assume_a="sym")
+                        # LAPACK reads one triangle of the column-major
+                        # transpose and may overwrite it, sparing a copy
+                        step = scale * scipy.linalg.solve(scaled.T, scale * rhs, assume_a="sym",
+                                                          overwrite_a=True)
                     if np.all(np.isfinite(step)):
                         break
                     step = None
@@ -240,7 +244,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             break
 
         dx, dlam = step[:n], step[n:]
-        ds = -r_h - jh @ dx
+        ds = -r_h - nlp.jh_dot(jh, dx)
         dnu = mu / s - nu - d_sigma * ds
 
         # fraction-to-boundary step limits
@@ -251,20 +255,28 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         nu_new_inf = np.max(np.abs(nu + alpha_d * dnu), initial=0.0)
         rho = max(rho, 1.2 * (lam_new_inf + nu_new_inf))
 
-        phi0, theta0 = _merit(nlp, x, s, mu, rho)
+        phi0, theta0 = _merit(f, ce, h, s, mu, rho)
         dphi = grad @ dx - mu * np.sum(ds / s) - rho * theta0
         alpha = alpha_p
+        trial = None  # (f, c_E, h) at the accepted x_t
         if dphi < 0.0:
             for _ in range(30):
-                phi_t, _ = _merit(nlp, x + alpha * dx, s + alpha * ds, mu, rho)
-                if np.isfinite(phi_t) and phi_t <= phi0 + 1e-4 * alpha * dphi + 1e-10 * abs(phi0):
-                    break
+                x_t, s_t = x + alpha * dx, s + alpha * ds
+                if np.all(s_t > 0):
+                    trial = nlp.values(x_t)
+                    phi_t, _ = _merit(*trial, s_t, mu, rho)
+                    if np.isfinite(phi_t) and phi_t <= phi0 + 1e-4 * alpha * dphi + 1e-10 * abs(phi0):
+                        break
                 alpha *= 0.5
             else:
                 # no sufficient decrease found; fall back to the full
                 # boundary-limited step rather than stalling the iteration
                 alpha = alpha_p
-        x = x + alpha * dx
+                trial = None
+        if trial is None:
+            x_t = x + alpha * dx
+            trial = nlp.values(x_t)
+        x, (f, ce, h) = x_t, trial
         s = s + alpha * ds
         lam = lam + alpha_d * dlam
         nu = np.maximum(nu + alpha_d * dnu, 1e-14)
@@ -273,11 +285,6 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         kappa = 1e10
         nu = np.clip(nu, mu / (kappa * s), kappa * mu / s)
 
-    else:
-        it = opts.max_iter
-
-    if status == "iteration_limit" and it >= opts.max_iter:
-        pass
     return _finish(problem, nlp, x, lam, nu, it, log, status)
 
 
@@ -288,11 +295,11 @@ def _max_step(vals, deltas, tau):
     return float(min(1.0, np.min(-tau * vals[neg] / deltas[neg])))
 
 
-def _merit(nlp, x, s, mu, rho):
-    if np.any(s <= 0):
-        return np.inf, np.inf
-    theta = np.abs(nlp.ce(x)).sum() + np.abs(nlp.h(x) + s).sum()
-    return nlp.f(x) - mu * np.log(s).sum() + rho * theta, theta
+def _merit(f, ce, h, s, mu, rho):
+    """Barrier merit value and constraint violation at (x, s) from the
+    values f, c_E and h at x."""
+    theta = np.abs(ce).sum() + np.abs(h + s).sum()
+    return f - mu * np.log(s).sum() + rho * theta, theta
 
 
 def _finish(problem, nlp, x, lam, nu, iterations, log, status) -> Solution:

@@ -8,10 +8,9 @@ import pytest
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator
 from sesopf.formulation import (
     CurtailmentReport, VariableLayout, build_problem, curtailment_report,
-    eval_constraints_and_jacobian, eval_objective_and_gradient,
 )
 from sesopf.solver import finite_difference_audit
-from sesopf.welfare import marginal_cost, marginal_satisfaction
+from sesopf.welfare import marginal_cost, marginal_satisfaction, social_objective
 
 from conftest import random_interior_state, single_bus_case
 
@@ -111,7 +110,9 @@ def test_gradient_structure(five_bus, five_bus_problem):
     rng = np.random.default_rng(7)
     x = random_interior_state(five_bus_problem, rng)
     lay, sb = five_bus_problem.layout, five_bus.s_base
-    _, grad = eval_objective_and_gradient(five_bus_problem, x)
+    grad = five_bus_problem.objective_gradient(x)
+    weighted, _, _ = social_objective(five_bus, x[lay.pa] * sb, x[lay.pg] * sb)
+    assert five_bus_problem.objective(x) == pytest.approx(weighted, rel=1e-12)
     assert np.allclose(grad[lay.qg], 0.0)
     assert np.allclose(grad[lay.qa], 0.0)
     assert np.allclose(grad[lay.v], 0.0)
@@ -135,6 +136,8 @@ def test_gradient_vanishes_on_saturated_demand(five_bus_problem):
     x[lay.pa.start + k] = 1.2 * agg.gamma / agg.mu / case.s_base
     grad = five_bus_problem.objective_gradient(x)
     assert grad[lay.pa.start + k] == 0.0
+    weighted, _, _ = social_objective(case, x[lay.pa] * case.s_base, x[lay.pg] * case.s_base)
+    assert five_bus_problem.objective(x) == pytest.approx(weighted, rel=1e-12)
     diag = five_bus_problem.objective_hessian_diag(x)
     assert diag[lay.pa.start + k] == 0.0
 
@@ -153,7 +156,9 @@ def test_derivatives_match_finite_differences(five_bus_problem):
 
 def test_constraint_evaluator_shapes(five_bus_problem):
     x = five_bus_problem.initial_point()
-    eq, ineq, je, jh = eval_constraints_and_jacobian(five_bus_problem, x)
+    p = five_bus_problem
+    eq, ineq = p.equalities(x), p.inequalities(x)
+    je, jh = p.equality_jacobian(x), p.inequality_jacobian(x)
     assert eq.shape == (10,)
     assert ineq.shape == (14,)
     assert je.shape == (10, 33)
@@ -161,7 +166,17 @@ def test_constraint_evaluator_shapes(five_bus_problem):
 
 
 def test_lagrangian_hessian_matches_gradient_differences(five_bus_problem):
-    problem = five_bus_problem
+    _check_second_derivatives(five_bus_problem)
+
+
+def test_rts24_hessian_and_jacobian_match_differences(rts24):
+    _check_second_derivatives(build_problem(rts24))
+
+
+def _check_second_derivatives(problem):
+    """Lagrangian Hessian against differences of the Lagrangian gradient,
+    and the inequality Jacobian against differences of the inequalities,
+    at a random interior point with non-zero duals."""
     rng = np.random.default_rng(5)
     x = random_interior_state(problem, rng)
     lam = rng.normal(size=problem.n_eq)
@@ -173,16 +188,20 @@ def test_lagrangian_hessian_matches_gradient_differences(five_bus_problem):
                 + problem.inequality_jacobian(y).T @ nu)
 
     hess = problem.lagrangian_hessian(x, 1.0, lam, nu)
+    jac = problem.inequality_jacobian(x)
     assert np.allclose(hess, hess.T, atol=1e-12)
     fd = np.empty_like(hess)
+    fd_jac = np.empty_like(jac)
     h = 1e-6
     for i in range(problem.n_var):
         up, dn = x.copy(), x.copy()
         up[i] += h
         dn[i] -= h
         fd[:, i] = (lagrangian_grad(up) - lagrangian_grad(dn)) / (2 * h)
+        fd_jac[:, i] = (problem.inequalities(up) - problem.inequalities(dn)) / (2 * h)
     scale = np.maximum(1.0, np.abs(hess))
     assert np.max(np.abs(hess - fd) / scale) < 1e-5
+    assert np.max(np.abs(jac - fd_jac) / np.maximum(1.0, np.abs(jac))) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Interior-point solver, KKT verification, oracle, and derivative audit."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, Line
 from sesopf.formulation import Problem, build_problem
 from sesopf.solver import (
-    SolverOptions, copper_plate_oracle, finite_difference_audit, kkt_check,
-    solve,
+    SolverOptions, _inertia, copper_plate_oracle, finite_difference_audit,
+    kkt_check, solve,
 )
 
 from conftest import (
@@ -206,3 +208,70 @@ def test_audit_linear_rows_exact(five_bus_problem):
 def test_audit_rejects_zero_points(five_bus_problem):
     with pytest.raises(ValueError):
         finite_difference_audit(five_bus_problem, n_points=0)
+
+
+# ---------------------------------------------------------------------------
+# KKT inertia and evaluations per iterate
+
+
+def _random_kkt(rng):
+    """[[H, J'], [J, -1e-8 I]] with H indefinite, positive semidefinite and
+    singular, indefinite and singular, or zero. rank(H) + rows(J) >= n keeps
+    the matrix nonsingular, so every eigenvalue has a definite sign."""
+    n = int(rng.integers(1, 13))
+    kind = int(rng.integers(4))
+    rank = n if kind == 0 else 0 if kind == 3 else int(rng.integers(0, n))
+    m = int(rng.integers(n - rank, n + 1))
+    b = rng.normal(size=(n, rank))
+    signs = np.ones(rank) if kind == 1 else rng.choice([-1.0, 1.0], size=rank)
+    j = rng.normal(size=(m, n))
+    return np.block([[(b * signs) @ b.T, j.T], [j, -1e-8 * np.eye(m)]])
+
+
+def test_inertia_matches_eigenvalue_signs():
+    rng = np.random.default_rng(0)
+    with_blocks = 0
+    for _ in range(1200):
+        kkt = _random_kkt(rng)
+        ev = np.linalg.eigvalsh(kkt)
+        expected = (int(np.sum(ev > 1e-12)), int(np.sum(ev < -1e-12)),
+                    int(np.sum(np.abs(ev) <= 1e-12)))
+        assert _inertia(kkt) == expected
+        _, d, _ = scipy.linalg.ldl(kkt, lower=True)
+        with_blocks += bool(np.any(np.diag(d, -1) != 0))
+    assert with_blocks > 600  # 2x2 Bunch-Kaufman pivots are exercised
+    assert _inertia(np.diag([2.0, -3.0, 0.0])) == (1, 1, 1)
+
+
+def test_each_iterate_is_evaluated_once(five_bus):
+    problem = build_problem(five_bus)
+    calls = dict.fromkeys(("equalities", "equality_jacobian",
+                           "inequality_jacobian", "lagrangian_hessian"), 0)
+    for name in calls:
+        def counted(*args, _method=getattr(problem, name), _name=name):
+            calls[_name] += 1
+            return _method(*args)
+        setattr(problem, name, counted)
+    solution = solve(problem)
+    assert solution.status == "converged"
+    assert calls["equality_jacobian"] <= solution.iterations
+    assert calls["inequality_jacobian"] <= solution.iterations
+    assert calls["lagrangian_hessian"] <= solution.iterations
+    # one evaluation at the start, one per line-search trial, one at the end
+    assert calls["equalities"] <= 2 * solution.iterations
+
+
+def test_repeated_solves_retain_no_memory(five_bus_problem):
+    """A sweep runs thousands of KKT solves in one process; none may leave
+    memory behind (an ill-conditioned scipy.linalg.solve keeps ~650 bytes)."""
+    solve(five_bus_problem)
+    tracemalloc.start()
+    try:
+        solve(five_bus_problem)
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            solve(five_bus_problem)
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert grown < 16_000

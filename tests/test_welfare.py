@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sesopf.casemodel import Aggregator, Generator
 from sesopf.welfare import (
@@ -156,11 +156,15 @@ def test_gen_cost_reference_values():
 
 
 @given(p=st.floats(0.0, 1e3), h=st.floats(1e-4, 1.0))
+@example(p=812.1650423243923, h=1e-4)
 def test_marginal_cost_is_cost_slope(p, h):
     gen = Generator(1, 2.0, 14.0, 60.0, 0.0, 1e3, 0.0, 0.0)
-    secant = (gen_cost(gen, p + h) - gen_cost(gen, p)) / h
-    # quadratic: secant equals the marginal at the interval midpoint
-    assert secant == pytest.approx(marginal_cost(gen, p + 0.5 * h), rel=1e-9)
+    c0, c1 = gen_cost(gen, p), gen_cost(gen, p + h)
+    secant = (c1 - c0) / h
+    # quadratic: secant equals the marginal at the interval midpoint, up to
+    # the rounding of two costs near 1e6 $/h divided by a step as small as h
+    rounding = 4 * np.finfo(float).eps * max(abs(c0), abs(c1)) / h
+    assert secant == pytest.approx(marginal_cost(gen, p + 0.5 * h), rel=1e-9, abs=rounding)
 
 
 # ---------------------------------------------------------------------------
