@@ -162,10 +162,30 @@ def line_flow(case: CaseData, v, theta, line_index: int) -> tuple[float, float]:
     return float(p_ft * case.s_base), float(p_tf * case.s_base)
 
 
+def line_arrays(case: CaseData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(from bus index, to bus index, g, b) of every line, in line order,
+    with each bus id resolved once."""
+    index = {bus.id: k for k, bus in enumerate(case.buses)}
+    i = np.array([index[ln.from_bus] for ln in case.lines], dtype=int)
+    j = np.array([index[ln.to_bus] for ln in case.lines], dtype=int)
+    series = [series_admittance(ln) for ln in case.lines]
+    g = np.array([gb[0] for gb in series], dtype=float)
+    b = np.array([gb[1] for gb in series], dtype=float)
+    return i, j, g, b
+
+
+def line_flows(case: CaseData, v, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Directed sendings (from->to, to->from) of all lines, in MW; entry k
+    equals ``line_flow(case, v, theta, k)``."""
+    i, j, g, b = line_arrays(case)
+    v = np.asarray(v, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    p_ft = flow_p(v[i], v[j], theta[i], theta[j], g, b)
+    p_tf = flow_p(v[j], v[i], theta[j], theta[i], g, b)
+    return p_ft * case.s_base, p_tf * case.s_base
+
+
 def network_losses(case: CaseData, v, theta) -> float:
     """Total resistive loss in MW, summed over lines."""
-    total = 0.0
-    for k in range(len(case.lines)):
-        p_ft, p_tf = line_flow(case, v, theta, k)
-        total += p_ft + p_tf
-    return total
+    p_ft, p_tf = line_flows(case, v, theta)
+    return float(np.sum(p_ft + p_tf))

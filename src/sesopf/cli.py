@@ -30,10 +30,7 @@ def _options(args) -> SolverOptions:
 def _write_or_print(doc, fmt, path):
     if path is None:
         if isinstance(doc, harness.SweepResult):
-            header, rows = harness.sweep_rows(doc)
-            print(",".join(header))
-            for row in rows:
-                print(",".join(row))
+            harness.write_sweep_csv(doc, sys.stdout, lineterminator="\n")
         else:
             json.dump(doc, sys.stdout, indent=2)
             print()

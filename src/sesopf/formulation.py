@@ -331,11 +331,7 @@ def build_problem(case: CaseData) -> Problem:
     ub[layout.th] = np.inf
 
     adm = acnetwork.build_admittance(case)
-    line_from = np.array([case.bus_index(ln.from_bus) for ln in case.lines], dtype=int)
-    line_to = np.array([case.bus_index(ln.to_bus) for ln in case.lines], dtype=int)
-    series = [acnetwork.series_admittance(ln) for ln in case.lines]
-    line_g = np.array([s[0] for s in series])
-    line_b = np.array([s[1] for s in series])
+    line_from, line_to, line_g, line_b = acnetwork.line_arrays(case)
 
     return Problem(case, layout, lb, ub, adm, line_from, line_to, line_g, line_b)
 

@@ -124,16 +124,24 @@ def sweep_rows(result: SweepResult) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def write_sweep_csv(result: SweepResult, fh, lineterminator: str = "\r\n") -> None:
+    """Write the sweep table to an open text file: a header row, then one
+    row per record."""
+    header, rows = sweep_rows(result)
+    writer = csv.writer(fh, lineterminator=lineterminator)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def solve_document(case: CaseData, solution: Solution, metrics: Metrics) -> dict:
     keys = _agg_keys(case)
-    lines = []
-    for k, ln in enumerate(case.lines):
-        p_ft, p_tf = acnetwork.line_flow(case, solution.v, solution.theta, k)
-        lines.append({
-            "from_bus": ln.from_bus, "to_bus": ln.to_bus, "s_max": ln.s_max,
-            "p_from_to": p_ft, "p_to_from": p_tf,
-            "binding": bool(max(p_ft, p_tf) > ln.s_max - 1e-4),
-        })
+    p_ft, p_tf = acnetwork.line_flows(case, solution.v, solution.theta)
+    lines = [
+        {"from_bus": ln.from_bus, "to_bus": ln.to_bus, "s_max": ln.s_max,
+         "p_from_to": ft, "p_to_from": tf,
+         "binding": bool(max(ft, tf) > ln.s_max - 1e-4)}
+        for ln, ft, tf in zip(case.lines, p_ft.tolist(), p_tf.tolist())
+    ]
     return {
         "case": case.name,
         "status": solution.status,
@@ -172,13 +180,11 @@ def emit(result, fmt: str, path) -> None:
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format '{fmt}'")
     if isinstance(result, SweepResult):
-        header, rows = sweep_rows(result)
         if fmt == "csv":
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
+                write_sweep_csv(result, fh)
         else:
+            header, rows = sweep_rows(result)
             doc = {"case": result.case_name,
                    "records": [dict(zip(header, row)) for row in rows]}
             _dump_json(doc, path)

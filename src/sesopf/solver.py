@@ -5,8 +5,9 @@ The solver minimizes the negated welfare objective subject to the power
 balance equalities and all inequality rows (line limits, adequacy, box
 bounds). Inequalities get positive slacks with a logarithmic barrier; the
 barrier parameter decreases monotonically; the condensed KKT system is
-factored with an inertia check and diagonal regularization and solved
-after symmetric equilibration; steps are safeguarded by the
+regularized on its diagonal until its inertia, read from the block diagonal
+factor D of LAPACK's Bunch-Kaufman ``dsytrf``, is (n, m_E, 0), and is then
+solved after symmetric equilibration; steps are safeguarded by the
 fraction-to-boundary rule and a merit-function backtracking line search.
 Everything is deterministic.
 
@@ -61,6 +62,7 @@ class Solution:
     q_agg: np.ndarray = None
     v: np.ndarray = None
     theta: np.ndarray = None
+    reason: str | None = None  # why infeasibility was detected, if screened
 
 
 class _InternalNLP:
@@ -122,19 +124,33 @@ class _InternalNLP:
 
 
 def _inertia(kkt: np.ndarray) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts via LDL factorization.
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix,
+    read from the block diagonal D of its Bunch-Kaufman factorization
+    P L D L' P' (Sylvester's law of inertia).
 
-    D is block diagonal; a nonzero subdiagonal entry marks a 2x2 block,
-    whose eigenvalues are mean -/+ radius."""
-    _, d, _ = scipy.linalg.ldl(kkt, lower=True)
-    ev = np.diag(d).copy()
-    off = np.diag(d, -1)
-    i = np.flatnonzero(np.abs(off) > 1e-14)
+    Only the lower triangle is read. ``dsytrf`` marks a 2x2 block of D by a
+    negative pivot on both of its rows and a 1x1 block by a positive one, so
+    the negative pivots pair up in order: a block starts at every even offset
+    of each run of them. A block's eigenvalues are mean -/+ radius.
+    Raises ValueError for a matrix with a non-finite entry, which LAPACK
+    would factor without complaint (an infinite pivot reads as positive)."""
+    if not np.isfinite(kkt).all():
+        raise ValueError("KKT matrix has non-finite entries")
+    lapack = scipy.linalg.lapack
+    n = len(kkt)
+    # the workspace scipy.linalg.ldl queries, so LAPACK runs the same
+    # blocked factorization and D is the same bit for bit
+    lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])
+    ldu, ipiv, info = lapack.dsytrf(kkt, lower=1, lwork=lwork)
+    if info < 0:
+        raise ValueError(f"dsytrf: illegal value in argument {-info}")
+    ev = ldu.diagonal().copy()
+    i = np.flatnonzero(ipiv < 0)[::2]
     mean = 0.5 * (ev[i] + ev[i + 1])
-    radius = np.hypot(0.5 * (ev[i] - ev[i + 1]), off[i])
+    radius = np.hypot(0.5 * (ev[i] - ev[i + 1]), ldu[i + 1, i])
     ev[i], ev[i + 1] = mean - radius, mean + radius
     pos, neg = int(np.sum(ev > 1e-12)), int(np.sum(ev < -1e-12))
-    return pos, neg, len(ev) - pos - neg
+    return pos, neg, n - pos - neg
 
 
 def _scaled_residuals(r_d, r_e, r_h, s, lam, nu, mu):
@@ -165,7 +181,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     reason = _screen_infeasible(problem)
     if reason is not None:
         x = problem.initial_point()
-        return _finish(problem, None, x, None, None, 0, [], "infeasible_detected")
+        return _finish(problem, None, x, None, None, 0, [], "infeasible_detected", reason)
 
     nlp = _InternalNLP(problem)
     n, me = nlp.n, nlp.m_eq
@@ -302,7 +318,7 @@ def _merit(f, ce, h, s, mu, rho):
     return f - mu * np.log(s).sum() + rho * theta, theta
 
 
-def _finish(problem, nlp, x, lam, nu, iterations, log, status) -> Solution:
+def _finish(problem, nlp, x, lam, nu, iterations, log, status, reason=None) -> Solution:
     me_p, mi_p = problem.n_eq, problem.n_ineq
     if nlp is None:
         lam_eq = np.zeros(me_p)
@@ -338,7 +354,7 @@ def _finish(problem, nlp, x, lam, nu, iterations, log, status) -> Solution:
         objective=problem.objective(x), log=log, max_violation=max_violation,
         p_gen=state["p_gen"], q_gen=state["q_gen"],
         p_agg=state["p_agg"], q_agg=state["q_agg"],
-        v=state["v"], theta=state["theta"],
+        v=state["v"], theta=state["theta"], reason=reason,
     )
 
 

@@ -31,6 +31,14 @@ def five_bus_solution(five_bus_problem):
     return solution
 
 
+@pytest.fixture(scope="session")
+def rts24_solution(rts24):
+    """One converged rts24 solve at its default SES values."""
+    solution = solve(build_problem(rts24), SolverOptions())
+    assert solution.status == "converged"
+    return solution
+
+
 def single_bus_case(gen, agg, name="single_bus"):
     """One slack bus, no lines: balance reduces to P_g = P_a, Q_g = Q_a."""
     return CaseData(name, 100.0, (Bus(1, is_slack=True),), (), (gen,), (agg,))

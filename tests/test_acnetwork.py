@@ -11,7 +11,7 @@ from sesopf.casemodel import Bus, CaseData, Line
 from sesopf.acnetwork import (
     Admittance, build_admittance, bus_injections, flow_p, flow_p_grad,
     flow_p_hess, flow_q, flow_q_grad, flow_q_hess, injection_residuals,
-    line_flow, network_losses, series_admittance,
+    line_flow, line_flows, network_losses, series_admittance,
 )
 
 
@@ -178,6 +178,18 @@ def test_losses_nonnegative_for_resistive_lines(data, five_bus):
     v = np.array([data.draw(st.floats(0.9, 1.1)) for _ in range(5)])
     theta = np.array([0.0] + [data.draw(st.floats(-0.5, 0.5)) for _ in range(4)])
     assert network_losses(five_bus, v, theta) >= -1e-9
+
+
+@pytest.mark.parametrize("name", ["five_bus", "rts24"])
+def test_line_flows_match_line_flow(name, request):
+    case = request.getfixturevalue(name)
+    sol = request.getfixturevalue(f"{name}_solution")
+    p_ft, p_tf = line_flows(case, sol.v, sol.theta)
+    ref = np.array([line_flow(case, sol.v, sol.theta, k) for k in range(len(case.lines))])
+    assert np.allclose(p_ft, ref[:, 0], rtol=1e-12, atol=0.0)
+    assert np.allclose(p_tf, ref[:, 1], rtol=1e-12, atol=0.0)
+    assert network_losses(case, sol.v, sol.theta) == pytest.approx(
+        float(np.sum(ref)), rel=1e-12)
 
 
 def test_generation_demand_loss_identity(five_bus, five_bus_solution):

@@ -55,6 +55,19 @@ def test_sweep_range_flags(tmp_path):
     assert lines[0].startswith("scale_pct,status,iterations")
 
 
+def test_sweep_prints_the_rows_it_writes(tmp_path, capsys):
+    args = ["sweep", "builtin:five_bus", "--from", "100", "--to", "102"]
+    out = tmp_path / "sweep.csv"
+    assert cli_main(args + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    assert cli_main(args) == 0
+    printed = capsys.readouterr().out
+    written = out.read_bytes().decode()
+    assert "\r" not in printed
+    assert written.count("\r\n") == 3  # header + 2 scale points, csv line ends
+    assert printed == written.replace("\r\n", "\n")
+
+
 def test_sweep_invalid_range_exits_2(capsys):
     assert cli_main(["sweep", "builtin:five_bus", "--from", "100",
                      "--to", "50"]) == 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sesopf import solver
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, Line
 from sesopf.formulation import Problem, build_problem
 from sesopf.solver import (
@@ -83,6 +84,7 @@ def test_infeasible_case_detected():
     agg = Aggregator(1, 1.0, 50.0, 0.1, 30.0, 20.0, 0.0, 0.0)
     solution = solve(build_problem(single_bus_case(gen, agg)))
     assert solution.status == "infeasible_detected"
+    assert solution.reason == "total generation capacity below total critical active demand"
 
 
 def test_iteration_limit_reported():
@@ -241,6 +243,81 @@ def test_inertia_matches_eigenvalue_signs():
         with_blocks += bool(np.any(np.diag(d, -1) != 0))
     assert with_blocks > 600  # 2x2 Bunch-Kaufman pivots are exercised
     assert _inertia(np.diag([2.0, -3.0, 0.0])) == (1, 1, 1)
+
+
+def _three_coupled_blocks():
+    """Three 2x2 pivots, then a 1x1 pivot. Between the blocks the factor's
+    subdiagonal holds nonzero L multipliers, not block entries."""
+    kkt = np.full((7, 7), 0.5)
+    kkt[6, :] = kkt[:, 6] = 0.25
+    np.fill_diagonal(kkt, 0.0)
+    kkt[6, 6] = -1.0
+    for i, v in ((0, 4.0), (2, -3.0), (4, 2.0)):
+        kkt[i, i + 1] = kkt[i + 1, i] = v
+    return kkt, 6
+
+
+def _two_blocks_same_pivot():
+    """Two 2x2 pivots that both swap in the same row, so all four pivot
+    entries are equal (-4) and only their order tells the blocks apart."""
+    kkt = np.array([[0, -2, 1, -3, 2], [-2, 0, 3, 1, -1], [1, 3, 0, -2, -1],
+                    [-3, 1, -2, 0, 3], [2, -1, -1, 3, 0]], dtype=float)
+    return kkt, 4
+
+
+@pytest.mark.parametrize("build", [_three_coupled_blocks, _two_blocks_same_pivot])
+def test_inertia_reads_consecutive_two_by_two_blocks(build):
+    kkt, run = build()
+    n = len(kkt)
+    lwork = int(scipy.linalg.lapack.dsytrf_lwork(n, lower=1)[0])
+    _, ipiv, info = scipy.linalg.lapack.dsytrf(kkt, lower=1, lwork=lwork)
+    assert info == 0
+    assert (ipiv < 0).tolist() == [True] * run + [False] * (n - run)
+    ev = np.linalg.eigvalsh(kkt)
+    assert np.min(np.abs(ev)) > 0.1
+    assert _inertia(kkt) == (int(np.sum(ev > 0)), int(np.sum(ev < 0)), 0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (3, 1), (4, 4)])
+def test_inertia_rejects_non_finite_matrices(value, where):
+    """LAPACK factors a non-finite matrix without complaint, and an infinite
+    pivot would read as positive; such a matrix must never pass as having
+    the inertia the solver accepts."""
+    kkt = np.diag([2.0, 1.0, 3.0, -1.0, -2.0])
+    kkt[3, 0] = kkt[0, 3] = 0.5
+    kkt[where] = kkt[where[::-1]] = value
+    try:
+        counts = _inertia(kkt)
+    except ValueError:
+        return
+    assert counts != (3, 2, 0)
+
+
+def test_inertia_matches_ldl_on_solver_matrices(five_bus_problem, monkeypatch):
+    """Every KKT matrix of a five_bus solve gets the counts that the
+    eigenvalues of scipy.linalg.ldl's block diagonal D give."""
+    seen = []
+
+    def recording(kkt):
+        seen.append(kkt.copy())  # the solver refills kkt in place
+        return _inertia(kkt)
+
+    monkeypatch.setattr(solver, "_inertia", recording)
+    assert solve(five_bus_problem).status == "converged"
+    assert len(seen) >= 44
+    for kkt in seen:
+        ev = np.linalg.eigvalsh(scipy.linalg.ldl(kkt, lower=True)[1])
+        pos, neg = int(np.sum(ev > 1e-12)), int(np.sum(ev < -1e-12))
+        assert _inertia(kkt) == (pos, neg, len(ev) - pos - neg)
+
+
+def test_iteration_counts_are_pinned(five_bus_solution, rts24_solution):
+    """The same iterates as before: a change meant to keep them must keep
+    these counts. A deliberate algorithm change updates the pins and records
+    the old and new counts in CHANGES.md."""
+    assert five_bus_solution.iterations == 45
+    assert rts24_solution.iterations == 136
 
 
 def test_each_iterate_is_evaluated_once(five_bus):
