@@ -337,8 +337,9 @@ _RTS24_LOADS = {
 }
 
 # Seed chosen because the default solver converges on the congestion pattern
-# it samples. Seeds 0-6 end at iteration_limit instead; none of them is proven
-# infeasible (with an objective scaling, seeds 2 and 4 converge).
+# it samples (31 iterations). Of seeds 0-7, only seed 7 also converges (57
+# iterations); seeds 0-6 stop at iteration_limit after 200 iterations with
+# final violations from 5.5e-4 to 0.22. None of them is proven infeasible.
 RTS24_SEED = 2025
 
 

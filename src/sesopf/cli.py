@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 solver non-convergence, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -55,6 +56,8 @@ def cli_main(argv=None) -> int:
     p_solve = sub.add_parser("solve", parents=[common],
                              help="solve a case at default SES")
     p_solve.add_argument("case")
+    p_solve.add_argument("--trace", metavar="FILE", default=None,
+                         help="write the solver log to FILE as JSON lines")
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="SES sensitivity sweep")
@@ -62,6 +65,8 @@ def cli_main(argv=None) -> int:
     p_sweep.add_argument("--from", dest="from_pct", type=float, default=10.0)
     p_sweep.add_argument("--to", dest="to_pct", type=float, default=150.0)
     p_sweep.add_argument("--step", dest="step_pct", type=float, default=2.0)
+    p_sweep.add_argument("--trace", metavar="FILE", default=None,
+                         help="write every point's solver log to FILE as JSON lines")
 
     p_check = sub.add_parser("check", parents=[common],
                              help="validate a case and audit derivatives")
@@ -85,13 +90,20 @@ def cli_main(argv=None) -> int:
     try:
         if args.command == "solve":
             solution, metrics = harness.run_solve(case, _options(args))
+            if args.trace is not None:
+                with open(args.trace, "w") as fh:
+                    harness.write_trace(fh, solution.log)
             doc = harness.solve_document(case, solution, metrics)
             _write_or_print(doc, args.format or "json", args.output)
             return 0 if solution.status == "converged" else 1
 
         if args.command == "sweep":
-            result = harness.ses_sweep(case, args.from_pct, args.to_pct,
-                                       args.step_pct, _options(args))
+            trace = contextlib.nullcontext() if args.trace is None else open(args.trace, "w")
+            with trace as fh:
+                on_solve = None if fh is None else (
+                    lambda pct, sol: harness.write_trace(fh, sol.log, scale_pct=pct))
+                result = harness.ses_sweep(case, args.from_pct, args.to_pct,
+                                           args.step_pct, _options(args), on_solve=on_solve)
             _write_or_print(result, args.format or "csv", args.output)
             ok = all(r.status == "converged" for r in result.records)
             return 0 if ok else 1
@@ -124,7 +136,7 @@ def cli_main(argv=None) -> int:
             }
             _write_or_print(doc, args.format or "json", args.output)
             return 0 if solution.status == "converged" else 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

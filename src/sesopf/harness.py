@@ -78,8 +78,10 @@ class SweepResult:
 
 def ses_sweep(case: CaseData, from_pct: float = 10.0, to_pct: float = 150.0,
               step_pct: float = 2.0,
-              opts: SolverOptions = SolverOptions()) -> SweepResult:
-    """Re-solve the case with all SES values scaled together over a range."""
+              opts: SolverOptions = SolverOptions(), *, on_solve=None) -> SweepResult:
+    """Re-solve the case with all SES values scaled together over a range.
+    ``on_solve``, if given, is called with (scale_pct, Solution) after each
+    point."""
     if not (0 < from_pct <= to_pct) or step_pct <= 0:
         raise ValueError("invalid sweep range")
     pcts = []
@@ -95,6 +97,8 @@ def ses_sweep(case: CaseData, from_pct: float = 10.0, to_pct: float = 150.0,
     for pct in pcts:
         scaled = scale_ses(case, pct / 100.0)
         solution, metrics = run_solve(scaled, opts)
+        if on_solve is not None:
+            on_solve(pct, solution)
         records.append(SweepRecord(pct, solution.status, solution.iterations, metrics))
     return SweepResult(case.name, tuple(records), tuple(_agg_keys(case)))
 
@@ -131,6 +135,13 @@ def write_sweep_csv(result: SweepResult, fh, lineterminator: str = "\r\n") -> No
     writer = csv.writer(fh, lineterminator=lineterminator)
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def write_trace(fh, log, **extra) -> None:
+    """Write a solver log to an open text file as JSON lines, one row per
+    iteration, each led by the ``extra`` fields."""
+    for row in log:
+        fh.write(json.dumps({**extra, **row}) + "\n")
 
 
 def solve_document(case: CaseData, solution: Solution, metrics: Metrics) -> dict:

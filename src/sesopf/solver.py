@@ -3,13 +3,20 @@ a copper-plate analytic oracle, and a finite-difference derivative audit.
 
 The solver minimizes the negated welfare objective subject to the power
 balance equalities and all inequality rows (line limits, adequacy, box
-bounds). Inequalities get positive slacks with a logarithmic barrier; the
-barrier parameter decreases monotonically; the condensed KKT system is
-regularized on its diagonal until its inertia, read from the block diagonal
-factor D of LAPACK's Bunch-Kaufman ``dsytrf``, is (n, m_E, 0), and is then
-solved after symmetric equilibration; steps are safeguarded by the
-fraction-to-boundary rule and a merit-function backtracking line search.
-Everything is deterministic.
+bounds). Inequalities get positive slacks with a logarithmic barrier. The
+barrier parameter starts in proportion to the objective's gradient at the
+start point, mu0 * max(1, ||grad f(x0)||_inf / 100), so that the barrier
+is not negligible next to the objective; whenever the barrier problem is
+solved to within 10 mu it falls superlinearly, to
+max(tol/100, min(mu_reduction * mu, mu^1.5)) (IPOPT's rule, Waechter &
+Biegler 2006, Math. Prog. 106:25-57, section 2.1); and a solve converges
+only once the scaled residuals and mu itself are at most tol.
+
+The condensed KKT system is regularized on its diagonal until its inertia,
+read from the block diagonal factor D of LAPACK's Bunch-Kaufman ``dsytrf``,
+is (n, m_E, 0), and is then solved after symmetric equilibration; steps are
+safeguarded by the fraction-to-boundary rule and a merit-function
+backtracking line search. Everything is deterministic.
 
 Each iterate is evaluated once: its objective and constraint values come
 from the accepted line-search trial, and its gradient, Jacobians and
@@ -36,11 +43,14 @@ _SMAX = 100.0         # residual scaling cap (dual magnitudes)
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-6
+    tol: float = 1e-6          # on the scaled residuals and on the final mu
     max_iter: int = 200
+    # initial barrier for an objective whose gradient at the start point is
+    # at most 100 in max norm; a steeper objective starts at
+    # mu0 * ||grad f(x0)||_inf / 100
     mu0: float = 0.1
-    mu_reduction: float = 0.2
-    tau: float = 0.995  # fraction-to-boundary
+    mu_reduction: float = 0.2  # linear factor of the mu update
+    tau: float = 0.995         # fraction-to-boundary
 
 
 @dataclass
@@ -53,6 +63,12 @@ class Solution:
     z_upper: np.ndarray     # upper-bound duals
     iterations: int
     objective: float        # maximization value, $/h
+    # one dict per iterate: iter, mu, the scaled residuals inf_pr, inf_du and
+    # inf_comp, the minimized objective f, and the step that reached the
+    # iterate: alpha_p, alpha_d, delta_w (Hessian regularization), backtracks
+    # (line-search halvings) and fallback (whether the full boundary-limited
+    # step was taken without sufficient decrease); the start point's row has
+    # zero steps
     log: list = field(default_factory=list)
     max_violation: float = np.inf
     # unpacked physical quantities (MW/MVAr, p.u. voltages, rad angles)
@@ -188,12 +204,15 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
 
     x = problem.initial_point()
     f, ce, h = nlp.values(x)
+    grad = nlp.grad(x)
     s = np.maximum(1e-2, -h)
-    mu = opts.mu0
+    mu = opts.mu0 * max(1.0, np.max(np.abs(grad)) / 100.0)
     nu = np.maximum(mu / s, 1e-8)
     lam = np.zeros(me)
     rho = 10.0
     log = []
+    # how the current iterate was reached; the start point was not
+    came_by = {"alpha_p": 0.0, "alpha_d": 0.0, "delta_w": 0.0, "backtracks": 0, "fallback": False}
     status = "iteration_limit"
     it = 0
     kkt = np.zeros((n + me, n + me))
@@ -202,17 +221,18 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     diag = np.arange(n)
 
     for it in range(1, opts.max_iter + 1):
-        grad, je, jh = nlp.grad(x), nlp.je(x), problem.inequality_jacobian(x)
+        je, jh = nlp.je(x), problem.inequality_jacobian(x)
         r_d = grad + je.T @ lam + nlp.jh_t(jh, nu)
         r_h = h + s
         inf_pr, inf_du, inf_comp0 = _scaled_residuals(r_d, ce, r_h, s, lam, nu, 0.0)
-        log.append({"iter": it, "mu": mu, "inf_pr": inf_pr, "inf_du": inf_du, "f": f})
-        if max(inf_pr, inf_du, inf_comp0) <= opts.tol:
+        log.append({"iter": it, "mu": mu, "inf_pr": inf_pr, "inf_du": inf_du,
+                    "inf_comp": inf_comp0, "f": f, **came_by})
+        if max(inf_pr, inf_du, inf_comp0, mu) <= opts.tol:
             status = "converged"
             break
         _, _, inf_comp_mu = _scaled_residuals(r_d, ce, r_h, s, lam, nu, mu)
         if max(inf_pr, inf_du, inf_comp_mu) <= 10.0 * mu:
-            mu = max(opts.tol / 100.0, opts.mu_reduction * mu)
+            mu = max(opts.tol / 100.0, min(opts.mu_reduction * mu, mu ** 1.5))
 
         d_sigma = nu / s
         m_base = nlp.condensed(x, lam, nu, jh, d_sigma)
@@ -274,9 +294,10 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         phi0, theta0 = _merit(f, ce, h, s, mu, rho)
         dphi = grad @ dx - mu * np.sum(ds / s) - rho * theta0
         alpha = alpha_p
+        backtracks, fallback = 0, False
         trial = None  # (f, c_E, h) at the accepted x_t
         if dphi < 0.0:
-            for _ in range(30):
+            for backtracks in range(30):
                 x_t, s_t = x + alpha * dx, s + alpha * ds
                 if np.all(s_t > 0):
                     trial = nlp.values(x_t)
@@ -289,10 +310,12 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
                 # boundary-limited step rather than stalling the iteration
                 alpha = alpha_p
                 trial = None
+                backtracks, fallback = 30, True
         if trial is None:
             x_t = x + alpha * dx
             trial = nlp.values(x_t)
         x, (f, ce, h) = x_t, trial
+        grad = nlp.grad(x)
         s = s + alpha * ds
         lam = lam + alpha_d * dlam
         nu = np.maximum(nu + alpha_d * dnu, 1e-14)
@@ -300,6 +323,8 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         # active rows otherwise distort the equality duals)
         kappa = 1e10
         nu = np.clip(nu, mu / (kappa * s), kappa * mu / s)
+        came_by = {"alpha_p": alpha, "alpha_d": alpha_d, "delta_w": delta_w,
+                   "backtracks": backtracks, "fallback": fallback}
 
     return _finish(problem, nlp, x, lam, nu, it, log, status)
 

@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, flags, exit codes, and outputs."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -66,6 +68,49 @@ def test_sweep_prints_the_rows_it_writes(tmp_path, capsys):
     assert "\r" not in printed
     assert written.count("\r\n") == 3  # header + 2 scale points, csv line ends
     assert printed == written.replace("\r\n", "\n")
+
+
+def test_solve_trace_has_one_row_per_iteration(tmp_path, capsys):
+    out, trace = tmp_path / "solve.json", tmp_path / "solve.jsonl"
+    assert cli_main(["solve", "builtin:five_bus", "--output", str(out),
+                     "--trace", str(trace)]) == 0
+    rows = [json.loads(line) for line in trace.read_text().splitlines()]
+    iterations = json.loads(out.read_text())["iterations"]
+    assert [row["iter"] for row in rows] == list(range(1, iterations + 1))
+    assert {"mu", "inf_pr", "inf_du", "alpha_p", "alpha_d", "delta_w", "backtracks",
+            "fallback"} <= set(rows[0])
+
+
+def test_sweep_trace_is_reproducible_and_leaves_outputs_alone(tmp_path, capsys):
+    args = ["sweep", "builtin:five_bus", "--from", "100", "--to", "104"]
+    assert cli_main(args) == 0
+    plain = capsys.readouterr().out
+    outputs = []
+    for k in range(2):
+        out, trace = tmp_path / f"sweep{k}.csv", tmp_path / f"sweep{k}.jsonl"
+        assert cli_main(args + ["--trace", str(trace)]) == 0
+        assert capsys.readouterr().out == plain
+        assert cli_main(args + ["--output", str(out), "--trace", str(trace)]) == 0
+        outputs.append((out.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+    csv_bytes, trace_bytes = outputs[0]
+    assert csv_bytes.decode().replace("\r\n", "\n") == plain
+    records = list(csv.DictReader(io.StringIO(plain)))
+    rows = [json.loads(line) for line in trace_bytes.decode().splitlines()]
+    assert len(rows) == sum(int(r["iterations"]) for r in records)
+    assert sorted({row["scale_pct"] for row in rows}) == [100.0, 102.0, 104.0]
+    for r in records:
+        point = [row["iter"] for row in rows if row["scale_pct"] == float(r["scale_pct"])]
+        assert point == list(range(1, int(r["iterations"]) + 1))
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_unwritable_trace_exits_2(tmp_path, capsys, command):
+    args = [command, "builtin:five_bus", "--trace", str(tmp_path / "missing" / "t.jsonl")]
+    if command == "sweep":
+        args += ["--from", "100", "--to", "100"]
+    assert cli_main(args) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_sweep_invalid_range_exits_2(capsys):

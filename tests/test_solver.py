@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from sesopf import solver
-from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, Line
+from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, Line, scale_ses
 from sesopf.formulation import Problem, build_problem
 from sesopf.solver import (
     SolverOptions, _inertia, copper_plate_oracle, finite_difference_audit,
@@ -304,8 +304,9 @@ def test_inertia_matches_ldl_on_solver_matrices(five_bus_problem, monkeypatch):
         return _inertia(kkt)
 
     monkeypatch.setattr(solver, "_inertia", recording)
-    assert solve(five_bus_problem).status == "converged"
-    assert len(seen) >= 44
+    solution = solve(five_bus_problem)
+    assert solution.status == "converged"
+    assert len(seen) >= solution.iterations - 1
     for kkt in seen:
         ev = np.linalg.eigvalsh(scipy.linalg.ldl(kkt, lower=True)[1])
         pos, neg = int(np.sum(ev > 1e-12)), int(np.sum(ev < -1e-12))
@@ -316,8 +317,107 @@ def test_iteration_counts_are_pinned(five_bus_solution, rts24_solution):
     """The same iterates as before: a change meant to keep them must keep
     these counts. A deliberate algorithm change updates the pins and records
     the old and new counts in CHANGES.md."""
-    assert five_bus_solution.iterations == 45
-    assert rts24_solution.iterations == 136
+    assert five_bus_solution.iterations == 25
+    assert rts24_solution.iterations == 31
+
+
+# ---------------------------------------------------------------------------
+# barrier schedule and per-iteration log
+
+
+@pytest.mark.parametrize("scale, parent_objective", [
+    (0.70, 3_754_861.77), (1.00, 5_398_138.39), (1.30, 7_041_463.31)])
+def test_rts24_converges_within_forty_iterations(rts24, scale, parent_objective):
+    """The objective-sized barrier keeps the optimum that the fixed
+    mu0 = 0.1 schedule reached in 129-144 iterations."""
+    problem = build_problem(scale_ses(rts24, scale))
+    solution = solve(problem)
+    assert solution.status == "converged"
+    assert solution.iterations <= 40
+    assert kkt_check(problem, solution).passed
+    assert solution.objective == pytest.approx(parent_objective, rel=1e-6)
+
+
+def _gradient_sized_mu0(problem):
+    grad = problem.objective_gradient(problem.initial_point())
+    return 0.1 * max(1.0, np.max(np.abs(grad)) / 100.0)
+
+
+def test_initial_barrier_is_sized_to_the_gradient(five_bus_problem, five_bus_solution):
+    assert _gradient_sized_mu0(five_bus_problem) > 100 * SolverOptions().mu0
+    assert five_bus_solution.log[0]["mu"] == _gradient_sized_mu0(five_bus_problem)
+
+
+def test_small_objective_starts_at_mu0():
+    """The toy exchange with every price divided by 20: its gradient at the
+    start point is 50, below 100, so the barrier starts at mu0 itself."""
+    gen = Generator(1, 0.05, 0.0, 0.0, 0.0, 8.0, 0.0, 0.0)
+    agg = Aggregator(1, 1.0, 0.5, 0.05, 8.0, 0.0, 0.0, 0.0)
+    problem = build_problem(single_bus_case(gen, agg, "small_toy"))
+    solution = solve(problem)
+    assert solution.status == "converged"
+    assert solution.log[0]["mu"] == SolverOptions().mu0 == _gradient_sized_mu0(problem)
+    assert solution.p_gen[0] == pytest.approx(10.0 / 3.0, abs=1e-6)
+
+
+def test_barrier_decreases_superlinearly(five_bus_solution, rts24_solution):
+    opts = SolverOptions()
+    for solution in (five_bus_solution, rts24_solution):
+        mus = [row["mu"] for row in solution.log]
+        cuts = [(a, b) for a, b in zip(mus, mus[1:]) if b != a]
+        assert cuts
+        for a, b in cuts:
+            assert b == max(opts.tol / 100.0, min(opts.mu_reduction * a, a ** 1.5))
+        assert any(b == a ** 1.5 < opts.mu_reduction * a for a, b in cuts)
+
+
+def test_converged_solve_ends_with_a_small_barrier(five_bus_solution, rts24_solution):
+    for solution in (five_bus_solution, rts24_solution):
+        assert solution.log[-1]["mu"] <= SolverOptions().tol
+
+
+def test_log_rows_carry_the_step_columns(five_bus_solution):
+    """Row k describes iterate k and the step that reached it; the first
+    row, the start point, was reached by no step."""
+    log = five_bus_solution.log
+    assert [row["iter"] for row in log] == list(range(1, five_bus_solution.iterations + 1))
+    keys = {"iter", "mu", "inf_pr", "inf_du", "inf_comp", "f",
+            "alpha_p", "alpha_d", "delta_w", "backtracks", "fallback"}
+    assert all(set(row) == keys for row in log)
+    assert (log[0]["alpha_p"], log[0]["alpha_d"], log[0]["backtracks"]) == (0.0, 0.0, 0)
+    for row in log[1:]:
+        assert 0.0 < row["alpha_p"] <= 1.0
+        assert 0.0 < row["alpha_d"] <= 1.0
+        assert row["delta_w"] >= 0.0
+        assert 0 <= row["backtracks"] <= 30
+    assert all(type(row["fallback"]) is bool for row in log)
+    assert all(isinstance(row[k], float) for row in log
+               for k in ("mu", "inf_pr", "inf_du", "inf_comp", "f", "alpha_p", "alpha_d",
+                         "delta_w"))
+
+
+def test_log_rows_record_backtracks_and_regularization():
+    """The two-bus case backtracks and the three-bus case regularizes its
+    Hessian; both show in the rows of the iterates those steps reached."""
+    two = solve(build_problem(two_bus_copper_case()))
+    three = solve(build_problem(three_bus_copper_case()))
+    assert two.status == three.status == "converged"
+    assert any(row["backtracks"] > 0 for row in two.log)
+    assert any(row["delta_w"] > 0 for row in three.log)
+    assert not any(row["fallback"] for row in two.log + three.log)
+
+
+def test_log_rows_flag_the_fallback_step(monkeypatch):
+    """With every merit value NaN no trial is accepted, so each step is the
+    full boundary-limited one after 30 halvings."""
+    merit = solver._merit
+    monkeypatch.setattr(solver, "_merit", lambda *args: (np.nan, merit(*args)[1]))
+    solution = solve(build_problem(toy_case()), SolverOptions(max_iter=4))
+    assert solution.status == "iteration_limit"
+    for row in solution.log[1:]:
+        assert row["fallback"] is True
+        assert row["backtracks"] == 30
+        assert 0.0 < row["alpha_p"] <= 1.0
 
 
 def test_each_iterate_is_evaluated_once(five_bus):
