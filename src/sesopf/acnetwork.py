@@ -2,8 +2,12 @@
 
 Series-only line model: charging susceptance is ignored everywhere so that
 the Y-bus, the injection equations, and the directed line-flow expression
-stay mutually consistent. Dense matrices are used; target systems have at
-most a few dozen buses.
+stay mutually consistent. The formulation relies on this: its power balance
+sums the directed flows leaving each bus, and the equality Jacobian is
+differentiated from the Y-bus form, so the two agree only while every line
+is series-only. ``bus_injections`` keeps the Y-bus form, for
+``injection_residuals`` and as the reference the tests hold the flow sums
+to. Dense matrices are used; target systems have at most a few dozen buses.
 
 The per-line flow primitives and their derivatives take scalars or equal-
 length arrays of lines, so the formulation evaluates all lines in one call.
@@ -52,14 +56,15 @@ def build_admittance(case: CaseData) -> Admittance:
 
 
 def bus_injections(adm: Admittance, v, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Active/reactive power injected into the network at each bus (p.u.)."""
+    """Active/reactive power injected into the network at each bus (p.u.).
+    v and theta have the buses on their last axis; leading axes broadcast."""
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    dth = theta[:, None] - theta[None, :]
+    dth = theta[..., :, None] - theta[..., None, :]
     ct, st = np.cos(dth), np.sin(dth)
-    vv = v[:, None] * v[None, :]
-    p = np.sum(vv * (adm.g * ct + adm.b * st), axis=1)
-    q = np.sum(vv * (adm.g * st - adm.b * ct), axis=1)
+    vv = v[..., :, None] * v[..., None, :]
+    p = np.sum(vv * (adm.g * ct + adm.b * st), axis=-1)
+    q = np.sum(vv * (adm.g * st - adm.b * ct), axis=-1)
     return p, q
 
 
@@ -91,9 +96,13 @@ def flow_p(vi, vj, ti, tj, g, b):
     return vi * vi * g - vi * vj * (g * np.cos(dth) + b * np.sin(dth))
 
 
-def flow_q(vi, vj, ti, tj, g, b):
+def flow_pq(vi, vj, ti, tj, g, b):
+    """(p, q): flow_p and its reactive counterpart, from one cos and one
+    sin of each angle difference."""
     dth = ti - tj
-    return -vi * vi * b - vi * vj * (g * np.sin(dth) - b * np.cos(dth))
+    ct, st = np.cos(dth), np.sin(dth)
+    vv = vi * vj
+    return vi * vi * g - vv * (g * ct + b * st), -vi * vi * b - vv * (g * st - b * ct)
 
 
 def flow_p_grad(vi, vj, ti, tj, g, b):
@@ -122,7 +131,7 @@ def flow_p_hess(vi, vj, ti, tj, g, b):
 
 
 def flow_q_hess(vi, vj, ti, tj, g, b):
-    """Hessian of flow_q, shaped as flow_p_hess."""
+    """Hessian of the reactive sending q, shaped as flow_p_hess."""
     dth = ti - tj
     ct, st = np.cos(dth), np.sin(dth)
     return _flow_hess(vi, vj, -2 * b, g * st - b * ct, g * ct + b * st)
@@ -147,21 +156,6 @@ def _flow_hess(vi, vj, h00, a, d):
 # case-level flow queries (MW)
 
 
-def line_flow(case: CaseData, v, theta, line_index: int) -> tuple[float, float]:
-    """Directed sendings (from->to, to->from) of one line, in MW."""
-    if not 0 <= line_index < len(case.lines):
-        raise KeyError(f"unknown line index {line_index}")
-    line = case.lines[line_index]
-    g, b = series_admittance(line)
-    v = np.asarray(v, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    i = case.bus_index(line.from_bus)
-    j = case.bus_index(line.to_bus)
-    p_ft = flow_p(v[i], v[j], theta[i], theta[j], g, b)
-    p_tf = flow_p(v[j], v[i], theta[j], theta[i], g, b)
-    return float(p_ft * case.s_base), float(p_tf * case.s_base)
-
-
 def line_arrays(case: CaseData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(from bus index, to bus index, g, b) of every line, in line order,
     with each bus id resolved once."""
@@ -175,8 +169,7 @@ def line_arrays(case: CaseData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 
 def line_flows(case: CaseData, v, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Directed sendings (from->to, to->from) of all lines, in MW; entry k
-    equals ``line_flow(case, v, theta, k)``."""
+    """Directed sendings (from->to, to->from) of all lines, in MW."""
     i, j, g, b = line_arrays(case)
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta, dtype=float)

@@ -20,10 +20,22 @@ columns of every directed line's local state, and the flat positions those
 columns take in the inequality Jacobian and the Lagrangian Hessian, where a
 single bincount scatters the per-line 4x4 blocks (MATPOWER Tech. Note 2,
 Zimmerman 2010, in real coordinates).
+
+Power balance takes the network injection at each bus as the sum of the
+directed flows leaving it over its lines, which under the series-only line
+model equals the Y-bus injection of ``acnetwork.bus_injections``.
+
+The value evaluators (``objective``, ``equalities``, ``inequalities``) take
+one point of shape (n,) or a stack of points of shape (k, n) and return one
+value or row per point. They use only elementwise operations and reductions
+over the last axis, never a matrix product, so each row of a stacked call
+equals the single-point call on that row bit for bit; the derivative audit
+relies on this when it evaluates all its perturbed points at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,10 +98,11 @@ class Problem:
     ``__post_init__`` derives the index arrays that every evaluator uses,
     so each evaluation is a fixed sequence of array operations.
 
-    Directed line rows come from->to for every line, then to->from. For each
-    such row ``_cols`` holds the variable columns of its local state (vi, vj,
-    ti, tj); a slack angle is -1, which gathers the zero appended to x by
-    ``_extended`` and is dropped when derivatives are scattered."""
+    Directed line rows come from->to for every line, then to->from.
+    ``_state_cols`` holds the variable columns of their local state, one
+    row each for vi, vj, ti and tj; a slack angle is -1, which gathers the
+    zero appended to x by ``_extended`` and is dropped when derivatives are
+    scattered."""
 
     case: CaseData
     layout: VariableLayout
@@ -129,20 +142,25 @@ class Problem:
         fr = np.concatenate([self.line_from, self.line_to])
         to = np.concatenate([self.line_to, self.line_from])
         self._fr = fr
-        self._cols = np.stack([lay.v.start + fr, lay.v.start + to,
-                               self._theta_col[fr], self._theta_col[to]], axis=1)
+        # power balance: the signed injections above, then the P and Q
+        # flow of every directed row, leaving its sending bus
+        self._balance_row = np.concatenate([self._inj_row, fr, nb + fr])
+        self._balance_sign = np.concatenate([self._inj_sign, np.full(2 * len(fr), -1.0)])
+        self._state_cols = np.stack([lay.v.start + fr, lay.v.start + to,
+                                     self._theta_col[fr], self._theta_col[to]])
+        cols = self._state_cols.T
         self._g2 = np.tile(self.line_g, 2)
         self._b2 = np.tile(self.line_b, 2)
         self._smax2 = np.tile([ln.s_max / case.s_base for ln in case.lines], 2)
 
-        self._jh_valid = self._cols >= 0
-        self._jh_flat = (np.arange(len(fr))[:, None] * n + self._cols)[self._jh_valid]
+        self._jh_valid = cols >= 0
+        self._jh_flat = (np.arange(len(fr))[:, None] * n + cols)[self._jh_valid]
         self._hess_valid = self._jh_valid[:, :, None] & self._jh_valid[:, None, :]
         # the objective's diagonal, then every valid (row, column) pair of
         # each directed row's 4x4 block
         self._hess_flat = np.concatenate([
             np.arange(n) * (n + 1),
-            (self._cols[:, :, None] * n + self._cols[:, None, :])[self._hess_valid]])
+            (cols[:, :, None] * n + cols[:, None, :])[self._hess_valid]])
         # adequacy rows: sum(P_a) - sum(P_g) and sum(Q_a) - sum(Q_g)
         self._adequacy = np.zeros((2, n))
         self._adequacy[0, lay.pa], self._adequacy[0, lay.pg] = 1.0, -1.0
@@ -164,11 +182,12 @@ class Problem:
 
     @staticmethod
     def _extended(x: np.ndarray) -> np.ndarray:
-        """x with a trailing zero, the fixed slack angle at column -1."""
-        return np.append(x, 0.0)
+        """x with a trailing zero on its last axis, the fixed slack angle
+        at column -1."""
+        return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
 
     def full_theta(self, x: np.ndarray) -> np.ndarray:
-        return self._extended(x)[self._theta_col]
+        return self._extended(x).take(self._theta_col, axis=-1)
 
     def unpack(self, x: np.ndarray) -> dict:
         """Decode a decision vector into named physical quantities (MW/MVAr)."""
@@ -199,15 +218,17 @@ class Problem:
 
     def _demand_and_generation(self, x):
         lay, sb = self.layout, self.case.s_base
-        pa = x[lay.pa] * sb
-        return pa, pa < self._gamma / self._mu, x[lay.pg] * sb
+        pa = x[..., lay.pa] * sb
+        return pa, pa < self._gamma / self._mu, x[..., lay.pg] * sb
 
-    def objective(self, x: np.ndarray) -> float:
+    def objective(self, x: np.ndarray):
+        """A float for one point, an array of k values for (k, n) points."""
         pa, unsaturated, pg = self._demand_and_generation(x)
         gamma, mu = self._gamma, self._mu
         sat = np.where(unsaturated, gamma * pa - 0.5 * mu * pa * pa, 0.5 * gamma ** 2 / mu)
         a, b, c = self._cost
-        return float(self._sigma @ sat - np.sum(a * pg * pg + b * pg + c))
+        value = (self._sigma * sat).sum(axis=-1) - (a * pg * pg + b * pg + c).sum(axis=-1)
+        return value if value.ndim else float(value)
 
     def objective_gradient(self, x: np.ndarray) -> np.ndarray:
         lay, sb = self.layout, self.case.s_base
@@ -228,14 +249,19 @@ class Problem:
 
     # -- equality constraints (power balance, p.u.) -------------------------
 
-    def _net_injection(self, x: np.ndarray) -> np.ndarray:
-        """Generation minus demand at each bus: P rows, then Q rows."""
-        return np.bincount(self._inj_row, weights=self._inj_sign * x[self._inj_col],
-                           minlength=self.n_eq)
-
     def equalities(self, x: np.ndarray) -> np.ndarray:
-        p, q = acnetwork.bus_injections(self.adm, x[self.layout.v], self.full_theta(x))
-        return self._net_injection(x) - np.concatenate([p, q])
+        """Generation minus demand minus the flows leaving each bus: P rows,
+        then Q rows."""
+        p, q = acnetwork.flow_pq(*self._line_state(x), self._g2, self._b2)
+        terms = self._balance_sign * np.concatenate(
+            [x.take(self._inj_col, axis=-1), p, q], axis=-1)
+        # one bincount for all points, the bins of point k offset by k * n_eq,
+        # so every bus adds its terms in the same order for any stack
+        lead = terms.shape[:-1]
+        k = math.prod(lead)
+        bins = (self._balance_row + self.n_eq * np.arange(k)[:, None]).ravel()
+        sums = np.bincount(bins, weights=terms.ravel(), minlength=k * self.n_eq)
+        return sums.reshape(lead + (self.n_eq,))
 
     def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
         lay = self.layout
@@ -272,13 +298,15 @@ class Problem:
 
     # -- inequality constraints (<= 0) --------------------------------------
 
-    def _line_state(self, x: np.ndarray):
-        """(vi, vj, ti, tj) of every directed line row."""
-        return self._extended(x)[self._cols].T
+    def _line_state(self, x: np.ndarray) -> np.ndarray:
+        """(vi, vj, ti, tj) of every directed line row on the first axis,
+        each of shape (rows,) for x of shape (n,), or (k, rows) for (k, n)."""
+        return self._extended(x).take(self._state_cols, axis=-1).swapaxes(0, -2)
 
     def inequalities(self, x: np.ndarray) -> np.ndarray:
         p = acnetwork.flow_p(*self._line_state(x), self._g2, self._b2)
-        return np.concatenate([p - self._smax2, self._adequacy @ x])
+        adequacy = (self._adequacy * x[..., None, :]).sum(axis=-1)
+        return np.concatenate([p - self._smax2, adequacy], axis=-1)
 
     def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
         grad = acnetwork.flow_p_grad(*self._line_state(x), self._g2, self._b2)

@@ -1,5 +1,7 @@
 """Shared fixtures and small hand-built cases for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,14 @@ def rts24():
 @pytest.fixture(scope="session")
 def five_bus_problem(five_bus):
     return build_problem(five_bus)
+
+
+@pytest.fixture(scope="session", params=["five_bus", "rts24", "five_bus_parallel"])
+def network_problem(request):
+    """The NLP of five_bus, rts24 and a five_bus variant with parallel lines."""
+    if request.param == "five_bus_parallel":
+        return build_problem(with_parallel_lines(builtin_case("five_bus")))
+    return build_problem(builtin_case(request.param))
 
 
 @pytest.fixture(scope="session")
@@ -73,11 +83,19 @@ def three_bus_copper_case():
     return CaseData("three_bus_copper", 100.0, buses, lines, gens, aggs)
 
 
+def with_parallel_lines(case):
+    """case with a second circuit beside its first line, entered in the
+    opposite direction with other impedances, and a copy of its last line."""
+    first, last = case.lines[0], case.lines[-1]
+    extra = (Line(first.to_bus, first.from_bus, 2 * first.r, 1.5 * first.x, first.s_max),
+             Line(last.from_bus, last.to_bus, last.r, last.x, last.s_max))
+    return replace(case, name=case.name + "_parallel", lines=case.lines + extra)
+
+
 def copperize(case):
     """Strip resistances and lift line limits so the network is transparent."""
     lines = tuple(Line(ln.from_bus, ln.to_bus, 0.0, ln.x, 1e6)
                   for ln in case.lines)
-    from dataclasses import replace
     return replace(case, name=case.name + "_copper", lines=lines)
 
 

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from sesopf.casemodel import Bus, CaseData, Line
 from sesopf.acnetwork import (
     Admittance, build_admittance, bus_injections, flow_p, flow_p_grad,
-    flow_p_hess, flow_q, flow_q_grad, flow_q_hess, injection_residuals,
-    line_flow, line_flows, network_losses, series_admittance,
+    flow_p_hess, flow_pq, flow_q_grad, flow_q_hess, injection_residuals,
+    line_flows, network_losses, series_admittance,
 )
 
 
@@ -139,24 +139,30 @@ def test_residuals_small_at_converged_state(five_bus, five_bus_solution):
 # line flows and losses
 
 
+def _line_flow(case, v, theta, k):
+    """Directed sendings (from->to, to->from) of line k in MW, one line and
+    two bus-id scans at a time: the reference for ``line_flows``."""
+    line = case.lines[k]
+    g, b = series_admittance(line)
+    i, j = case.bus_index(line.from_bus), case.bus_index(line.to_bus)
+    p_ft = flow_p(v[i], v[j], theta[i], theta[j], g, b)
+    p_tf = flow_p(v[j], v[i], theta[j], theta[i], g, b)
+    return float(p_ft * case.s_base), float(p_tf * case.s_base)
+
+
 def test_line_flow_zero_at_flat_state():
     case = _two_bus(0.01, 0.1)
-    p_ft, p_tf = line_flow(case, [1.0, 1.0], [0.0, 0.0], 0)
-    assert p_ft == 0.0
-    assert p_tf == 0.0
+    p_ft, p_tf = line_flows(case, [1.0, 1.0], [0.0, 0.0])
+    assert p_ft[0] == 0.0
+    assert p_tf[0] == 0.0
 
 
 def test_line_flow_reference_transfer():
     case = _two_bus(0.0, 0.1)
-    p_ft, p_tf = line_flow(case, [1.0, 1.0], [0.1, 0.0], 0)
-    assert p_ft == pytest.approx(99.833, abs=1e-3)
+    p_ft, p_tf = line_flows(case, [1.0, 1.0], [0.1, 0.0])
+    assert p_ft[0] == pytest.approx(99.833, abs=1e-3)
     # lossless line: antisymmetric directed sendings
-    assert p_ft == pytest.approx(-p_tf, rel=1e-12)
-
-
-def test_line_flow_unknown_line():
-    with pytest.raises(KeyError):
-        line_flow(_two_bus(0.0, 0.1), [1.0, 1.0], [0.0, 0.0], 3)
+    assert p_ft[0] == pytest.approx(-p_tf[0], rel=1e-12)
 
 
 def test_network_losses_reference_value():
@@ -185,7 +191,7 @@ def test_line_flows_match_line_flow(name, request):
     case = request.getfixturevalue(name)
     sol = request.getfixturevalue(f"{name}_solution")
     p_ft, p_tf = line_flows(case, sol.v, sol.theta)
-    ref = np.array([line_flow(case, sol.v, sol.theta, k) for k in range(len(case.lines))])
+    ref = np.array([_line_flow(case, sol.v, sol.theta, k) for k in range(len(case.lines))])
     assert np.allclose(p_ft, ref[:, 0], rtol=1e-12, atol=0.0)
     assert np.allclose(p_tf, ref[:, 1], rtol=1e-12, atol=0.0)
     assert network_losses(case, sol.v, sol.theta) == pytest.approx(
@@ -215,6 +221,11 @@ def test_flow_primitives_match_finite_differences(data):
                       data.draw(st.floats(0.9, 1.1)),
                       data.draw(st.floats(-0.4, 0.4)),
                       data.draw(st.floats(-0.4, 0.4))])
+    assert flow_pq(*state, g, b)[0] == flow_p(*state, g, b)
+
+    def flow_q(*args):
+        return flow_pq(*args)[1]
+
     for fun, grad_fun, hess_fun in ((flow_p, flow_p_grad, flow_p_hess),
                                     (flow_q, flow_q_grad, flow_q_hess)):
         grad = grad_fun(*state, g, b)

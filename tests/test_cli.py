@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -128,7 +129,10 @@ def test_check_subcommand(capsys):
     assert cli_main(["check", "builtin:five_bus"]) == 0
     out = capsys.readouterr().out
     assert "validation: ok" in out
-    assert "pass" in out
+    audit = out.splitlines()[1]
+    assert re.fullmatch(r"derivative audit: max relative error \d\.\d{3}e-\d\d at "
+                        r"(gradient\[\d+\]|(eq|ineq)_jacobian\[\d+, \d+\]) \(pass\)",
+                        audit), audit
 
 
 def test_oracle_subcommand(tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sesopf.acnetwork import bus_injections
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator
 from sesopf.formulation import (
     CurtailmentReport, VariableLayout, build_problem, curtailment_report,
@@ -163,6 +164,48 @@ def test_constraint_evaluator_shapes(five_bus_problem):
     assert ineq.shape == (14,)
     assert je.shape == (10, 33)
     assert jh.shape == (14, 33)
+
+
+def test_stacked_points_give_the_single_point_rows(network_problem):
+    """A (k, n) call returns one row per point, bit for bit the (n,) call on
+    that point, so the audit's stacked differences are single-point ones."""
+    p = network_problem
+    rng = np.random.default_rng(17)
+    xs = np.stack([random_interior_state(p, rng) for _ in range(7)])
+    for fun in (p.objective, p.equalities, p.inequalities):
+        stacked = fun(xs)
+        assert stacked.shape == (7,) + np.shape(fun(xs[0]))
+        for x, row in zip(xs, stacked):
+            assert np.array_equal(row, fun(x))
+    assert isinstance(p.objective(xs[0]), float)
+
+
+def _net_injection(problem, x):
+    """Generation minus demand at each bus, P rows then Q rows, one
+    generator or aggregator at a time."""
+    case, lay = problem.case, problem.layout
+    net = np.zeros(x.shape[:-1] + (problem.n_eq,))
+    for units, p_cols, q_cols, sign in ((case.generators, lay.pg, lay.qg, 1.0),
+                                        (case.aggregators, lay.pa, lay.qa, -1.0)):
+        for k, unit in enumerate(units):
+            i = case.bus_index(unit.bus)
+            net[..., i] += sign * x[..., p_cols.start + k]
+            net[..., lay.n_bus + i] += sign * x[..., q_cols.start + k]
+    return net
+
+
+def test_balance_from_line_flows_matches_the_y_bus(network_problem):
+    """Power balance sums the directed flows leaving each bus; under the
+    series-only model that is the Y-bus injection, parallel lines included."""
+    p = network_problem
+    rng = np.random.default_rng(23)
+    xs = np.stack([random_interior_state(p, rng) for _ in range(10)])
+    pn, qn = bus_injections(p.adm, xs[:, p.layout.v], p.full_theta(xs))
+    single = bus_injections(p.adm, xs[0, p.layout.v], p.full_theta(xs[0]))
+    assert np.array_equal(pn[0], single[0]) and np.array_equal(qn[0], single[1])
+    ybus = _net_injection(p, xs) - np.concatenate([pn, qn], axis=-1)
+    err = np.abs(p.equalities(xs) - ybus) / np.maximum(1.0, np.abs(ybus))
+    assert np.max(err) < 1e-12
 
 
 def test_lagrangian_hessian_matches_gradient_differences(five_bus_problem):

@@ -182,13 +182,38 @@ class _CorruptedGradient(Problem):
         return grad
 
 
+class _CorruptedEqJacobian(Problem):
+    def equality_jacobian(self, x):
+        jac = super().equality_jacobian(x)
+        jac[3, 30] += 1.0
+        return jac
+
+
+class _CorruptedIneqJacobian(Problem):
+    def inequality_jacobian(self, x):
+        jac = super().inequality_jacobian(x)
+        jac[5, 27] += 1.0
+        return jac
+
+
+def _rebuilt(cls, p):
+    return cls(p.case, p.layout, p.lb, p.ub, p.adm,
+               p.line_from, p.line_to, p.line_g, p.line_b)
+
+
 def test_audit_flags_corrupted_gradient(five_bus_problem):
-    p = five_bus_problem
-    corrupted = _CorruptedGradient(p.case, p.layout, p.lb, p.ub, p.adm,
-                                   p.line_from, p.line_to, p.line_g, p.line_b)
-    report = finite_difference_audit(corrupted, n_points=3, seed=1)
+    report = finite_difference_audit(_rebuilt(_CorruptedGradient, five_bus_problem),
+                                     n_points=3, seed=1)
     assert not report.passed
-    assert report.worst_entry.startswith("gradient")
+    assert report.worst_entry == "gradient[0]"
+
+
+@pytest.mark.parametrize("cls, entry", [(_CorruptedEqJacobian, "eq_jacobian[3, 30]"),
+                                        (_CorruptedIneqJacobian, "ineq_jacobian[5, 27]")])
+def test_audit_flags_corrupted_jacobian_entry(cls, entry, five_bus_problem):
+    report = finite_difference_audit(_rebuilt(cls, five_bus_problem), n_points=3, seed=1)
+    assert not report.passed
+    assert report.worst_entry == entry
 
 
 def test_audit_linear_rows_exact(five_bus_problem):
