@@ -2,10 +2,9 @@
 
 Series-only line model: charging susceptance is ignored everywhere so that
 the Y-bus, the injection equations, and the directed line-flow expression
-stay mutually consistent. The formulation relies on this: its power balance
-sums the directed flows leaving each bus, and the equality Jacobian is
-differentiated from the Y-bus form, so the two agree only while every line
-is series-only. ``bus_injections`` keeps the Y-bus form, for
+stay mutually consistent. The formulation takes power balance, its Jacobian
+and its Hessian from the directed line flows below and their derivatives.
+``bus_injections`` keeps the Y-bus form, as the engine of
 ``injection_residuals`` and as the reference the tests hold the flow sums
 to. Dense matrices are used; target systems have at most a few dozen buses.
 

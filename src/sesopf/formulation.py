@@ -15,15 +15,16 @@ the solver negates internally.
 
 Every evaluator is a fixed sequence of array operations over incidence
 arrays that each Problem builds once: the bus of every generator and
-aggregator (the constant rows of the equality Jacobian), the variable
-columns of every directed line's local state, and the flat positions those
-columns take in the inequality Jacobian and the Lagrangian Hessian, where a
-single bincount scatters the per-line 4x4 blocks (MATPOWER Tech. Note 2,
-Zimmerman 2010, in real coordinates).
+aggregator, the variable columns of every directed line's local state, and
+the flat positions those columns take in the two Jacobians and the
+Lagrangian Hessian, where the per-line gradients and 4x4 blocks are
+scattered (MATPOWER Tech. Note 2, Zimmerman 2010, in real coordinates).
 
 Power balance takes the network injection at each bus as the sum of the
-directed flows leaving it over its lines, which under the series-only line
-model equals the Y-bus injection of ``acnetwork.bus_injections``.
+directed flows leaving it over its lines, and its Jacobian and Hessian as
+the sums of those flows' derivatives, so all three come from one form.
+Under the series-only line model the sum equals the Y-bus injection of
+``acnetwork.bus_injections``.
 
 The value evaluators (``objective``, ``equalities``, ``inequalities``) take
 one point of shape (n,) or a stack of points of shape (k, n) and return one
@@ -36,7 +37,7 @@ relies on this when it evaluates all its perturbed points at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +103,8 @@ class Problem:
     ``_state_cols`` holds the variable columns of their local state, one
     row each for vi, vj, ti and tj; a slack angle is -1, which gathers the
     zero appended to x by ``_extended`` and is dropped when derivatives are
-    scattered."""
+    scattered. The balance Jacobian, the inequality Jacobian and the
+    Lagrangian Hessian are each one scatter of these rows' derivatives."""
 
     case: CaseData
     layout: VariableLayout
@@ -110,10 +112,10 @@ class Problem:
     ub: np.ndarray
     adm: acnetwork.Admittance
     # line incidence (bus indices) and series admittances, precomputed
-    line_from: np.ndarray = field(default=None)
-    line_to: np.ndarray = field(default=None)
-    line_g: np.ndarray = field(default=None)
-    line_b: np.ndarray = field(default=None)
+    line_from: np.ndarray
+    line_to: np.ndarray
+    line_g: np.ndarray
+    line_b: np.ndarray
 
     def __post_init__(self):
         case, lay = self.case, self.layout
@@ -135,9 +137,8 @@ class Problem:
         self._inj_col = np.r_[lay.pg, lay.pa, lay.qg, lay.qa]
         self._inj_sign = np.repeat([1.0, -1.0, 1.0, -1.0], [ng, na, ng, na])
 
-        self._th_bus = np.flatnonzero(np.arange(nb) != lay.slack)
         self._theta_col = np.full(nb, -1)
-        self._theta_col[self._th_bus] = np.arange(lay.th.start, lay.th.stop)
+        self._theta_col[np.arange(nb) != lay.slack] = np.arange(lay.th.start, lay.th.stop)
 
         fr = np.concatenate([self.line_from, self.line_to])
         to = np.concatenate([self.line_to, self.line_from])
@@ -155,6 +156,12 @@ class Problem:
 
         self._jh_valid = cols >= 0
         self._jh_flat = (np.arange(len(fr))[:, None] * n + cols)[self._jh_valid]
+        # the injection entries, then each directed row's valid columns in
+        # the P row and in the Q row of its sending bus
+        self._je_flat = np.concatenate([
+            self._inj_row * n + self._inj_col,
+            (fr[:, None] * n + cols)[self._jh_valid],
+            ((nb + fr)[:, None] * n + cols)[self._jh_valid]])
         self._hess_valid = self._jh_valid[:, :, None] & self._jh_valid[:, None, :]
         # the objective's diagonal, then every valid (row, column) pair of
         # each directed row's 4x4 block
@@ -264,37 +271,19 @@ class Problem:
         return sums.reshape(lead + (self.n_eq,))
 
     def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
-        lay = self.layout
-        nb = lay.n_bus
-        v = x[lay.v]
-        theta = self.full_theta(x)
-        g, b = self.adm.g, self.adm.b
-
-        dth = theta[:, None] - theta[None, :]
-        ct, st = np.cos(dth), np.sin(dth)
-        kp = g * ct + b * st
-        kq = g * st - b * ct
-        p_inj = v * (kp @ v)
-        q_inj = v * (kq @ v)
-
-        # network injection partials
-        dp_dv = v[:, None] * kp
-        np.fill_diagonal(dp_dv, kp @ v + v * np.diag(kp))
-        dq_dv = v[:, None] * kq
-        np.fill_diagonal(dq_dv, kq @ v + v * np.diag(kq))
-        vv = v[:, None] * v[None, :]
-        dp_dth = vv * kq
-        np.fill_diagonal(dp_dth, -q_inj - v * v * np.diag(b))
-        dq_dth = -vv * kp
-        np.fill_diagonal(dq_dth, p_inj - v * v * np.diag(g))
-
-        jac = np.zeros((2 * nb, self.n_var))
-        jac[self._inj_row, self._inj_col] = self._inj_sign
-        jac[:nb, lay.v] = -dp_dv
-        jac[nb:, lay.v] = -dq_dv
-        jac[:nb, lay.th] = -dp_dth[:, self._th_bus]
-        jac[nb:, lay.th] = -dq_dth[:, self._th_bus]
-        return jac
+        """The constant injection entries, then minus the P and Q flow
+        gradients of every directed row in the rows of its sending bus.
+        Parallel lines and all lines leaving a bus share cells, so the
+        entries are summed, not assigned."""
+        state = self._line_state(x)
+        valid = self._jh_valid
+        weights = np.concatenate([
+            self._inj_sign,
+            -acnetwork.flow_p_grad(*state, self._g2, self._b2).T[valid],
+            -acnetwork.flow_q_grad(*state, self._g2, self._b2).T[valid]])
+        n = self.n_var
+        return np.bincount(self._je_flat, weights=weights,
+                           minlength=self.n_eq * n).reshape(self.n_eq, n)
 
     # -- inequality constraints (<= 0) --------------------------------------
 

@@ -245,7 +245,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
 
         delta_w = 0.0
         step = None
-        for _ in range(30):
+        while True:
             kkt[:n, :n] = m_base
             kkt[diag, diag] += delta_w
             try:
@@ -345,25 +345,20 @@ def _merit(f, ce, h, s, mu, rho):
 
 def _finish(problem, nlp, x, lam, nu, iterations, log, status, reason=None) -> Solution:
     me_p, mi_p = problem.n_eq, problem.n_ineq
+    z_l = np.zeros(problem.n_var)
+    z_u = np.zeros(problem.n_var)
     if nlp is None:
         lam_eq = np.zeros(me_p)
         nu_ineq = np.zeros(mi_p)
-        z_l = np.zeros(problem.n_var)
-        z_u = np.zeros(problem.n_var)
     else:
         lam_eq = lam[:me_p]
-        z_l = np.zeros(problem.n_var)
-        z_u = np.zeros(problem.n_var)
         nu_ineq = nu[:mi_p]
         z_l[nlp.lower_idx] = nu[mi_p:mi_p + len(nlp.lower_idx)]
         z_u[nlp.upper_idx] = nu[mi_p + len(nlp.lower_idx):]
         # duals of fixed-variable rows fold into the bound duals
-        for k, i in enumerate(nlp.fixed_idx):
-            d = lam[me_p + k]
-            if d >= 0:
-                z_u[i] = d
-            else:
-                z_l[i] = -d
+        d = lam[me_p:]
+        z_u[nlp.fixed_idx] = np.maximum(d, 0.0)
+        z_l[nlp.fixed_idx] = np.maximum(-d, 0.0)
 
     eq = problem.equalities(x)
     ineq = problem.inequalities(x)

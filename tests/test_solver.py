@@ -26,8 +26,11 @@ from conftest import (
 
 
 def test_toy_exchange_reaches_analytic_optimum():
-    solution = solve(build_problem(toy_case()))
+    problem = build_problem(toy_case())
+    solution = solve(problem)
     assert solution.status == "converged"
+    # both units' Q are fixed at 0, so their duals fold into the bound duals
+    assert kkt_check(problem, solution).passed
     assert solution.p_gen[0] == pytest.approx(10.0 / 3.0, abs=1e-6)
     assert solution.p_agg[0] == pytest.approx(10.0 / 3.0, abs=1e-6)
     assert solution.objective == pytest.approx(50.0 / 3.0, abs=1e-4)
