@@ -8,8 +8,11 @@ and its Hessian from the directed line flows below and their derivatives.
 ``injection_residuals`` and as the reference the tests hold the flow sums
 to. Dense matrices are used; target systems have at most a few dozen buses.
 
-The per-line flow primitives and their derivatives take scalars or equal-
-length arrays of lines, so the formulation evaluates all lines in one call.
+The per-line flow primitives and their derivatives take scalars or arrays
+that broadcast against each other, so the formulation evaluates all lines
+in one call. There is one kernel per derivative order, for the active
+sending flow: the reactive sending flow is the active one with the series
+admittance rotated by 90 degrees, q(g, b) = p(-b, g), bit for bit.
 """
 
 from __future__ import annotations
@@ -85,9 +88,11 @@ def injection_residuals(adm: Admittance, v, theta, p_net, q_net):
 # ---------------------------------------------------------------------------
 # per-line flow primitives (p.u.) with analytic derivatives
 #
-# Directed active sending p = vi^2 g - vi vj (g cos + b sin) and the reactive
-# counterpart q = -vi^2 b - vi vj (g sin - b cos), both with respect to the
-# local state (vi, vj, ti, tj).
+# Directed active sending p = vi^2 g - vi vj (g cos + b sin) with respect to
+# the local state (vi, vj, ti, tj). The reactive sending
+# q = -vi^2 b - vi vj (g sin - b cos) = p(-b, g), so each kernel serves both;
+# given a (2, ...) admittance of (g, b) and (-b, g), it returns P and Q from
+# one cos and one sin of each angle difference.
 
 
 def flow_p(vi, vj, ti, tj, g, b):
@@ -95,17 +100,8 @@ def flow_p(vi, vj, ti, tj, g, b):
     return vi * vi * g - vi * vj * (g * np.cos(dth) + b * np.sin(dth))
 
 
-def flow_pq(vi, vj, ti, tj, g, b):
-    """(p, q): flow_p and its reactive counterpart, from one cos and one
-    sin of each angle difference."""
-    dth = ti - tj
-    ct, st = np.cos(dth), np.sin(dth)
-    vv = vi * vj
-    return vi * vi * g - vv * (g * ct + b * st), -vi * vi * b - vv * (g * st - b * ct)
-
-
 def flow_p_grad(vi, vj, ti, tj, g, b):
-    """Gradient of flow_p w.r.t. (vi, vj, ti, tj)."""
+    """Gradient of flow_p w.r.t. (vi, vj, ti, tj) on the first axis."""
     dth = ti - tj
     ct, st = np.cos(dth), np.sin(dth)
     a = g * ct + b * st
@@ -113,34 +109,16 @@ def flow_p_grad(vi, vj, ti, tj, g, b):
     return np.array([2 * vi * g - vj * a, -vi * a, -vi * vj * d, vi * vj * d])
 
 
-def flow_q_grad(vi, vj, ti, tj, g, b):
-    dth = ti - tj
-    ct, st = np.cos(dth), np.sin(dth)
-    a = g * st - b * ct
-    d = g * ct + b * st  # da/dti
-    return np.array([-2 * vi * b - vj * a, -vi * a, -vi * vj * d, vi * vj * d])
-
-
 def flow_p_hess(vi, vj, ti, tj, g, b):
-    """Hessian of flow_p w.r.t. (vi, vj, ti, tj): shape (4, 4) for scalar
-    arguments, (nl, 4, 4) for arrays of nl lines."""
+    """Hessian of flow_p w.r.t. (vi, vj, ti, tj) on the last two axes:
+    shape (4, 4) for scalar arguments, their broadcast shape + (4, 4) for
+    arrays."""
     dth = ti - tj
     ct, st = np.cos(dth), np.sin(dth)
-    return _flow_hess(vi, vj, 2 * g, g * ct + b * st, -g * st + b * ct)
-
-
-def flow_q_hess(vi, vj, ti, tj, g, b):
-    """Hessian of the reactive sending q, shaped as flow_p_hess."""
-    dth = ti - tj
-    ct, st = np.cos(dth), np.sin(dth)
-    return _flow_hess(vi, vj, -2 * b, g * st - b * ct, g * ct + b * st)
-
-
-def _flow_hess(vi, vj, h00, a, d):
-    """Second derivatives shared by both flows, given d2/dvi2 = h00, the
-    angle term a and its derivative d = da/dti."""
+    a = g * ct + b * st
+    d = -g * st + b * ct  # da/dti
     h = np.zeros(np.broadcast(vi, vj, a).shape + (4, 4))
-    h[..., 0, 0] = h00
+    h[..., 0, 0] = 2 * g
     h[..., 0, 1] = h[..., 1, 0] = -a
     h[..., 0, 2] = h[..., 2, 0] = -vj * d
     h[..., 0, 3] = h[..., 3, 0] = vj * d
@@ -149,6 +127,12 @@ def _flow_hess(vi, vj, h00, a, d):
     h[..., 2, 2] = h[..., 3, 3] = vi * vj * a
     h[..., 2, 3] = h[..., 3, 2] = -vi * vj * a
     return h
+
+
+def flow_q_hess(vi, vj, ti, tj, g, b):
+    """Hessian of the reactive sending q. Nothing in the package calls it;
+    it stays as a site that the benchmark's per-layer tracer patches."""
+    return flow_p_hess(vi, vj, ti, tj, -b, g)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ All case files and embedded data carry MW/MVAr; conversion to per-unit on
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -413,15 +413,43 @@ def case_to_dict(case: CaseData) -> dict:
 
 
 def case_from_dict(doc: dict) -> CaseData:
+    """Build a case from its file form; a malformed document raises
+    ValueError naming the bad entry."""
+    if not isinstance(doc, dict):
+        raise ValueError("a case file must hold a JSON object")
+    _check_number("case", "s_base", doc.get("s_base"), "float")
     return CaseData(
         name=doc.get("name", "unnamed"),
         s_base=float(doc["s_base"]),
-        buses=tuple(Bus(**b) for b in doc["buses"]),
-        lines=tuple(Line(**ln) for ln in doc["lines"]),
-        generators=tuple(Generator(**g) for g in doc["generators"]),
-        aggregators=tuple(Aggregator(**a) for a in doc["aggregators"]),
+        buses=_entries(doc, "buses", Bus),
+        lines=_entries(doc, "lines", Line),
+        generators=_entries(doc, "generators", Generator),
+        aggregators=_entries(doc, "aggregators", Aggregator),
         metadata=doc.get("metadata", {}),
     )
+
+
+def _entries(doc: dict, key: str, cls) -> tuple:
+    """``doc[key]`` as ``cls`` records, every field present and known."""
+    rows = doc.get(key)
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError(f"case needs '{key}' as a list of objects")
+    out = []
+    for k, row in enumerate(rows):
+        try:
+            out.append(cls(**row))
+        except TypeError as exc:
+            raise ValueError(f"{key}[{k}]: {exc}") from None
+        for f in fields(cls):
+            _check_number(f"{key}[{k}]", f.name, getattr(out[-1], f.name), f.type)
+    return tuple(out)
+
+
+def _check_number(tag: str, name: str, value, kind: str) -> None:
+    """An int or float field needs a JSON number; true and false are not."""
+    number = {"int": int, "float": (int, float)}.get(kind)
+    if number and (isinstance(value, bool) or not isinstance(value, number)):
+        raise ValueError(f"{tag}: {name} must be {kind}, got {value!r}")
 
 
 def save_case(case: CaseData, path) -> None:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 
 import numpy as np
@@ -30,11 +29,7 @@ def _options(args) -> SolverOptions:
 
 def _write_or_print(doc, fmt, path):
     if path is None:
-        if isinstance(doc, harness.SweepResult):
-            harness.write_sweep_csv(doc, sys.stdout, lineterminator="\n")
-        else:
-            json.dump(doc, sys.stdout, indent=2)
-            print()
+        harness.write_result(doc, fmt, sys.stdout, lineterminator="\n")
     else:
         harness.emit(doc, fmt, path)
 
@@ -83,7 +78,7 @@ def cli_main(argv=None) -> int:
 
     try:
         case = _load(args.case)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -116,7 +111,7 @@ def cli_main(argv=None) -> int:
                 return 2
             audit = finite_difference_audit(build_problem(case), n_points=20,
                                             seed=args.seed)
-            print(f"validation: ok")
+            print("validation: ok")
             print(f"derivative audit: max relative error "
                   f"{audit.max_rel_error:.3e} at {audit.worst_entry} "
                   f"({'pass' if audit.passed else 'fail'})")
@@ -139,7 +134,6 @@ def cli_main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def main() -> None:

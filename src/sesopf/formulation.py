@@ -24,7 +24,9 @@ Power balance takes the network injection at each bus as the sum of the
 directed flows leaving it over its lines, and its Jacobian and Hessian as
 the sums of those flows' derivatives, so all three come from one form.
 Under the series-only line model the sum equals the Y-bus injection of
-``acnetwork.bus_injections``.
+``acnetwork.bus_injections``. Each directed row carries a P flow and a Q
+flow from one (2, rows) admittance of (g, b) and the rotated (-b, g), so
+each balance evaluator makes one ``acnetwork`` kernel call.
 
 The value evaluators (``objective``, ``equalities``, ``inequalities``) take
 one point of shape (n,) or a stack of points of shape (k, n) and return one
@@ -103,8 +105,10 @@ class Problem:
     ``_state_cols`` holds the variable columns of their local state, one
     row each for vi, vj, ti and tj; a slack angle is -1, which gathers the
     zero appended to x by ``_extended`` and is dropped when derivatives are
-    scattered. The balance Jacobian, the inequality Jacobian and the
-    Lagrangian Hessian are each one scatter of these rows' derivatives."""
+    scattered. Each row carries a P flow and a Q flow, from the (2, rows)
+    admittance ``_gb`` of (g, b) and the rotated (-b, g). The balance
+    Jacobian, the inequality Jacobian and the Lagrangian Hessian are each
+    one scatter of these rows' derivatives."""
 
     case: CaseData
     layout: VariableLayout
@@ -142,16 +146,17 @@ class Problem:
 
         fr = np.concatenate([self.line_from, self.line_to])
         to = np.concatenate([self.line_to, self.line_from])
-        self._fr = fr
         # power balance: the signed injections above, then the P and Q
         # flow of every directed row, leaving its sending bus
-        self._balance_row = np.concatenate([self._inj_row, fr, nb + fr])
+        self._flow_row = np.stack([fr, nb + fr])
+        self._balance_row = np.concatenate([self._inj_row, self._flow_row.ravel()])
         self._balance_sign = np.concatenate([self._inj_sign, np.full(2 * len(fr), -1.0)])
         self._state_cols = np.stack([lay.v.start + fr, lay.v.start + to,
                                      self._theta_col[fr], self._theta_col[to]])
         cols = self._state_cols.T
-        self._g2 = np.tile(self.line_g, 2)
-        self._b2 = np.tile(self.line_b, 2)
+        # each directed row's P flow at (g, b), its Q flow at (-b, g)
+        g, b = np.tile(self.line_g, 2), np.tile(self.line_b, 2)
+        self._gb = np.array([[g, -b], [b, g]])
         self._smax2 = np.tile([ln.s_max / case.s_base for ln in case.lines], 2)
 
         self._jh_valid = cols >= 0
@@ -160,8 +165,7 @@ class Problem:
         # the P row and in the Q row of its sending bus
         self._je_flat = np.concatenate([
             self._inj_row * n + self._inj_col,
-            (fr[:, None] * n + cols)[self._jh_valid],
-            ((nb + fr)[:, None] * n + cols)[self._jh_valid]])
+            (self._flow_row[:, :, None] * n + cols)[:, self._jh_valid].ravel()])
         self._hess_valid = self._jh_valid[:, :, None] & self._jh_valid[:, None, :]
         # the objective's diagonal, then every valid (row, column) pair of
         # each directed row's 4x4 block
@@ -259,12 +263,12 @@ class Problem:
     def equalities(self, x: np.ndarray) -> np.ndarray:
         """Generation minus demand minus the flows leaving each bus: P rows,
         then Q rows."""
-        p, q = acnetwork.flow_pq(*self._line_state(x), self._g2, self._b2)
+        lead = x.shape[:-1]
+        pq = acnetwork.flow_p(*self._line_state(x)[..., None, :], *self._gb)
         terms = self._balance_sign * np.concatenate(
-            [x.take(self._inj_col, axis=-1), p, q], axis=-1)
+            [x.take(self._inj_col, axis=-1), pq.reshape(lead + (-1,))], axis=-1)
         # one bincount for all points, the bins of point k offset by k * n_eq,
         # so every bus adds its terms in the same order for any stack
-        lead = terms.shape[:-1]
         k = math.prod(lead)
         bins = (self._balance_row + self.n_eq * np.arange(k)[:, None]).ravel()
         sums = np.bincount(bins, weights=terms.ravel(), minlength=k * self.n_eq)
@@ -275,12 +279,9 @@ class Problem:
         gradients of every directed row in the rows of its sending bus.
         Parallel lines and all lines leaving a bus share cells, so the
         entries are summed, not assigned."""
-        state = self._line_state(x)
-        valid = self._jh_valid
+        grad = acnetwork.flow_p_grad(*self._line_state(x)[..., None, :], *self._gb)
         weights = np.concatenate([
-            self._inj_sign,
-            -acnetwork.flow_p_grad(*state, self._g2, self._b2).T[valid],
-            -acnetwork.flow_q_grad(*state, self._g2, self._b2).T[valid]])
+            self._inj_sign, -grad.transpose(1, 2, 0)[:, self._jh_valid].ravel()])
         n = self.n_var
         return np.bincount(self._je_flat, weights=weights,
                            minlength=self.n_eq * n).reshape(self.n_eq, n)
@@ -293,12 +294,12 @@ class Problem:
         return self._extended(x).take(self._state_cols, axis=-1).swapaxes(0, -2)
 
     def inequalities(self, x: np.ndarray) -> np.ndarray:
-        p = acnetwork.flow_p(*self._line_state(x), self._g2, self._b2)
+        p = acnetwork.flow_p(*self._line_state(x), *self._gb[:, 0])
         adequacy = (self._adequacy * x[..., None, :]).sum(axis=-1)
         return np.concatenate([p - self._smax2, adequacy], axis=-1)
 
     def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
-        grad = acnetwork.flow_p_grad(*self._line_state(x), self._g2, self._b2)
+        grad = acnetwork.flow_p_grad(*self._line_state(x), *self._gb[:, 0])
         jac = np.zeros((self.n_ineq, self.n_var))
         jac.flat[self._jh_flat] = grad.T[self._jh_valid]
         jac[-2:] = self._adequacy
@@ -310,14 +311,15 @@ class Problem:
         """Hessian of sigma_obj * f_min + lam_eq . c_E + lam_ineq . h, where
         f_min = -objective (minimization sense).
 
-        A directed row's flow enters the balance residual of its sending bus
-        with weight -1 and its own limit row with weight +1."""
-        n, nb, nr = self.n_var, self.layout.n_bus, len(self._fr)
-        state = self._line_state(x)
-        w_p = (lam_ineq[:nr] - lam_eq[self._fr])[:, None, None]
-        w_q = -lam_eq[nb + self._fr][:, None, None]
-        local = (w_p * acnetwork.flow_p_hess(*state, self._g2, self._b2)
-                 + w_q * acnetwork.flow_q_hess(*state, self._g2, self._b2))
+        A directed row's P and Q flows enter the balance residuals of its
+        sending bus with weight -1, and its P flow its own limit row with
+        weight +1."""
+        n = self.n_var
+        weight = -lam_eq[self._flow_row]
+        weight[0] += lam_ineq[:weight.shape[1]]
+        local = weight[..., None, None] * acnetwork.flow_p_hess(
+            *self._line_state(x)[..., None, :], *self._gb)
+        local = local[0] + local[1]
         weights = np.concatenate([-sigma_obj * self.objective_hessian_diag(x),
                                   local[self._hess_valid]])
         return np.bincount(self._hess_flat, weights=weights, minlength=n * n).reshape(n, n)

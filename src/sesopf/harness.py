@@ -8,6 +8,7 @@ instead of aborting the sweep.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -128,15 +129,6 @@ def sweep_rows(result: SweepResult) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def write_sweep_csv(result: SweepResult, fh, lineterminator: str = "\r\n") -> None:
-    """Write the sweep table to an open text file: a header row, then one
-    row per record."""
-    header, rows = sweep_rows(result)
-    writer = csv.writer(fh, lineterminator=lineterminator)
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def write_trace(fh, log, **extra) -> None:
     """Write a solver log to an open text file as JSON lines, one row per
     iteration, each led by the ``extra`` fields."""
@@ -186,35 +178,34 @@ def solve_document(case: CaseData, solution: Solution, metrics: Metrics) -> dict
     }
 
 
-def emit(result, fmt: str, path) -> None:
-    """Write a SweepResult or a solve document to ``path`` as csv or json."""
+def write_result(result, fmt: str, fh, lineterminator: str = "\r\n") -> None:
+    """Write a SweepResult or a solve document to an open text file as csv
+    or json, each csv row ended by ``lineterminator``."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format '{fmt}'")
     if isinstance(result, SweepResult):
+        header, rows = sweep_rows(result)
         if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                write_sweep_csv(result, fh)
-        else:
-            header, rows = sweep_rows(result)
-            doc = {"case": result.case_name,
-                   "records": [dict(zip(header, row)) for row in rows]}
-            _dump_json(doc, path)
-    elif isinstance(result, dict):
-        if fmt == "json":
-            _dump_json(result, path)
-        else:
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                for key, value in _flatten(result):
-                    writer.writerow([key, value])
-    else:
-        raise TypeError("emit expects a SweepResult or a solve document dict")
-
-
-def _dump_json(doc, path):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+            csv.writer(fh, lineterminator=lineterminator).writerows([header] + rows)
+            return
+        result = {"case": result.case_name,
+                  "records": [dict(zip(header, row)) for row in rows]}
+    elif not isinstance(result, dict):
+        raise TypeError("expected a SweepResult or a solve document dict")
+    if fmt == "json":
+        json.dump(result, fh, indent=2)
         fh.write("\n")
+    else:
+        csv.writer(fh, lineterminator=lineterminator).writerows(_flatten(result))
+
+
+def emit(result, fmt: str, path) -> None:
+    """Write a SweepResult or a solve document to ``path`` as csv or json.
+    Nothing is written when ``write_result`` rejects the input."""
+    buf = io.StringIO()
+    write_result(result, fmt, buf)
+    with open(path, "w", newline="") as fh:
+        fh.write(buf.getvalue())
 
 
 def _flatten(doc, prefix=""):

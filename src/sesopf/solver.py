@@ -5,10 +5,10 @@ The solver minimizes the negated welfare objective subject to the power
 balance equalities and all inequality rows (line limits, adequacy, box
 bounds). Inequalities get positive slacks with a logarithmic barrier. The
 barrier parameter starts in proportion to the objective's gradient at the
-start point, mu0 * max(1, ||grad f(x0)||_inf / 100), so that the barrier
+start point, MU0 * max(1, ||grad f(x0)||_inf / 100), so that the barrier
 is not negligible next to the objective; whenever the barrier problem is
 solved to within 10 mu it falls superlinearly, to
-max(tol/100, min(mu_reduction * mu, mu^1.5)) (IPOPT's rule, Waechter &
+max(tol/100, min(MU_REDUCTION * mu, mu^1.5)) (IPOPT's rule, Waechter &
 Biegler 2006, Math. Prog. 106:25-57, section 2.1); and a solve converges
 only once the scaled residuals and mu itself are at most tol.
 
@@ -39,18 +39,18 @@ from .welfare import gen_cost, satisfaction
 
 _FIXED_TOL = 1e-9     # bound pairs tighter than this are treated as fixed
 _SMAX = 100.0         # residual scaling cap (dual magnitudes)
+# initial barrier for an objective whose gradient at the start point is at
+# most 100 in max norm; a steeper objective starts at
+# MU0 * ||grad f(x0)||_inf / 100
+MU0 = 0.1
+MU_REDUCTION = 0.2    # linear factor of the mu update
+TAU = 0.995           # fraction-to-boundary
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-6          # on the scaled residuals and on the final mu
     max_iter: int = 200
-    # initial barrier for an objective whose gradient at the start point is
-    # at most 100 in max norm; a steeper objective starts at
-    # mu0 * ||grad f(x0)||_inf / 100
-    mu0: float = 0.1
-    mu_reduction: float = 0.2  # linear factor of the mu update
-    tau: float = 0.995         # fraction-to-boundary
 
 
 @dataclass
@@ -206,7 +206,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     f, ce, h = nlp.values(x)
     grad = nlp.grad(x)
     s = np.maximum(1e-2, -h)
-    mu = opts.mu0 * max(1.0, np.max(np.abs(grad)) / 100.0)
+    mu = MU0 * max(1.0, np.max(np.abs(grad)) / 100.0)
     nu = np.maximum(mu / s, 1e-8)
     lam = np.zeros(me)
     rho = 10.0
@@ -232,7 +232,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             break
         _, _, inf_comp_mu = _scaled_residuals(r_d, ce, r_h, s, lam, nu, mu)
         if max(inf_pr, inf_du, inf_comp_mu) <= 10.0 * mu:
-            mu = max(opts.tol / 100.0, min(opts.mu_reduction * mu, mu ** 1.5))
+            mu = max(opts.tol / 100.0, min(MU_REDUCTION * mu, mu ** 1.5))
 
         d_sigma = nu / s
         m_base = nlp.condensed(x, lam, nu, jh, d_sigma)
@@ -284,8 +284,8 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         dnu = mu / s - nu - d_sigma * ds
 
         # fraction-to-boundary step limits
-        alpha_p = _max_step(s, ds, opts.tau)
-        alpha_d = _max_step(nu, dnu, opts.tau)
+        alpha_p = _max_step(s, ds)
+        alpha_d = _max_step(nu, dnu)
 
         lam_new_inf = np.max(np.abs(lam + alpha_d * dlam), initial=0.0)
         nu_new_inf = np.max(np.abs(nu + alpha_d * dnu), initial=0.0)
@@ -329,11 +329,11 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     return _finish(problem, nlp, x, lam, nu, it, log, status)
 
 
-def _max_step(vals, deltas, tau):
+def _max_step(vals, deltas):
     neg = deltas < 0
     if not np.any(neg):
         return 1.0
-    return float(min(1.0, np.min(-tau * vals[neg] / deltas[neg])))
+    return float(min(1.0, np.min(-TAU * vals[neg] / deltas[neg])))
 
 
 def _merit(f, ce, h, s, mu, rho):

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from sesopf.casemodel import Bus, CaseData, Line
 from sesopf.acnetwork import (
     Admittance, build_admittance, bus_injections, flow_p, flow_p_grad,
-    flow_p_hess, flow_pq, flow_q_grad, flow_q_hess, injection_residuals,
-    line_flows, network_losses, series_admittance,
+    flow_p_hess, injection_residuals, line_flows, network_losses,
+    series_admittance,
 )
 
 
@@ -212,22 +212,32 @@ def test_generation_demand_loss_identity(five_bus, five_bus_solution):
 # per-line derivative primitives
 
 
+def _flow_q(vi, vj, ti, tj, g, b):
+    """The reactive sending flow in closed form."""
+    dth = ti - tj
+    return -vi * vi * b - vi * vj * (g * np.sin(dth) - b * np.cos(dth))
+
+
+def _rotated(kernel):
+    """A flow_p kernel evaluated at the rotated admittance (-b, g)."""
+    return lambda vi, vj, ti, tj, g, b: kernel(vi, vj, ti, tj, -b, g)
+
+
 @settings(deadline=None)
 @given(data=st.data())
 def test_flow_primitives_match_finite_differences(data):
+    """flow_p at the rotated admittance is the reactive flow bit for bit,
+    and the rotated gradient and Hessian are its derivatives."""
     g = data.draw(st.floats(0.0, 5.0))
     b = data.draw(st.floats(-20.0, -0.5))
     state = np.array([data.draw(st.floats(0.9, 1.1)),
                       data.draw(st.floats(0.9, 1.1)),
                       data.draw(st.floats(-0.4, 0.4)),
                       data.draw(st.floats(-0.4, 0.4))])
-    assert flow_pq(*state, g, b)[0] == flow_p(*state, g, b)
-
-    def flow_q(*args):
-        return flow_pq(*args)[1]
+    assert flow_p(*state, -b, g) == _flow_q(*state, g, b)
 
     for fun, grad_fun, hess_fun in ((flow_p, flow_p_grad, flow_p_hess),
-                                    (flow_q, flow_q_grad, flow_q_hess)):
+                                    (_flow_q, _rotated(flow_p_grad), _rotated(flow_p_hess))):
         grad = grad_fun(*state, g, b)
         hess = hess_fun(*state, g, b)
         h = 1e-6

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from sesopf.casemodel import builtin_case, save_case
+from sesopf.casemodel import builtin_case, case_to_dict, save_case
 from sesopf.cli import cli_main
 
 
@@ -40,6 +40,35 @@ def test_solve_missing_file_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _line_without_r(doc):
+    del doc["lines"][0]["r"]
+    return doc
+
+
+def _bus_with_unknown_key(doc):
+    doc["buses"][1]["colour"] = "red"
+    return doc
+
+
+def _string_voltage_limit(doc):
+    doc["buses"][0]["v_min"] = "0.9"
+    return doc
+
+
+def _top_level_list(doc):
+    return [doc]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _line_without_r, _bus_with_unknown_key, _string_voltage_limit, _top_level_list])
+def test_malformed_case_file_exits_2(tmp_path, capsys, corrupt):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(corrupt(case_to_dict(builtin_case("five_bus")))))
+    assert cli_main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_unknown_builtin_exits_2(capsys):
     assert cli_main(["solve", "builtin:nine_bus"]) == 2
 
@@ -69,6 +98,21 @@ def test_sweep_prints_the_rows_it_writes(tmp_path, capsys):
     assert "\r" not in printed
     assert written.count("\r\n") == 3  # header + 2 scale points, csv line ends
     assert printed == written.replace("\r\n", "\n")
+
+
+def test_format_applies_on_stdout(tmp_path, capsys):
+    """--format picks what is printed as well as what is written."""
+    solve = ["solve", "builtin:five_bus", "--format", "csv"]
+    sweep = ["sweep", "builtin:five_bus", "--from", "100", "--to", "102", "--format", "json"]
+    for args, parse in ((solve, lambda text: list(csv.reader(io.StringIO(text)))),
+                        (sweep, json.loads)):
+        out = tmp_path / "out"
+        assert cli_main(args + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert cli_main(args) == 0
+        printed = capsys.readouterr().out
+        assert parse(printed) == parse(out.read_bytes().decode())
+        assert "\r" not in printed
 
 
 def test_solve_trace_has_one_row_per_iteration(tmp_path, capsys):

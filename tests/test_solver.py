@@ -11,8 +11,8 @@ from sesopf import solver
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, Line, scale_ses
 from sesopf.formulation import Problem, build_problem
 from sesopf.solver import (
-    SolverOptions, _inertia, copper_plate_oracle, finite_difference_audit,
-    kkt_check, solve,
+    MU0, MU_REDUCTION, SolverOptions, _inertia, copper_plate_oracle,
+    finite_difference_audit, kkt_check, solve,
 )
 
 from conftest import (
@@ -372,7 +372,7 @@ def _gradient_sized_mu0(problem):
 
 
 def test_initial_barrier_is_sized_to_the_gradient(five_bus_problem, five_bus_solution):
-    assert _gradient_sized_mu0(five_bus_problem) > 100 * SolverOptions().mu0
+    assert _gradient_sized_mu0(five_bus_problem) > 100 * MU0
     assert five_bus_solution.log[0]["mu"] == _gradient_sized_mu0(five_bus_problem)
 
 
@@ -384,7 +384,7 @@ def test_small_objective_starts_at_mu0():
     problem = build_problem(single_bus_case(gen, agg, "small_toy"))
     solution = solve(problem)
     assert solution.status == "converged"
-    assert solution.log[0]["mu"] == SolverOptions().mu0 == _gradient_sized_mu0(problem)
+    assert solution.log[0]["mu"] == MU0 == _gradient_sized_mu0(problem)
     assert solution.p_gen[0] == pytest.approx(10.0 / 3.0, abs=1e-6)
 
 
@@ -395,8 +395,8 @@ def test_barrier_decreases_superlinearly(five_bus_solution, rts24_solution):
         cuts = [(a, b) for a, b in zip(mus, mus[1:]) if b != a]
         assert cuts
         for a, b in cuts:
-            assert b == max(opts.tol / 100.0, min(opts.mu_reduction * a, a ** 1.5))
-        assert any(b == a ** 1.5 < opts.mu_reduction * a for a, b in cuts)
+            assert b == max(opts.tol / 100.0, min(MU_REDUCTION * a, a ** 1.5))
+        assert any(b == a ** 1.5 < MU_REDUCTION * a for a, b in cuts)
 
 
 def test_converged_solve_ends_with_a_small_barrier(five_bus_solution, rts24_solution):
