@@ -9,7 +9,7 @@ from .welfare import (
     satisfaction, social_objective,
 )
 from .acnetwork import Admittance, build_admittance, injection_residuals, network_losses
-from .formulation import CurtailmentReport, Problem, build_problem, curtailment_report
+from .formulation import Problem, build_problem
 from .solver import (
     KKTReport, Solution, SolverOptions, copper_plate_oracle,
     finite_difference_audit, kkt_check, solve,

@@ -3,10 +3,11 @@
 Series-only line model: charging susceptance is ignored everywhere so that
 the Y-bus, the injection equations, and the directed line-flow expression
 stay mutually consistent. The formulation takes power balance, its Jacobian
-and its Hessian from the directed line flows below and their derivatives.
-``bus_injections`` keeps the Y-bus form, as the engine of
-``injection_residuals`` and as the reference the tests hold the flow sums
-to. Dense matrices are used; target systems have at most a few dozen buses.
+and its Hessian from the directed line flows below and their derivatives,
+so no solve builds the Y-bus. It is the input of ``bus_injections``, the
+engine of ``injection_residuals``, and the reference the tests hold the
+flow sums to. Dense matrices are used; target systems have at most a few
+dozen buses.
 
 The per-line flow primitives and their derivatives take scalars or arrays
 that broadcast against each other, so the formulation evaluates all lines
@@ -39,22 +40,17 @@ def series_admittance(line: Line) -> tuple[float, float]:
 
 
 def build_admittance(case: CaseData) -> Admittance:
+    """Y-bus of the series line admittances. Each line adds its entries
+    (ii, jj, ij, ji) in line order; ``np.add.at`` is unbuffered, so parallel
+    lines sum into shared cells in that order too."""
+    i, j, g, b = line_arrays(case)
     n = len(case.buses)
-    g = np.zeros((n, n))
-    b = np.zeros((n, n))
-    for line in case.lines:
-        i = case.bus_index(line.from_bus)
-        j = case.bus_index(line.to_bus)
-        gs, bs = series_admittance(line)
-        g[i, i] += gs
-        g[j, j] += gs
-        g[i, j] -= gs
-        g[j, i] -= gs
-        b[i, i] += bs
-        b[j, j] += bs
-        b[i, j] -= bs
-        b[j, i] -= bs
-    return Admittance(g, b)
+    rows = np.stack([i, j, i, j], axis=-1).ravel()
+    cols = np.stack([i, j, j, i], axis=-1).ravel()
+    entries = np.stack([g, b])[:, :, None] * np.array([1.0, 1.0, -1.0, -1.0])
+    ybus = np.zeros((2, n, n))
+    np.add.at(ybus, (np.arange(2)[:, None], rows, cols), entries.reshape(2, -1))
+    return Admittance(ybus[0], ybus[1])
 
 
 def bus_injections(adm: Admittance, v, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -140,11 +136,9 @@ def flow_q_hess(vi, vj, ti, tj, g, b):
 
 
 def line_arrays(case: CaseData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(from bus index, to bus index, g, b) of every line, in line order,
-    with each bus id resolved once."""
-    index = {bus.id: k for k, bus in enumerate(case.buses)}
-    i = np.array([index[ln.from_bus] for ln in case.lines], dtype=int)
-    j = np.array([index[ln.to_bus] for ln in case.lines], dtype=int)
+    """(from bus index, to bus index, g, b) of every line, in line order."""
+    i = np.array([case.bus_index(ln.from_bus) for ln in case.lines], dtype=int)
+    j = np.array([case.bus_index(ln.to_bus) for ln in case.lines], dtype=int)
     series = [series_admittance(ln) for ln in case.lines]
     g = np.array([gb[0] for gb in series], dtype=float)
     b = np.array([gb[1] for gb in series], dtype=float)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, asdict, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +64,18 @@ class CaseData:
     aggregators: tuple[Aggregator, ...]
     metadata: dict = field(default_factory=dict, compare=False)
 
+    @cached_property
+    def _bus_positions(self) -> dict[int, int]:
+        # reversed, so that a duplicate id keeps its first position
+        return {bus.id: k for k, bus in reversed(tuple(enumerate(self.buses)))}
+
     def bus_index(self, bus_id: int) -> int:
-        for k, bus in enumerate(self.buses):
-            if bus.id == bus_id:
-                return k
-        raise KeyError(f"unknown bus id {bus_id}")
+        """Position of a bus id in ``buses``: the one bus id resolver that
+        every layer calls."""
+        try:
+            return self._bus_positions[bus_id]
+        except KeyError:
+            raise KeyError(f"unknown bus id {bus_id}") from None
 
     def slack_index(self) -> int:
         for k, bus in enumerate(self.buses):
@@ -76,8 +84,7 @@ class CaseData:
         raise ValueError("case has no slack bus")
 
     def aggregators_at(self, bus_id: int) -> list[Aggregator]:
-        if all(b.id != bus_id for b in self.buses):
-            raise KeyError(f"unknown bus id {bus_id}")
+        self.bus_index(bus_id)  # raises for an unknown id
         return [a for a in self.aggregators if a.bus == bus_id]
 
     def aggregator(self, bus_id: int, index: int) -> Aggregator:
@@ -186,8 +193,7 @@ def bus_demand(case: CaseData, bus: int, p_values) -> float:
     p_values = np.asarray(p_values, dtype=float)
     if p_values.shape != (len(case.aggregators),):
         raise ValueError("p_values length must match the aggregator count")
-    if all(b.id != bus for b in case.buses):
-        raise KeyError(f"unknown bus id {bus}")
+    case.bus_index(bus)  # raises for an unknown id
     return float(sum(p for a, p in zip(case.aggregators, p_values) if a.bus == bus))
 
 
@@ -417,7 +423,7 @@ def case_from_dict(doc: dict) -> CaseData:
     ValueError naming the bad entry."""
     if not isinstance(doc, dict):
         raise ValueError("a case file must hold a JSON object")
-    _check_number("case", "s_base", doc.get("s_base"), "float")
+    _check_type("case", "s_base", doc.get("s_base"), "float")
     return CaseData(
         name=doc.get("name", "unnamed"),
         s_base=float(doc["s_base"]),
@@ -441,14 +447,16 @@ def _entries(doc: dict, key: str, cls) -> tuple:
         except TypeError as exc:
             raise ValueError(f"{key}[{k}]: {exc}") from None
         for f in fields(cls):
-            _check_number(f"{key}[{k}]", f.name, getattr(out[-1], f.name), f.type)
+            _check_type(f"{key}[{k}]", f.name, getattr(out[-1], f.name), f.type)
     return tuple(out)
 
 
-def _check_number(tag: str, name: str, value, kind: str) -> None:
-    """An int or float field needs a JSON number; true and false are not."""
-    number = {"int": int, "float": (int, float)}.get(kind)
-    if number and (isinstance(value, bool) or not isinstance(value, number)):
+def _check_type(tag: str, name: str, value, kind: str) -> None:
+    """A bool field needs true or false; an int or float field needs a JSON
+    number, which true and false are not."""
+    expected = {"bool": bool, "int": int, "float": (int, float)}.get(kind)
+    if expected and (not isinstance(value, expected)
+                     or (isinstance(value, bool) and kind != "bool")):
         raise ValueError(f"{tag}: {name} must be {kind}, got {value!r}")
 
 

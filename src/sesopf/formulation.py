@@ -87,19 +87,13 @@ class VariableLayout:
         k = 2 * self.n_gen + 2 * self.n_agg + self.n_bus
         return slice(k, k + self.n_bus - 1)
 
-    def theta_index(self, bus: int) -> int:
-        """Global variable index of a non-slack bus angle."""
-        if bus == self.slack:
-            raise ValueError("slack angle is not a variable")
-        off = bus if bus < self.slack else bus - 1
-        return self.th.start + off
-
 
 @dataclass
 class Problem:
-    """The NLP of one case. The fields are what ``build_problem`` computes;
-    ``__post_init__`` derives the index arrays that every evaluator uses,
-    so each evaluation is a fixed sequence of array operations.
+    """The NLP of one case, built from the case alone: ``__post_init__``
+    derives the variable layout, the bounds ``lb`` and ``ub``, and the index
+    arrays that every evaluator uses, so each evaluation is a fixed sequence
+    of array operations.
 
     Directed line rows come from->to for every line, then to->from.
     ``_state_cols`` holds the variable columns of their local state, one
@@ -111,20 +105,27 @@ class Problem:
     one scatter of these rows' derivatives."""
 
     case: CaseData
-    layout: VariableLayout
-    lb: np.ndarray
-    ub: np.ndarray
-    adm: acnetwork.Admittance
-    # line incidence (bus indices) and series admittances, precomputed
-    line_from: np.ndarray
-    line_to: np.ndarray
-    line_g: np.ndarray
-    line_b: np.ndarray
 
     def __post_init__(self):
-        case, lay = self.case, self.layout
-        n, nb, ng, na = lay.n_var, lay.n_bus, lay.n_gen, lay.n_agg
+        case, sb = self.case, self.case.s_base
         aggs, gens = case.aggregators, case.generators
+        self.layout = lay = VariableLayout(len(gens), len(aggs), len(case.buses),
+                                           case.slack_index())
+        n, nb, ng, na = lay.n_var, lay.n_bus, lay.n_gen, lay.n_agg
+
+        self.lb, self.ub = lb, ub = np.empty(n), np.empty(n)
+        lb[lay.pg] = [g.p_min / sb for g in gens]
+        ub[lay.pg] = [g.p_max / sb for g in gens]
+        lb[lay.qg] = [g.q_min / sb for g in gens]
+        ub[lay.qg] = [g.q_max / sb for g in gens]
+        lb[lay.pa] = [a.p_c / sb for a in aggs]
+        ub[lay.pa] = [a.p_n / sb for a in aggs]
+        lb[lay.qa] = [a.q_c / sb for a in aggs]
+        ub[lay.qa] = [a.q_n / sb for a in aggs]
+        lb[lay.v] = [b.v_min for b in case.buses]
+        ub[lay.v] = [b.v_max for b in case.buses]
+        lb[lay.th] = -np.inf
+        ub[lay.th] = np.inf
 
         self._sigma = np.array([a.sigma for a in aggs], dtype=float)
         self._gamma = np.array([a.gamma for a in aggs], dtype=float)
@@ -134,9 +135,8 @@ class Problem:
         # power balance: each generator and aggregator enters one P and one
         # Q row with a fixed sign; these are also the constant entries of
         # the equality Jacobian
-        position = {bus.id: k for k, bus in enumerate(case.buses)}
-        gen_bus = np.array([position[g.bus] for g in gens], dtype=int)
-        agg_bus = np.array([position[a.bus] for a in aggs], dtype=int)
+        gen_bus = np.array([case.bus_index(g.bus) for g in gens], dtype=int)
+        agg_bus = np.array([case.bus_index(a.bus) for a in aggs], dtype=int)
         self._inj_row = np.concatenate([gen_bus, agg_bus, nb + gen_bus, nb + agg_bus])
         self._inj_col = np.r_[lay.pg, lay.pa, lay.qg, lay.qa]
         self._inj_sign = np.repeat([1.0, -1.0, 1.0, -1.0], [ng, na, ng, na])
@@ -144,8 +144,9 @@ class Problem:
         self._theta_col = np.full(nb, -1)
         self._theta_col[np.arange(nb) != lay.slack] = np.arange(lay.th.start, lay.th.stop)
 
-        fr = np.concatenate([self.line_from, self.line_to])
-        to = np.concatenate([self.line_to, self.line_from])
+        line_from, line_to, line_g, line_b = acnetwork.line_arrays(case)
+        fr = np.concatenate([line_from, line_to])
+        to = np.concatenate([line_to, line_from])
         # power balance: the signed injections above, then the P and Q
         # flow of every directed row, leaving its sending bus
         self._flow_row = np.stack([fr, nb + fr])
@@ -155,9 +156,9 @@ class Problem:
                                      self._theta_col[fr], self._theta_col[to]])
         cols = self._state_cols.T
         # each directed row's P flow at (g, b), its Q flow at (-b, g)
-        g, b = np.tile(self.line_g, 2), np.tile(self.line_b, 2)
+        g, b = np.tile(line_g, 2), np.tile(line_b, 2)
         self._gb = np.array([[g, -b], [b, g]])
-        self._smax2 = np.tile([ln.s_max / case.s_base for ln in case.lines], 2)
+        self._smax2 = np.tile([ln.s_max / sb for ln in case.lines], 2)
 
         self._jh_valid = cols >= 0
         self._jh_flat = (np.arange(len(fr))[:, None] * n + cols)[self._jh_valid]
@@ -329,43 +330,4 @@ def build_problem(case: CaseData) -> Problem:
     report = validate_case(case)
     if report:
         raise ValueError("invalid case: " + "; ".join(report))
-
-    ng, na, nb = len(case.generators), len(case.aggregators), len(case.buses)
-    layout = VariableLayout(ng, na, nb, case.slack_index())
-    sb = case.s_base
-
-    lb = np.empty(layout.n_var)
-    ub = np.empty(layout.n_var)
-    lb[layout.pg] = [g.p_min / sb for g in case.generators]
-    ub[layout.pg] = [g.p_max / sb for g in case.generators]
-    lb[layout.qg] = [g.q_min / sb for g in case.generators]
-    ub[layout.qg] = [g.q_max / sb for g in case.generators]
-    lb[layout.pa] = [a.p_c / sb for a in case.aggregators]
-    ub[layout.pa] = [a.p_n / sb for a in case.aggregators]
-    lb[layout.qa] = [a.q_c / sb for a in case.aggregators]
-    ub[layout.qa] = [a.q_n / sb for a in case.aggregators]
-    lb[layout.v] = [b.v_min for b in case.buses]
-    ub[layout.v] = [b.v_max for b in case.buses]
-    lb[layout.th] = -np.inf
-    ub[layout.th] = np.inf
-
-    adm = acnetwork.build_admittance(case)
-    line_from, line_to, line_g, line_b = acnetwork.line_arrays(case)
-
-    return Problem(case, layout, lb, ub, adm, line_from, line_to, line_g, line_b)
-
-
-@dataclass(frozen=True)
-class CurtailmentReport:
-    per_aggregator: np.ndarray  # p_n - p, MW
-    total: float                # sum(P_g) - sum(P_a), MW
-
-
-def curtailment_report(case: CaseData, solution) -> CurtailmentReport:
-    """Per-aggregator and total effective curtailment of a feasible solution."""
-    if getattr(solution, "max_violation", 0.0) > 1e-5:
-        raise ValueError("solution is not feasible enough for curtailment reporting")
-    p_agg = np.asarray(solution.p_agg, dtype=float)
-    p_gen = np.asarray(solution.p_gen, dtype=float)
-    p_n = np.array([a.p_n for a in case.aggregators])
-    return CurtailmentReport(p_n - p_agg, float(np.sum(p_gen) - np.sum(p_agg)))
+    return Problem(case)

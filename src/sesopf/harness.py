@@ -83,7 +83,7 @@ def ses_sweep(case: CaseData, from_pct: float = 10.0, to_pct: float = 150.0,
     """Re-solve the case with all SES values scaled together over a range.
     ``on_solve``, if given, is called with (scale_pct, Solution) after each
     point."""
-    if not (0 < from_pct <= to_pct) or step_pct <= 0:
+    if not (0 < from_pct <= to_pct < np.inf and 0 < step_pct < np.inf):
         raise ValueError("invalid sweep range")
     pcts = []
     k = 0

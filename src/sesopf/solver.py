@@ -52,6 +52,12 @@ class SolverOptions:
     tol: float = 1e-6          # on the scaled residuals and on the final mu
     max_iter: int = 200
 
+    def __post_init__(self):
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+
 
 @dataclass
 class Solution:

@@ -14,6 +14,8 @@ from sesopf.acnetwork import (
     series_admittance,
 )
 
+from conftest import with_parallel_lines
+
 
 def _two_bus(r, x, s_max=1e6):
     return CaseData("two_bus", 100.0,
@@ -60,6 +62,39 @@ def test_admittance_symmetric_with_zero_row_sums(five_bus, rts24):
         # series-only model: no shunts, so every row sums to zero
         assert np.allclose(adm.g.sum(axis=1), 0.0, atol=1e-10)
         assert np.allclose(adm.b.sum(axis=1), 0.0, atol=1e-10)
+
+
+def _build_admittance_by_lines(case):
+    """Y-bus one line and two bus-id lookups at a time: the reference for
+    ``build_admittance``."""
+    n = len(case.buses)
+    g = np.zeros((n, n))
+    b = np.zeros((n, n))
+    for line in case.lines:
+        i = case.bus_index(line.from_bus)
+        j = case.bus_index(line.to_bus)
+        gs, bs = series_admittance(line)
+        g[i, i] += gs
+        g[j, j] += gs
+        g[i, j] -= gs
+        g[j, i] -= gs
+        b[i, i] += bs
+        b[j, j] += bs
+        b[i, j] -= bs
+        b[j, i] -= bs
+    return Admittance(g, b)
+
+
+@pytest.mark.parametrize("name", ["five_bus", "rts24", "five_bus_parallel"])
+def test_build_admittance_matches_line_by_line(name, request):
+    """Bit for bit, parallel lines included (rts24 has four pairs)."""
+    if name == "five_bus_parallel":
+        case = with_parallel_lines(request.getfixturevalue("five_bus"))
+    else:
+        case = request.getfixturevalue(name)
+    adm, ref = build_admittance(case), _build_admittance_by_lines(case)
+    assert np.array_equal(adm.g, ref.g)
+    assert np.array_equal(adm.b, ref.b)
 
 
 def test_admittance_is_sum_of_line_contributions(five_bus):

@@ -210,6 +210,16 @@ def test_bus_demand_errors(five_bus):
         bus_demand(five_bus, 4, [1.0, 2.0])
 
 
+def test_bus_index_keeps_the_first_of_a_duplicate_id():
+    """The resolver works on an unvalidated case: a duplicate id maps to its
+    first position, as a scan from the front finds it."""
+    case = CaseData("dup", 100.0, (Bus(7, is_slack=True), Bus(3), Bus(7), Bus(5)),
+                    (), (), ())
+    assert [case.bus_index(i) for i in (7, 3, 5)] == [0, 1, 3]
+    with pytest.raises(KeyError, match="unknown bus id 4"):
+        case.bus_index(4)
+
+
 def test_aggregator_accessor(five_bus):
     assert five_bus.aggregator(4, 3).gamma == 10.0
     with pytest.raises(KeyError):

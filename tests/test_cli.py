@@ -59,8 +59,17 @@ def _top_level_list(doc):
     return [doc]
 
 
+def _string_slack_flag(doc):
+    """A truthy string on bus 3, false on every other bus."""
+    for bus in doc["buses"]:
+        bus["is_slack"] = False
+    doc["buses"][2]["is_slack"] = "false"
+    return doc
+
+
 @pytest.mark.parametrize("corrupt", [
-    _line_without_r, _bus_with_unknown_key, _string_voltage_limit, _top_level_list])
+    _line_without_r, _bus_with_unknown_key, _string_voltage_limit, _top_level_list,
+    _string_slack_flag])
 def test_malformed_case_file_exits_2(tmp_path, capsys, corrupt):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(corrupt(case_to_dict(builtin_case("five_bus")))))
@@ -159,8 +168,12 @@ def test_unwritable_trace_exits_2(tmp_path, capsys, command):
 
 
 def test_sweep_invalid_range_exits_2(capsys):
-    assert cli_main(["sweep", "builtin:five_bus", "--from", "100",
-                     "--to", "50"]) == 2
+    """A range or solver option that cannot end or means nothing is an
+    input error, reported before any point is solved."""
+    for extra in (["--to", "50"], ["--to", "inf"], ["--step", "nan"],
+                  ["--max-iter", "-3"], ["--tol", "nan"]):
+        assert cli_main(["sweep", "builtin:five_bus", "--from", "100", *extra]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_nonconverged_exits_1(capsys):

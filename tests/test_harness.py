@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -53,10 +54,14 @@ def test_metrics_normalized_satisfaction_range(five_bus, five_bus_run):
 
 
 def test_metrics_curtailment_consistency(five_bus, five_bus_run):
+    """Each aggregator is curtailed by at least zero and at most p_n - p_c."""
     solution, metrics = five_bus_run
     per = np.array([metrics.curtailment[k]
                     for k in sorted(metrics.curtailment)])
+    room = np.array([five_bus.aggregator(*k).p_n - five_bus.aggregator(*k).p_c
+                     for k in sorted(metrics.curtailment)])
     assert np.all(per >= -1e-4)
+    assert np.all(per <= room + 1e-4)
     assert metrics.total_curtailment == pytest.approx(
         float(np.sum(solution.p_gen) - np.sum(solution.p_agg)))
 
@@ -73,10 +78,16 @@ def test_sweep_point_count_and_ordering(small_sweep):
 
 
 def test_sweep_invalid_range(five_bus):
-    with pytest.raises(ValueError):
-        ses_sweep(five_bus, 100.0, 50.0, 2.0)
-    with pytest.raises(ValueError):
-        ses_sweep(five_bus, 10.0, 50.0, 0.0)
+    """Empty, endless and meaningless ranges and solver options raise
+    before any point is solved."""
+    for from_pct, to_pct, step_pct in ((100.0, 50.0, 2.0), (10.0, 50.0, 0.0),
+                                       (10.0, math.inf, 2.0), (math.nan, 50.0, 2.0),
+                                       (10.0, 50.0, math.nan), (10.0, 50.0, math.inf)):
+        with pytest.raises(ValueError):
+            ses_sweep(five_bus, from_pct, to_pct, step_pct)
+    for options in ({"max_iter": -3}, {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}):
+        with pytest.raises(ValueError):
+            ses_sweep(five_bus, 100.0, 100.0, 2.0, SolverOptions(**options))
 
 
 def test_sweep_identity_point_matches_run_solve(five_bus, five_bus_run,

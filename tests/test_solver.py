@@ -200,8 +200,7 @@ class _CorruptedIneqJacobian(Problem):
 
 
 def _rebuilt(cls, p):
-    return cls(p.case, p.layout, p.lb, p.ub, p.adm,
-               p.line_from, p.line_to, p.line_g, p.line_b)
+    return cls(p.case)
 
 
 def test_audit_flags_corrupted_gradient(five_bus_problem):
