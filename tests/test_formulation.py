@@ -8,6 +8,7 @@ import pytest
 from sesopf.acnetwork import build_admittance, bus_injections
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator
 from sesopf.formulation import build_problem
+from sesopf.harness import compute_metrics
 from sesopf.solver import finite_difference_audit
 from sesopf.welfare import marginal_cost, marginal_satisfaction, social_objective
 
@@ -239,3 +240,20 @@ def _check_second_derivatives(problem):
         jac = jacobian(x)
         fd_jac = (values(x + steps) - values(x - steps)).T / (2 * h)
         assert np.max(np.abs(jac - fd_jac) / np.maximum(1.0, np.abs(jac))) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# curtailment
+
+
+def test_curtailment_report_bounds(five_bus, five_bus_solution):
+    """Each aggregator is curtailed by at least zero and at most p_n - p_c,
+    and the total is generation minus aggregator consumption."""
+    metrics = compute_metrics(five_bus, five_bus_solution)
+    per = np.array(list(metrics.curtailment.values()))
+    p_n = np.array([a.p_n for a in five_bus.aggregators])
+    p_c = np.array([a.p_c for a in five_bus.aggregators])
+    assert np.all(per >= -1e-4)
+    assert np.all(per <= p_n - p_c + 1e-4)
+    assert metrics.total_curtailment == pytest.approx(
+        float(np.sum(five_bus_solution.p_gen) - np.sum(five_bus_solution.p_agg)))
