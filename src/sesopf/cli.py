@@ -93,12 +93,15 @@ def cli_main(argv=None) -> int:
             return 0 if solution.status == "converged" else 1
 
         if args.command == "sweep":
+            # reject the options and the range before the trace file exists
+            opts = _options(args)
+            harness.sweep_points(args.from_pct, args.to_pct, args.step_pct)
             trace = contextlib.nullcontext() if args.trace is None else open(args.trace, "w")
             with trace as fh:
                 on_solve = None if fh is None else (
                     lambda pct, sol: harness.write_trace(fh, sol.log, scale_pct=pct))
                 result = harness.ses_sweep(case, args.from_pct, args.to_pct,
-                                           args.step_pct, _options(args), on_solve=on_solve)
+                                           args.step_pct, opts, on_solve=on_solve)
             _write_or_print(result, args.format or "csv", args.output)
             ok = all(r.status == "converged" for r in result.records)
             return 0 if ok else 1

@@ -26,7 +26,10 @@ the sums of those flows' derivatives, so all three come from one form.
 Under the series-only line model the sum equals the Y-bus injection of
 ``acnetwork.bus_injections``. Each directed row carries a P flow and a Q
 flow from one (2, rows) admittance of (g, b) and the rotated (-b, g), so
-each balance evaluator makes one ``acnetwork`` kernel call.
+each balance evaluator makes one ``acnetwork`` kernel call. The line-limit
+rows are the P half of those flows, so ``constraints`` and ``jacobians``
+return both kinds of row from that one call; the solver uses them, and the
+audit checks the separate evaluators they equal bit for bit.
 
 The value evaluators (``objective``, ``equalities``, ``inequalities``) take
 one point of shape (n,) or a stack of points of shape (k, n) and return one
@@ -259,13 +262,30 @@ class Problem:
         diag[lay.pg] = -2.0 * self._cost[0] * sb * sb
         return diag
 
-    # -- equality constraints (power balance, p.u.) -------------------------
+    # -- constraints (balance p.u., then inequalities <= 0) ------------------
+    # Row 0 of a kernel call at the (2, rows) admittance ``_gb`` is
+    # elementwise the call at (g, b) alone, so ``constraints`` and
+    # ``jacobians`` equal the separate evaluators bit for bit.
+    # ``inequalities`` and ``inequality_jacobian`` keep the single-row call:
+    # they need no Q flow, and the audit calls them at every sampled point.
 
-    def equalities(self, x: np.ndarray) -> np.ndarray:
-        """Generation minus demand minus the flows leaving each bus: P rows,
-        then Q rows."""
+    def _line_state(self, x: np.ndarray) -> np.ndarray:
+        """(vi, vj, ti, tj) of every directed line row on the first axis,
+        each of shape (rows,) for x of shape (n,), or (k, rows) for (k, n)."""
+        return self._extended(x).take(self._state_cols, axis=-1).swapaxes(0, -2)
+
+    def _flows(self, x: np.ndarray) -> np.ndarray:
+        """P and Q flows of every directed row: shape lead + (2, rows)."""
+        return acnetwork.flow_p(*self._line_state(x)[..., None, :], *self._gb)
+
+    def _flow_grads(self, x: np.ndarray) -> np.ndarray:
+        """Their gradients in (vi, vj, ti, tj): shape (4, 2, rows)."""
+        return acnetwork.flow_p_grad(*self._line_state(x)[..., None, :], *self._gb)
+
+    def _balance(self, x: np.ndarray, pq: np.ndarray) -> np.ndarray:
+        """Generation minus demand minus the flows ``pq`` leaving each bus:
+        P rows, then Q rows."""
         lead = x.shape[:-1]
-        pq = acnetwork.flow_p(*self._line_state(x)[..., None, :], *self._gb)
         terms = self._balance_sign * np.concatenate(
             [x.take(self._inj_col, axis=-1), pq.reshape(lead + (-1,))], axis=-1)
         # one bincount for all points, the bins of point k offset by k * n_eq,
@@ -275,36 +295,54 @@ class Problem:
         sums = np.bincount(bins, weights=terms.ravel(), minlength=k * self.n_eq)
         return sums.reshape(lead + (self.n_eq,))
 
-    def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
+    def _limits(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Line-limit rows from the P flows ``p``, then the adequacy rows."""
+        adequacy = (self._adequacy * x[..., None, :]).sum(axis=-1)
+        return np.concatenate([p - self._smax2, adequacy], axis=-1)
+
+    def equalities(self, x: np.ndarray) -> np.ndarray:
+        """Power balance, p.u.: P rows, then Q rows."""
+        return self._balance(x, self._flows(x))
+
+    def inequalities(self, x: np.ndarray) -> np.ndarray:
+        """Directed line limits, then adequacy, each <= 0 when satisfied."""
+        return self._limits(x, acnetwork.flow_p(*self._line_state(x), *self._gb[:, 0]))
+
+    def constraints(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(equalities(x), inequalities(x)), bit for bit, from one flow
+        kernel call."""
+        pq = self._flows(x)
+        return self._balance(x, pq), self._limits(x, pq[..., 0, :])
+
+    def _equality_jacobian(self, grad: np.ndarray) -> np.ndarray:
         """The constant injection entries, then minus the P and Q flow
-        gradients of every directed row in the rows of its sending bus.
-        Parallel lines and all lines leaving a bus share cells, so the
+        gradients ``grad`` of every directed row in the rows of its sending
+        bus. Parallel lines and all lines leaving a bus share cells, so the
         entries are summed, not assigned."""
-        grad = acnetwork.flow_p_grad(*self._line_state(x)[..., None, :], *self._gb)
         weights = np.concatenate([
             self._inj_sign, -grad.transpose(1, 2, 0)[:, self._jh_valid].ravel()])
         n = self.n_var
         return np.bincount(self._je_flat, weights=weights,
                            minlength=self.n_eq * n).reshape(self.n_eq, n)
 
-    # -- inequality constraints (<= 0) --------------------------------------
-
-    def _line_state(self, x: np.ndarray) -> np.ndarray:
-        """(vi, vj, ti, tj) of every directed line row on the first axis,
-        each of shape (rows,) for x of shape (n,), or (k, rows) for (k, n)."""
-        return self._extended(x).take(self._state_cols, axis=-1).swapaxes(0, -2)
-
-    def inequalities(self, x: np.ndarray) -> np.ndarray:
-        p = acnetwork.flow_p(*self._line_state(x), *self._gb[:, 0])
-        adequacy = (self._adequacy * x[..., None, :]).sum(axis=-1)
-        return np.concatenate([p - self._smax2, adequacy], axis=-1)
-
-    def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
-        grad = acnetwork.flow_p_grad(*self._line_state(x), *self._gb[:, 0])
+    def _inequality_jacobian(self, grad_p: np.ndarray) -> np.ndarray:
         jac = np.zeros((self.n_ineq, self.n_var))
-        jac.flat[self._jh_flat] = grad.T[self._jh_valid]
+        jac.flat[self._jh_flat] = grad_p.T[self._jh_valid]
         jac[-2:] = self._adequacy
         return jac
+
+    def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self._equality_jacobian(self._flow_grads(x))
+
+    def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self._inequality_jacobian(
+            acnetwork.flow_p_grad(*self._line_state(x), *self._gb[:, 0]))
+
+    def jacobians(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(equality_jacobian(x), inequality_jacobian(x)), bit for bit, from
+        one flow-gradient kernel call."""
+        grad = self._flow_grads(x)
+        return self._equality_jacobian(grad), self._inequality_jacobian(grad[:, 0])
 
     # -- Lagrangian Hessian --------------------------------------------------
 

@@ -77,25 +77,38 @@ class SweepResult:
     agg_keys: tuple = field(default=())
 
 
+# Most points a sweep may list. The default sweep has 71; a range with more
+# is taken to be a mistake, such as a step far below the range's width.
+MAX_SWEEP_POINTS = 100_000
+
+
+def sweep_points(from_pct: float, to_pct: float, step_pct: float) -> list[float]:
+    """The scale percentages of a sweep: from_pct + k * step_pct, rounded to
+    9 decimals, for k = 0, 1, ... while they stay within to_pct + 1e-9.
+    Raises ValueError for a range that is empty, not finite, or longer than
+    MAX_SWEEP_POINTS points, which includes a step too small to move a point
+    past the float spacing at from_pct."""
+    if not (0 < from_pct <= to_pct < np.inf and 0 < step_pct < np.inf):
+        raise ValueError("invalid sweep range")
+    if (to_pct - from_pct) / step_pct >= MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep range has more than {MAX_SWEEP_POINTS} points")
+    pcts = []
+    for k in range(MAX_SWEEP_POINTS + 1):
+        pct = from_pct + k * step_pct
+        if pct > to_pct + 1e-9:
+            return pcts
+        pcts.append(round(pct, 9))
+    raise ValueError(f"sweep range has more than {MAX_SWEEP_POINTS} points")
+
+
 def ses_sweep(case: CaseData, from_pct: float = 10.0, to_pct: float = 150.0,
               step_pct: float = 2.0,
               opts: SolverOptions = SolverOptions(), *, on_solve=None) -> SweepResult:
-    """Re-solve the case with all SES values scaled together over a range.
-    ``on_solve``, if given, is called with (scale_pct, Solution) after each
-    point."""
-    if not (0 < from_pct <= to_pct < np.inf and 0 < step_pct < np.inf):
-        raise ValueError("invalid sweep range")
-    pcts = []
-    k = 0
-    while True:
-        pct = from_pct + k * step_pct
-        if pct > to_pct + 1e-9:
-            break
-        pcts.append(round(pct, 9))
-        k += 1
-
+    """Re-solve the case with all SES values scaled together at each point
+    of ``sweep_points``. ``on_solve``, if given, is called with
+    (scale_pct, Solution) after each point."""
     records = []
-    for pct in pcts:
+    for pct in sweep_points(from_pct, to_pct, step_pct):
         scaled = scale_ses(case, pct / 100.0)
         solution, metrics = run_solve(scaled, opts)
         if on_solve is not None:

@@ -21,8 +21,11 @@ backtracking line search. Everything is deterministic.
 Each iterate is evaluated once: its objective and constraint values come
 from the accepted line-search trial, and its gradient, Jacobians and
 Lagrangian Hessian are computed once and shared by the convergence test,
-the KKT system and the merit function. Bound rows, one +-1 entry each, are
-applied by index instead of as Jacobian rows.
+the KKT system and the merit function. Each of those takes one flow-kernel
+call per derivative order (``Problem.constraints`` at every trial,
+``Problem.jacobians`` and ``Problem.lagrangian_hessian`` at every iterate),
+and the scaled residuals are computed once per iteration. Bound rows, one
++-1 entry each, are applied by index instead of as Jacobian rows.
 """
 
 from __future__ import annotations
@@ -114,16 +117,19 @@ class _InternalNLP:
     def values(self, x):
         """(f, c_E, h) at x."""
         p = self.problem
-        ce = np.concatenate([p.equalities(x), x[self.fixed_idx] - p.lb[self.fixed_idx]])
-        h = np.concatenate([p.inequalities(x),
-                            self.bound_sign * (x[self.bound_idx] - self.bound_val)])
+        eq, ineq = p.constraints(x)
+        ce = np.concatenate([eq, x[self.fixed_idx] - p.lb[self.fixed_idx]])
+        h = np.concatenate([ineq, self.bound_sign * (x[self.bound_idx] - self.bound_val)])
         return -p.objective(x), ce, h
 
     def grad(self, x):
         return -self.problem.objective_gradient(x)
 
-    def je(self, x):
-        return np.vstack([self.problem.equality_jacobian(x), self.fixed_rows])
+    def jacobians(self, x):
+        """(J_E, jh) at x: the problem's equality Jacobian with the fixed
+        rows below it, and the problem rows of the inequality Jacobian."""
+        je, jh = self.problem.jacobians(x)
+        return np.vstack([je, self.fixed_rows]), jh
 
     def jh_t(self, jh, y):
         """Transpose of the full inequality Jacobian times y."""
@@ -176,14 +182,16 @@ def _inertia(kkt: np.ndarray) -> tuple[int, int, int]:
 
 
 def _scaled_residuals(r_d, r_e, r_h, s, lam, nu, mu):
-    comp = s * nu - mu
+    """(inf_pr, inf_du, inf_comp at mu = 0, inf_comp at mu)."""
     m = max(1, len(lam) + len(nu))
     s_d = max(_SMAX, (np.abs(lam).sum() + np.abs(nu).sum()) / m) / _SMAX
     s_c = max(_SMAX, np.abs(nu).sum() / max(1, len(nu))) / _SMAX
     inf_pr = max(np.max(np.abs(r_e), initial=0.0), np.max(np.abs(r_h), initial=0.0))
     inf_du = np.max(np.abs(r_d)) / s_d
-    inf_comp = np.max(np.abs(comp), initial=0.0) / s_c
-    return inf_pr, inf_du, inf_comp
+    comp = s * nu
+    inf_comp0 = np.max(np.abs(comp), initial=0.0) / s_c
+    inf_comp_mu = np.max(np.abs(comp - mu), initial=0.0) / s_c
+    return inf_pr, inf_du, inf_comp0, inf_comp_mu
 
 
 def _screen_infeasible(problem: Problem) -> str | None:
@@ -227,16 +235,15 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     diag = np.arange(n)
 
     for it in range(1, opts.max_iter + 1):
-        je, jh = nlp.je(x), problem.inequality_jacobian(x)
+        je, jh = nlp.jacobians(x)
         r_d = grad + je.T @ lam + nlp.jh_t(jh, nu)
         r_h = h + s
-        inf_pr, inf_du, inf_comp0 = _scaled_residuals(r_d, ce, r_h, s, lam, nu, 0.0)
+        inf_pr, inf_du, inf_comp0, inf_comp_mu = _scaled_residuals(r_d, ce, r_h, s, lam, nu, mu)
         log.append({"iter": it, "mu": mu, "inf_pr": inf_pr, "inf_du": inf_du,
                     "inf_comp": inf_comp0, "f": f, **came_by})
         if max(inf_pr, inf_du, inf_comp0, mu) <= opts.tol:
             status = "converged"
             break
-        _, _, inf_comp_mu = _scaled_residuals(r_d, ce, r_h, s, lam, nu, mu)
         if max(inf_pr, inf_du, inf_comp_mu) <= 10.0 * mu:
             mu = max(opts.tol / 100.0, min(MU_REDUCTION * mu, mu ** 1.5))
 
@@ -270,9 +277,13 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
                         # accuracy is guarded by the residual tests instead
                         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
                         # LAPACK reads one triangle of the column-major
-                        # transpose and may overwrite it, sparing a copy
+                        # transpose and may overwrite it, sparing a copy.
+                        # No finiteness check: _inertia has rejected a
+                        # non-finite matrix, an accepted inertia leaves no
+                        # all-zero row, so scale is finite, and a non-finite
+                        # step is retried below.
                         step = scale * scipy.linalg.solve(scaled.T, scale * rhs, assume_a="sym",
-                                                          overwrite_a=True)
+                                                          overwrite_a=True, check_finite=False)
                     if np.all(np.isfinite(step)):
                         break
                     step = None
@@ -366,8 +377,7 @@ def _finish(problem, nlp, x, lam, nu, iterations, log, status, reason=None) -> S
         z_u[nlp.fixed_idx] = np.maximum(d, 0.0)
         z_l[nlp.fixed_idx] = np.maximum(-d, 0.0)
 
-    eq = problem.equalities(x)
-    ineq = problem.inequalities(x)
+    eq, ineq = problem.constraints(x)
     bound_viol = np.maximum(problem.lb - x, 0.0) + np.maximum(x - problem.ub, 0.0)
     bound_viol[~np.isfinite(bound_viol)] = 0.0
     max_violation = max(np.max(np.abs(eq)), np.max(ineq, initial=0.0),

@@ -167,13 +167,17 @@ def test_unwritable_trace_exits_2(tmp_path, capsys, command):
     assert "error" in capsys.readouterr().err
 
 
-def test_sweep_invalid_range_exits_2(capsys):
+def test_sweep_invalid_range_exits_2(tmp_path, capsys):
     """A range or solver option that cannot end or means nothing is an
-    input error, reported before any point is solved."""
-    for extra in (["--to", "50"], ["--to", "inf"], ["--step", "nan"],
+    input error, reported before any point is solved or the trace file is
+    created."""
+    trace = tmp_path / "trace.jsonl"
+    for extra in (["--to", "50"], ["--to", "inf"], ["--step", "nan"], ["--step", "1e-300"],
                   ["--max-iter", "-3"], ["--tol", "nan"]):
-        assert cli_main(["sweep", "builtin:five_bus", "--from", "100", *extra]) == 2
+        assert cli_main(["sweep", "builtin:five_bus", "--from", "100", "--trace", str(trace),
+                         *extra]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not trace.exists()
 
 
 def test_sweep_nonconverged_exits_1(capsys):

@@ -177,6 +177,22 @@ def test_stacked_points_give_the_single_point_rows(network_problem):
     assert isinstance(p.objective(xs[0]), float)
 
 
+def test_fused_evaluators_equal_the_separate_ones(network_problem):
+    """constraints and jacobians, which the solver calls, return bit for bit
+    the evaluators that _check_second_derivatives and the audit hold to
+    central differences."""
+    p = network_problem
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        x = random_interior_state(p, rng)
+        eq, ineq = p.constraints(x)
+        assert np.array_equal(eq, p.equalities(x))
+        assert np.array_equal(ineq, p.inequalities(x))
+        je, jh = p.jacobians(x)
+        assert np.array_equal(je, p.equality_jacobian(x))
+        assert np.array_equal(jh, p.inequality_jacobian(x))
+
+
 def _net_injection(problem, x):
     """Generation minus demand at each bus, P rows then Q rows, one
     generator or aggregator at a time."""

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,12 +79,28 @@ def test_sweep_invalid_range(five_bus):
     before any point is solved."""
     for from_pct, to_pct, step_pct in ((100.0, 50.0, 2.0), (10.0, 50.0, 0.0),
                                        (10.0, math.inf, 2.0), (math.nan, 50.0, 2.0),
-                                       (10.0, 50.0, math.nan), (10.0, 50.0, math.inf)):
+                                       (10.0, 50.0, math.nan), (10.0, 50.0, math.inf),
+                                       (10.0, 150.0, 1e-300), (1e300, 1e300, 1.0)):
         with pytest.raises(ValueError):
             ses_sweep(five_bus, from_pct, to_pct, step_pct)
     for options in ({"max_iter": -3}, {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}):
         with pytest.raises(ValueError):
             ses_sweep(five_bus, 100.0, 100.0, 2.0, SolverOptions(**options))
+
+
+@pytest.mark.parametrize("start", [10.1, 10.5, 10.7])
+def test_sweep_stays_within_the_benchmark_reference(five_bus, start):
+    """The benchmark's sweep gate: every point converges with welfare within
+    1e-6 relative of bench/reference.json. These starts come closest to the
+    bound, so a change that moves five-bus iterates, even by rounding, shows
+    here first."""
+    reference = json.loads((Path(__file__).parents[1] / "bench" / "reference.json")
+                           .read_text())["five_bus_sweep_welfare"][f"{start:.1f}"]
+    result = ses_sweep(five_bus, start, 150.0, 2.0)
+    assert len(result.records) == len(reference)
+    for record, welfare in zip(result.records, reference):
+        assert record.status == "converged"
+        assert abs(record.metrics.social_welfare - welfare) <= 1e-6 * max(1.0, abs(welfare))
 
 
 def test_sweep_identity_point_matches_run_solve(five_bus, five_bus_run,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sesopf import solver
+from sesopf import acnetwork, solver
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, Line, scale_ses
 from sesopf.formulation import Problem, build_problem
 from sesopf.solver import (
@@ -447,22 +447,30 @@ def test_log_rows_flag_the_fallback_step(monkeypatch):
         assert 0.0 < row["alpha_p"] <= 1.0
 
 
-def test_each_iterate_is_evaluated_once(five_bus):
-    problem = build_problem(five_bus)
-    calls = dict.fromkeys(("equalities", "equality_jacobian",
-                           "inequality_jacobian", "lagrangian_hessian"), 0)
+def test_each_iterate_is_evaluated_once(five_bus, monkeypatch):
+    """Each trig-bearing flow kernel runs once per point it is needed at:
+    the values at the start, at every line-search trial and in _finish, the
+    gradients at every iterate, the Hessian at every iterate that takes a
+    step. The scaled residuals are computed once per iteration."""
+    calls = dict.fromkeys(("flow_p", "flow_p_grad", "flow_p_hess"), 0)
     for name in calls:
-        def counted(*args, _method=getattr(problem, name), _name=name):
+        def counted(*args, _kernel=getattr(acnetwork, name), _name=name):
             calls[_name] += 1
-            return _method(*args)
-        setattr(problem, name, counted)
-    solution = solve(problem)
+            return _kernel(*args)
+        monkeypatch.setattr(acnetwork, name, counted)
+    residual_calls = []
+
+    def residuals(*args, _residuals=solver._scaled_residuals):
+        residual_calls.append(args)
+        return _residuals(*args)
+    monkeypatch.setattr(solver, "_scaled_residuals", residuals)
+    solution = solve(build_problem(five_bus))
     assert solution.status == "converged"
-    assert calls["equality_jacobian"] <= solution.iterations
-    assert calls["inequality_jacobian"] <= solution.iterations
-    assert calls["lagrangian_hessian"] <= solution.iterations
-    # one evaluation at the start, one per line-search trial, one at the end
-    assert calls["equalities"] <= 2 * solution.iterations
+    assert calls["flow_p_grad"] == solution.iterations
+    assert calls["flow_p_hess"] == solution.iterations - 1
+    trials = sum(row["backtracks"] + 1 for row in solution.log[1:])
+    assert calls["flow_p"] == 1 + trials + 1
+    assert len(residual_calls) == solution.iterations
 
 
 def test_repeated_solves_retain_no_memory(five_bus_problem):
