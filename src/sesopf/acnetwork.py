@@ -113,16 +113,19 @@ def flow_p_hess(vi, vj, ti, tj, g, b):
     ct, st = np.cos(dth), np.sin(dth)
     a = g * ct + b * st
     d = -g * st + b * ct  # da/dti
-    h = np.zeros(np.broadcast(vi, vj, a).shape + (4, 4))
-    h[..., 0, 0] = 2 * g
-    h[..., 0, 1] = h[..., 1, 0] = -a
-    h[..., 0, 2] = h[..., 2, 0] = -vj * d
-    h[..., 0, 3] = h[..., 3, 0] = vj * d
-    h[..., 1, 2] = h[..., 2, 1] = -vi * d
-    h[..., 1, 3] = h[..., 3, 1] = vi * d
-    h[..., 2, 2] = h[..., 3, 3] = vi * vj * a
-    h[..., 2, 3] = h[..., 3, 2] = -vi * vj * a
-    return h
+    vjd, vid, vva = vj * d, vi * d, vi * vj * a
+    # the entries are filled along the leading axes, one contiguous block
+    # each, and returned as a view with those axes moved to the end
+    h = np.zeros((4, 4) + np.shape(vva))
+    h[0, 0] = 2 * g
+    h[0, 1] = h[1, 0] = -a
+    h[0, 2] = h[2, 0] = -vjd
+    h[0, 3] = h[3, 0] = vjd
+    h[1, 2] = h[2, 1] = -vid
+    h[1, 3] = h[3, 1] = vid
+    h[2, 2] = h[3, 3] = vva
+    h[2, 3] = h[3, 2] = -vva
+    return h.transpose(*range(2, h.ndim), 0, 1)
 
 
 def flow_q_hess(vi, vj, ti, tj, g, b):

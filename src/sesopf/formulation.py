@@ -256,7 +256,7 @@ class Problem:
 
     def objective_hessian_diag(self, x: np.ndarray) -> np.ndarray:
         lay, sb = self.layout, self.case.s_base
-        _, unsaturated, _ = self._demand_and_generation(x)
+        unsaturated = x[..., lay.pa] * sb < self._gamma / self._mu
         diag = np.zeros(self.n_var)
         diag[lay.pa] = np.where(unsaturated, -self._sigma * self._mu * sb * sb, 0.0)
         diag[lay.pg] = -2.0 * self._cost[0] * sb * sb

@@ -26,10 +26,30 @@ call per derivative order (``Problem.constraints`` at every trial,
 ``Problem.jacobians`` and ``Problem.lagrangian_hessian`` at every iterate),
 and the scaled residuals are computed once per iteration. Bound rows, one
 +-1 entry each, are applied by index instead of as Jacobian rows.
+
+Cost model. On small cases (five_bus: 43 x 43 KKT systems) an iteration
+is mostly numpy-call overhead, so the work is laid out by how often it runs:
+
+- once per process and matrix size: the ``dsytrf`` workspace query;
+- once per solve: the bound index arrays, the KKT buffers (the matrix, its
+  equilibrated copy and a strided view of the Hessian block's diagonal)
+  and the warnings filter around the iteration loop;
+- once per iterate: ``jacobians``, the objective gradient, one residual
+  pass and, if it takes a step, the Lagrangian Hessian, the two
+  fraction-to-boundary limits and the merit at the iterate;
+- once per delta_w trial: the diagonal refill and one ``_inertia``
+  (one ``dsytrf``), and, when the inertia is right, the equilibration and
+  one ``scipy.linalg.solve``;
+- once per line-search trial: ``values`` and the merit.
+
+Rows for fixed variables are appended to c_E and J_E only if the problem
+has such variables.
 """
 
 from __future__ import annotations
 
+import functools
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -58,8 +78,9 @@ class SolverOptions:
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be a positive finite number, got {self.tol}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 0):
+            raise ValueError(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
 
 
 @dataclass
@@ -117,8 +138,9 @@ class _InternalNLP:
     def values(self, x):
         """(f, c_E, h) at x."""
         p = self.problem
-        eq, ineq = p.constraints(x)
-        ce = np.concatenate([eq, x[self.fixed_idx] - p.lb[self.fixed_idx]])
+        ce, ineq = p.constraints(x)
+        if len(self.fixed_idx):
+            ce = np.concatenate([ce, x[self.fixed_idx] - p.lb[self.fixed_idx]])
         h = np.concatenate([ineq, self.bound_sign * (x[self.bound_idx] - self.bound_val)])
         return -p.objective(x), ce, h
 
@@ -129,7 +151,9 @@ class _InternalNLP:
         """(J_E, jh) at x: the problem's equality Jacobian with the fixed
         rows below it, and the problem rows of the inequality Jacobian."""
         je, jh = self.problem.jacobians(x)
-        return np.vstack([je, self.fixed_rows]), jh
+        if len(self.fixed_idx):
+            je = np.vstack([je, self.fixed_rows])
+        return je, jh
 
     def jh_t(self, jh, y):
         """Transpose of the full inequality Jacobian times y."""
@@ -146,9 +170,17 @@ class _InternalNLP:
         mi = len(jh)
         m = self.problem.lagrangian_hessian(x, 1.0, lam[:self.problem.n_eq], nu[:mi])
         m += (jh.T * d_sigma[:mi]) @ jh
-        m.flat[::self.n + 1] += np.bincount(self.bound_idx, weights=d_sigma[mi:],
-                                            minlength=self.n)
+        m.reshape(-1)[::self.n + 1] += np.bincount(self.bound_idx, weights=d_sigma[mi:],
+                                                   minlength=self.n)
         return m
+
+
+@functools.cache
+def _dsytrf_lwork(n: int) -> int:
+    """dsytrf workspace for an n x n matrix, queried once per size: the
+    size scipy.linalg.ldl queries, so LAPACK runs the same blocked
+    factorization and D is the same bit for bit."""
+    return int(scipy.linalg.lapack.dsytrf_lwork(n, lower=1)[0])
 
 
 def _inertia(kkt: np.ndarray) -> tuple[int, int, int]:
@@ -164,33 +196,33 @@ def _inertia(kkt: np.ndarray) -> tuple[int, int, int]:
     would factor without complaint (an infinite pivot reads as positive)."""
     if not np.isfinite(kkt).all():
         raise ValueError("KKT matrix has non-finite entries")
-    lapack = scipy.linalg.lapack
     n = len(kkt)
-    # the workspace scipy.linalg.ldl queries, so LAPACK runs the same
-    # blocked factorization and D is the same bit for bit
-    lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])
-    ldu, ipiv, info = lapack.dsytrf(kkt, lower=1, lwork=lwork)
+    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(kkt, lower=1, lwork=_dsytrf_lwork(n))
     if info < 0:
         raise ValueError(f"dsytrf: illegal value in argument {-info}")
-    ev = ldu.diagonal().copy()
-    i = np.flatnonzero(ipiv < 0)[::2]
-    mean = 0.5 * (ev[i] + ev[i + 1])
-    radius = np.hypot(0.5 * (ev[i] - ev[i + 1]), ldu[i + 1, i])
-    ev[i], ev[i + 1] = mean - radius, mean + radius
-    pos, neg = int(np.sum(ev > 1e-12)), int(np.sum(ev < -1e-12))
+    ev = ldu.diagonal()
+    i = np.flatnonzero(ipiv < 0)
+    if i.size:
+        i = i[::2]
+        ev = ev.copy()
+        mean = 0.5 * (ev[i] + ev[i + 1])
+        radius = np.hypot(0.5 * (ev[i] - ev[i + 1]), ldu[i + 1, i])
+        ev[i], ev[i + 1] = mean - radius, mean + radius
+    pos, neg = np.count_nonzero(ev > 1e-12), np.count_nonzero(ev < -1e-12)
     return pos, neg, n - pos - neg
 
 
 def _scaled_residuals(r_d, r_e, r_h, s, lam, nu, mu):
     """(inf_pr, inf_du, inf_comp at mu = 0, inf_comp at mu)."""
     m = max(1, len(lam) + len(nu))
-    s_d = max(_SMAX, (np.abs(lam).sum() + np.abs(nu).sum()) / m) / _SMAX
-    s_c = max(_SMAX, np.abs(nu).sum() / max(1, len(nu))) / _SMAX
-    inf_pr = max(np.max(np.abs(r_e), initial=0.0), np.max(np.abs(r_h), initial=0.0))
-    inf_du = np.max(np.abs(r_d)) / s_d
+    nu_sum = np.abs(nu).sum()
+    s_d = max(_SMAX, (np.abs(lam).sum() + nu_sum) / m) / _SMAX
+    s_c = max(_SMAX, nu_sum / max(1, len(nu))) / _SMAX
+    inf_pr = max(np.abs(r_e).max(initial=0.0), np.abs(r_h).max(initial=0.0))
+    inf_du = np.abs(r_d).max() / s_d
     comp = s * nu
-    inf_comp0 = np.max(np.abs(comp), initial=0.0) / s_c
-    inf_comp_mu = np.max(np.abs(comp - mu), initial=0.0) / s_c
+    inf_comp0 = np.abs(comp).max(initial=0.0) / s_c
+    inf_comp_mu = np.abs(comp - mu).max(initial=0.0) / s_c
     return inf_pr, inf_du, inf_comp0, inf_comp_mu
 
 
@@ -220,7 +252,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     f, ce, h = nlp.values(x)
     grad = nlp.grad(x)
     s = np.maximum(1e-2, -h)
-    mu = MU0 * max(1.0, np.max(np.abs(grad)) / 100.0)
+    mu = MU0 * max(1.0, np.abs(grad).max() / 100.0)
     nu = np.maximum(mu / s, 1e-8)
     lam = np.zeros(me)
     rho = 10.0
@@ -231,126 +263,133 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     it = 0
     kkt = np.zeros((n + me, n + me))
     kkt[n:, n:] = -1e-8 * np.eye(me)  # fixed dual regularization delta_c
+    # strided view of the Hessian block's diagonal, where delta_w is added
+    kkt_diag = kkt.reshape(-1)[:n * (n + me + 1):n + me + 1]
     scaled = np.empty_like(kkt)  # equilibrated copy, factored in place
-    diag = np.arange(n)
 
-    for it in range(1, opts.max_iter + 1):
-        je, jh = nlp.jacobians(x)
-        r_d = grad + je.T @ lam + nlp.jh_t(jh, nu)
-        r_h = h + s
-        inf_pr, inf_du, inf_comp0, inf_comp_mu = _scaled_residuals(r_d, ce, r_h, s, lam, nu, mu)
-        log.append({"iter": it, "mu": mu, "inf_pr": inf_pr, "inf_du": inf_du,
-                    "inf_comp": inf_comp0, "f": f, **came_by})
-        if max(inf_pr, inf_du, inf_comp0, mu) <= opts.tol:
-            status = "converged"
-            break
-        if max(inf_pr, inf_du, inf_comp_mu) <= 10.0 * mu:
-            mu = max(opts.tol / 100.0, min(MU_REDUCTION * mu, mu ** 1.5))
+    with warnings.catch_warnings():
+        # near convergence the KKT system is legitimately stiff; accuracy is
+        # guarded by the residual tests instead
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        for it in range(1, opts.max_iter + 1):
+            je, jh = nlp.jacobians(x)
+            r_d = grad + je.T @ lam + nlp.jh_t(jh, nu)
+            r_h = h + s
+            inf_pr, inf_du, inf_comp0, inf_comp_mu = _scaled_residuals(
+                r_d, ce, r_h, s, lam, nu, mu)
+            log.append({"iter": it, "mu": mu, "inf_pr": inf_pr, "inf_du": inf_du,
+                        "inf_comp": inf_comp0, "f": f, **came_by})
+            if max(inf_pr, inf_du, inf_comp0, mu) <= opts.tol:
+                status = "converged"
+                break
+            if max(inf_pr, inf_du, inf_comp_mu) <= 10.0 * mu:
+                mu = max(opts.tol / 100.0, min(MU_REDUCTION * mu, mu ** 1.5))
 
-        d_sigma = nu / s
-        m_base = nlp.condensed(x, lam, nu, jh, d_sigma)
-        rhs = np.concatenate([
-            -(r_d + nlp.jh_t(jh, (mu / s - nu) + d_sigma * r_h)),
-            -ce,
-        ])
-        kkt[:n, n:] = je.T
-        kkt[n:, :n] = je
-
-        delta_w = 0.0
-        step = None
-        while True:
+            d_sigma = nu / s
+            centring = mu / s - nu  # in the right-hand side and the dual step
+            m_base = nlp.condensed(x, lam, nu, jh, d_sigma)
+            rhs = np.concatenate([
+                -(r_d + nlp.jh_t(jh, centring + d_sigma * r_h)),
+                -ce,
+            ])
             kkt[:n, :n] = m_base
-            kkt[diag, diag] += delta_w
-            try:
-                pos, neg, zero = _inertia(kkt)
-                if pos == n and neg == me and zero == 0:
-                    # Solve the symmetrically equilibrated system: near
-                    # convergence nu/s spans many orders of magnitude, and
-                    # unscaled most KKT matrices have rcond < eps. scipy
-                    # 1.17's solve then warns and keeps ~650 bytes per call,
-                    # which grows without bound over a sweep.
-                    scale = 1.0 / np.sqrt(np.max(np.abs(kkt, out=scaled), axis=1))
-                    np.multiply(kkt, scale[:, None], out=scaled)
-                    np.multiply(scaled, scale, out=scaled)
-                    with warnings.catch_warnings():
-                        # near convergence the system is legitimately stiff;
-                        # accuracy is guarded by the residual tests instead
-                        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            kkt[:n, n:] = je.T
+            kkt[n:, :n] = je
+            m_diag = m_base.diagonal()
+
+            # one inertia test per delta_w trial: 0, then 1e-4, 1e-3, ...
+            delta_w = 0.0
+            step = None
+            while True:
+                np.add(m_diag, delta_w, out=kkt_diag)
+                try:
+                    pos, neg, zero = _inertia(kkt)
+                    if pos == n and neg == me and zero == 0:
+                        # Solve the symmetrically equilibrated system: near
+                        # convergence nu/s spans many orders of magnitude,
+                        # and unscaled most KKT matrices have rcond < eps.
+                        # scipy 1.17's solve then warns and keeps ~650 bytes
+                        # per call, which grows without bound over a sweep.
+                        scale = 1.0 / np.sqrt(np.abs(kkt, out=scaled).max(axis=1))
+                        np.multiply(kkt, scale[:, None], out=scaled)
+                        np.multiply(scaled, scale, out=scaled)
                         # LAPACK reads one triangle of the column-major
-                        # transpose and may overwrite it, sparing a copy.
-                        # No finiteness check: _inertia has rejected a
+                        # transpose and may overwrite it, sparing a copy. No
+                        # finiteness check: _inertia has rejected a
                         # non-finite matrix, an accepted inertia leaves no
                         # all-zero row, so scale is finite, and a non-finite
                         # step is retried below.
                         step = scale * scipy.linalg.solve(scaled.T, scale * rhs, assume_a="sym",
                                                           overwrite_a=True, check_finite=False)
-                    if np.all(np.isfinite(step)):
-                        break
-                    step = None
-            except (np.linalg.LinAlgError, ValueError):
-                pass
-            delta_w = 1e-4 if delta_w == 0.0 else delta_w * 10.0
-            if delta_w > 1e20:
+                        if np.isfinite(step).all():
+                            break
+                        step = None
+                except (np.linalg.LinAlgError, ValueError):
+                    pass
+                delta_w = 1e-4 if delta_w == 0.0 else delta_w * 10.0
+                if delta_w > 1e20:
+                    break
+            if step is None:
+                status = "numerical_failure"
                 break
-        if step is None:
-            status = "numerical_failure"
-            break
 
-        dx, dlam = step[:n], step[n:]
-        ds = -r_h - nlp.jh_dot(jh, dx)
-        dnu = mu / s - nu - d_sigma * ds
+            dx, dlam = step[:n], step[n:]
+            ds = -r_h - nlp.jh_dot(jh, dx)
+            dnu = centring - d_sigma * ds
 
-        # fraction-to-boundary step limits
-        alpha_p = _max_step(s, ds)
-        alpha_d = _max_step(nu, dnu)
+            # fraction-to-boundary step limits
+            alpha_p = _max_step(s, ds)
+            alpha_d = _max_step(nu, dnu)
 
-        lam_new_inf = np.max(np.abs(lam + alpha_d * dlam), initial=0.0)
-        nu_new_inf = np.max(np.abs(nu + alpha_d * dnu), initial=0.0)
-        rho = max(rho, 1.2 * (lam_new_inf + nu_new_inf))
+            lam_t, nu_t = lam + alpha_d * dlam, nu + alpha_d * dnu
+            rho = max(rho, 1.2 * (np.abs(lam_t).max(initial=0.0) + np.abs(nu_t).max(initial=0.0)))
 
-        phi0, theta0 = _merit(f, ce, h, s, mu, rho)
-        dphi = grad @ dx - mu * np.sum(ds / s) - rho * theta0
-        alpha = alpha_p
-        backtracks, fallback = 0, False
-        trial = None  # (f, c_E, h) at the accepted x_t
-        if dphi < 0.0:
-            for backtracks in range(30):
-                x_t, s_t = x + alpha * dx, s + alpha * ds
-                if np.all(s_t > 0):
-                    trial = nlp.values(x_t)
-                    phi_t, _ = _merit(*trial, s_t, mu, rho)
-                    if np.isfinite(phi_t) and phi_t <= phi0 + 1e-4 * alpha * dphi + 1e-10 * abs(phi0):
-                        break
-                alpha *= 0.5
-            else:
-                # no sufficient decrease found; fall back to the full
-                # boundary-limited step rather than stalling the iteration
-                alpha = alpha_p
-                trial = None
-                backtracks, fallback = 30, True
-        if trial is None:
-            x_t = x + alpha * dx
-            trial = nlp.values(x_t)
-        x, (f, ce, h) = x_t, trial
-        grad = nlp.grad(x)
-        s = s + alpha * ds
-        lam = lam + alpha_d * dlam
-        nu = np.maximum(nu + alpha_d * dnu, 1e-14)
-        # keep inequality duals within a band of mu/s (degenerate or weakly
-        # active rows otherwise distort the equality duals)
-        kappa = 1e10
-        nu = np.clip(nu, mu / (kappa * s), kappa * mu / s)
-        came_by = {"alpha_p": alpha, "alpha_d": alpha_d, "delta_w": delta_w,
-                   "backtracks": backtracks, "fallback": fallback}
+            phi0, theta0 = _merit(f, ce, h, s, mu, rho)
+            dphi = grad @ dx - mu * (ds / s).sum() - rho * theta0
+            alpha = alpha_p
+            backtracks, fallback = 0, False
+            trial = None  # (f, c_E, h) at the accepted x_t
+            if dphi < 0.0:
+                for backtracks in range(30):
+                    x_t, s_t = x + alpha * dx, s + alpha * ds
+                    if (s_t > 0).all():
+                        trial = nlp.values(x_t)
+                        phi_t, _ = _merit(*trial, s_t, mu, rho)
+                        bound = phi0 + 1e-4 * alpha * dphi + 1e-10 * abs(phi0)
+                        if np.isfinite(phi_t) and phi_t <= bound:
+                            break
+                    alpha *= 0.5
+                else:
+                    # no sufficient decrease found; fall back to the full
+                    # boundary-limited step rather than stalling the iteration
+                    alpha = alpha_p
+                    trial = None
+                    backtracks, fallback = 30, True
+            if trial is None:
+                x_t = x + alpha * dx
+                trial = nlp.values(x_t)
+            x, (f, ce, h) = x_t, trial
+            grad = nlp.grad(x)
+            s = s + alpha * ds
+            lam = lam_t
+            nu = np.maximum(nu_t, 1e-14)
+            # keep inequality duals within a band of mu/s (degenerate or weakly
+            # active rows otherwise distort the equality duals)
+            kappa = 1e10
+            nu = np.clip(nu, mu / (kappa * s), kappa * mu / s)
+            came_by = {"alpha_p": alpha, "alpha_d": alpha_d, "delta_w": delta_w,
+                       "backtracks": backtracks, "fallback": fallback}
 
     return _finish(problem, nlp, x, lam, nu, it, log, status)
 
 
 def _max_step(vals, deltas):
+    """Largest step in (0, 1] that keeps vals + step * deltas at least
+    (1 - TAU) * vals; NaN deltas are ignored."""
     neg = deltas < 0
-    if not np.any(neg):
+    if not neg.any():
         return 1.0
-    return float(min(1.0, np.min(-TAU * vals[neg] / deltas[neg])))
+    return float(min(1.0, (-TAU * vals[neg] / deltas[neg]).min()))
 
 
 def _merit(f, ce, h, s, mu, rho):
@@ -413,13 +452,16 @@ class KKTReport:
 
 
 def kkt_check(problem: Problem, solution: Solution, tol: float = 1e-6) -> KKTReport:
-    """Recompute the four KKT residual norms of a solution from scratch."""
+    """Recompute the four KKT residual norms of a solution from scratch.
+    The constraint values and Jacobians come from the fused
+    ``Problem.constraints`` and ``Problem.jacobians``, which equal the
+    separate evaluators bit for bit."""
     if solution.lam_eq is None or solution.nu_ineq is None:
         raise ValueError("solution carries no dual multipliers")
     x = solution.x
     grad = -problem.objective_gradient(x)  # minimization sense
-    je = problem.equality_jacobian(x)
-    jh = problem.inequality_jacobian(x)
+    eq, ineq = problem.constraints(x)
+    je, jh = problem.jacobians(x)
 
     stat = (grad + je.T @ solution.lam_eq + jh.T @ solution.nu_ineq
             - solution.z_lower + solution.z_upper)
@@ -428,8 +470,6 @@ def kkt_check(problem: Problem, solution: Solution, tol: float = 1e-6) -> KKTRep
     m = max(1, problem.n_eq + problem.n_ineq + 2 * problem.n_var)
     s_d = max(_SMAX, duals_sum / m) / _SMAX
 
-    eq = problem.equalities(x)
-    ineq = problem.inequalities(x)
     lo = np.where(np.isfinite(problem.lb), problem.lb - x, -np.inf)
     up = np.where(np.isfinite(problem.ub), x - problem.ub, -np.inf)
     primal = max(np.max(np.abs(eq)), np.max(ineq, initial=0.0),

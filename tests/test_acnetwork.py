@@ -284,3 +284,46 @@ def test_flow_primitives_match_finite_differences(data):
             assert grad[i] == pytest.approx(fd, abs=5e-7, rel=1e-6)
             fd_row = (grad_fun(*up, g, b) - grad_fun(*dn, g, b)) / (2 * h)
             assert np.allclose(hess[i], fd_row, atol=5e-6)
+
+
+def _flow_p_hess_by_entries(vi, vj, ti, tj, g, b):
+    """The Hessian of flow_p assigned entry by entry into a zeroed
+    (..., 4, 4) array: the reference for ``flow_p_hess``."""
+    dth = ti - tj
+    ct, st = np.cos(dth), np.sin(dth)
+    a = g * ct + b * st
+    d = -g * st + b * ct
+    h = np.zeros(np.broadcast(vi, vj, a).shape + (4, 4))
+    h[..., 0, 0] = 2 * g
+    h[..., 0, 1] = h[..., 1, 0] = -a
+    h[..., 0, 2] = h[..., 2, 0] = -vj * d
+    h[..., 0, 3] = h[..., 3, 0] = vj * d
+    h[..., 1, 2] = h[..., 2, 1] = -vi * d
+    h[..., 1, 3] = h[..., 3, 1] = vi * d
+    h[..., 2, 2] = h[..., 3, 3] = vi * vj * a
+    h[..., 2, 3] = h[..., 3, 2] = -vi * vj * a
+    return h
+
+
+@pytest.mark.parametrize("shape, expected", [
+    ((), (4, 4)), ((7,), (7, 4, 4)), ((2, 7), (2, 7, 4, 4))])
+def test_flow_p_hess_keeps_its_shapes_and_entries(shape, expected):
+    """Scalar, (rows,) and (2, rows) arguments, and the formulation's mix of
+    (1, rows) states with a (2, rows) admittance: the same shape, bits and
+    zero signs as the entry-by-entry form, and symmetric."""
+    rng = np.random.default_rng(3)
+    state = [rng.uniform(0.9, 1.1, shape), rng.uniform(0.9, 1.1, shape),
+             rng.uniform(-0.4, 0.4, shape), rng.uniform(-0.4, 0.4, shape)]
+    admittance = [rng.uniform(0.0, 5.0, shape), rng.uniform(-20.0, -0.5, shape)]
+    if shape == ():
+        state = [float(v) for v in state]
+        admittance = [float(v) for v in admittance]
+    mixed = [np.atleast_1d(v)[None] for v in state], [np.stack([u, u]) for u in admittance]
+    for args in (state + admittance, mixed[0] + mixed[1]):
+        hess = flow_p_hess(*args)
+        reference = _flow_p_hess_by_entries(*args)
+        assert hess.shape == reference.shape
+        assert np.array_equal(hess, reference)
+        assert np.array_equal(np.signbit(hess), np.signbit(reference))
+        assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+    assert flow_p_hess(*state, *admittance).shape == expected

@@ -1,6 +1,7 @@
 """Interior-point solver, KKT verification, oracle, and derivative audit."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,19 @@ def test_iteration_limit_reported():
     assert solution.iterations == 2
 
 
+@pytest.mark.parametrize("max_iter", [2.5, math.nan, True, False, "3", -1])
+def test_max_iter_must_be_a_nonnegative_integer(max_iter):
+    """A float, a bool or a string is rejected up front, naming the value,
+    instead of failing inside solve or running a bool's one iteration."""
+    with pytest.raises(ValueError, match=f"max_iter .* got {max_iter!r}"):
+        SolverOptions(max_iter=max_iter)
+
+
+def test_max_iter_accepts_numpy_integers():
+    assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
+    assert SolverOptions(max_iter=0).max_iter == 0
+
+
 # ---------------------------------------------------------------------------
 # five-bus convergence
 
@@ -166,6 +180,29 @@ def test_kkt_primal_residual_equals_bound_violation(five_bus_problem,
     sol = dataclasses.replace(five_bus_solution, x=x)
     report = kkt_check(five_bus_problem, sol)
     assert report.primal_feasibility >= 0.01 - 1e-9
+
+
+class _SeparateEvaluators(Problem):
+    """constraints and jacobians assembled from the four separate
+    evaluators."""
+
+    def constraints(self, x):
+        return self.equalities(x), self.inequalities(x)
+
+    def jacobians(self, x):
+        return self.equality_jacobian(x), self.inequality_jacobian(x)
+
+
+@pytest.mark.parametrize("name", ["five_bus", "rts24"])
+def test_kkt_check_equals_the_separate_evaluators(name, request):
+    """kkt_check reads the fused constraints and jacobians; the report is
+    the same, field for field, as from the four separate evaluators."""
+    case = request.getfixturevalue(name)
+    solution = request.getfixturevalue(f"{name}_solution")
+    fused = kkt_check(build_problem(case), solution)
+    separate = kkt_check(_SeparateEvaluators(case), solution)
+    assert fused.passed
+    assert dataclasses.astuple(fused) == dataclasses.astuple(separate)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +377,30 @@ def test_inertia_matches_ldl_on_solver_matrices(five_bus_problem, monkeypatch):
         assert _inertia(kkt) == (pos, neg, len(ev) - pos - neg)
 
 
+def _delta_w_trials(log):
+    """Inertia tests the log implies: each step tried delta_w = 0, then
+    1e-4, 1e-3, ... up to the delta_w it took."""
+    return sum(1 if row["delta_w"] == 0.0 else 2 + round(math.log10(row["delta_w"] / 1e-4))
+               for row in log[1:])
+
+
+@pytest.mark.parametrize("name, calls, iterations", [("five_bus", 31, 25), ("rts24", 30, 31)])
+def test_one_inertia_test_per_delta_w_trial(name, calls, iterations, request, monkeypatch):
+    """The Hessian regularization retry rule: delta_w starts at 0, then
+    goes to 1e-4 and up by 10x, with one inertia test per trial."""
+    seen = []
+
+    def counted(kkt, _inertia=solver._inertia):
+        seen.append(kkt.shape)
+        return _inertia(kkt)
+
+    monkeypatch.setattr(solver, "_inertia", counted)
+    solution = solve(build_problem(request.getfixturevalue(name)))
+    assert solution.status == "converged"
+    assert solution.iterations == iterations
+    assert len(seen) == _delta_w_trials(solution.log) == calls
+
+
 def test_iteration_counts_are_pinned(five_bus_solution, rts24_solution):
     """The same iterates as before: a change meant to keep them must keep
     these counts. A deliberate algorithm change updates the pins and records
@@ -487,3 +548,36 @@ def test_repeated_solves_retain_no_memory(five_bus_problem):
     finally:
         tracemalloc.stop()
     assert grown < 16_000
+
+
+# ---------------------------------------------------------------------------
+# step and residual helpers
+
+
+def test_max_step_is_one_without_a_negative_delta():
+    vals = np.array([1.0, 2.0, 3.0])
+    assert solver._max_step(vals, np.array([0.0, 1.0, 5.0])) == 1.0
+    assert solver._max_step(vals, np.array([np.nan, 0.0, np.nan])) == 1.0
+    assert solver._max_step(np.empty(0), np.empty(0)) == 1.0
+
+
+def test_max_step_keeps_the_fraction_to_boundary():
+    vals = np.array([1.0, 2.0, 4.0])
+    # the NaN delta is ignored; the binding row is the second one
+    step = solver._max_step(vals, np.array([np.nan, -4.0, -1.0]))
+    assert step == solver.TAU * 2.0 / 4.0
+    assert type(step) is float
+    # a small negative delta would allow a step beyond 1
+    assert solver._max_step(vals, np.array([-1e-3, 1.0, 1.0])) == 1.0
+
+
+def test_scaled_residuals_take_empty_inequalities():
+    r_d = np.array([3.0, -4.0])
+    lam = np.array([1.0, -2.0])
+    r_e = np.array([0.5, -0.25])
+    empty = np.empty(0)
+    inf_pr, inf_du, inf_comp0, inf_comp_mu = solver._scaled_residuals(
+        r_d, r_e, empty, empty, lam, empty, 0.1)
+    assert (inf_pr, inf_du, inf_comp0, inf_comp_mu) == (0.5, 4.0, 0.0, 0.0)
+    inf_pr, *_ = solver._scaled_residuals(r_d, empty, empty, empty, empty, empty, 0.1)
+    assert inf_pr == 0.0
