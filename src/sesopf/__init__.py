@@ -2,7 +2,7 @@
 
 from .casemodel import (
     Aggregator, Bus, CaseData, Generator, Line,
-    builtin_case, bus_demand, load_case, save_case, scale_ses, validate_case,
+    builtin_case, load_case, save_case, scale_ses, validate_case,
 )
 from .welfare import (
     SatisfactionParams, gen_cost, inverse_demand, normalized_satisfaction,

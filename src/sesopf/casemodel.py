@@ -7,6 +7,7 @@ All case files and embedded data carry MW/MVAr; conversion to per-unit on
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, asdict, replace
 from functools import cached_property
 
@@ -83,25 +84,18 @@ class CaseData:
                 return k
         raise ValueError("case has no slack bus")
 
-    def aggregators_at(self, bus_id: int) -> list[Aggregator]:
-        self.bus_index(bus_id)  # raises for an unknown id
-        return [a for a in self.aggregators if a.bus == bus_id]
-
-    def aggregator(self, bus_id: int, index: int) -> Aggregator:
-        """Aggregator ``index`` (1-based) at a bus."""
-        aggs = self.aggregators_at(bus_id)
-        if not 1 <= index <= len(aggs):
-            raise KeyError(f"no aggregator ({bus_id},{index})")
-        return aggs[index - 1]
-
 
 def validate_case(case: CaseData) -> list[str]:
-    """Check every structural invariant; return one message per violation."""
+    """Check every structural invariant; return one message per violation.
+    Every numeric field must be finite: JSON case files may carry NaN and
+    Infinity, which no comparison below would catch."""
     out: list[str] = []
     bus_ids = [b.id for b in case.buses]
     if len(set(bus_ids)) != len(bus_ids):
         out.append("duplicate bus ids")
-    if case.s_base <= 0:
+    if not math.isfinite(case.s_base):
+        out.append(f"s_base must be finite, got {case.s_base!r}")
+    elif case.s_base <= 0:
         out.append("s_base must be positive")
 
     n_slack = sum(1 for b in case.buses if b.is_slack)
@@ -111,12 +105,14 @@ def validate_case(case: CaseData) -> list[str]:
         out.append("multiple slack buses")
 
     for b in case.buses:
+        out += _non_finite(f"bus {b.id}", b)
         if not (0 < b.v_min <= b.v_max):
             out.append(f"bus {b.id}: voltage limits must satisfy 0 < v_min <= v_max")
 
     known = set(bus_ids)
     for ln in case.lines:
         tag = f"line {ln.from_bus}-{ln.to_bus}"
+        out += _non_finite(tag, ln)
         if ln.from_bus == ln.to_bus:
             out.append(f"{tag}: self loop")
         if ln.from_bus not in known or ln.to_bus not in known:
@@ -128,6 +124,7 @@ def validate_case(case: CaseData) -> list[str]:
 
     for k, g in enumerate(case.generators):
         tag = f"generator {k} at bus {g.bus}"
+        out += _non_finite(tag, g)
         if g.bus not in known:
             out.append(f"{tag}: references unknown bus")
         if g.p_min > g.p_max:
@@ -139,6 +136,7 @@ def validate_case(case: CaseData) -> list[str]:
 
     for k, a in enumerate(case.aggregators):
         tag = f"aggregator {k} at bus {a.bus}"
+        out += _non_finite(tag, a)
         if a.bus not in known:
             out.append(f"{tag}: references unknown bus")
         if a.sigma < 0:
@@ -159,6 +157,13 @@ def validate_case(case: CaseData) -> list[str]:
     if case.buses and not _connected(case):
         out.append("network graph is not connected")
     return out
+
+
+def _non_finite(tag: str, record) -> list[str]:
+    """One message per float field of ``record`` that is NaN or infinite."""
+    return [f"{tag}: {f.name} must be finite, got {getattr(record, f.name)!r}"
+            for f in fields(record)
+            if f.type == "float" and not math.isfinite(getattr(record, f.name))]
 
 
 def _connected(case: CaseData) -> bool:
@@ -183,18 +188,6 @@ def scale_ses(case: CaseData, factor: float) -> CaseData:
         raise ValueError("SES scale factor must be positive")
     aggs = tuple(replace(a, sigma=a.sigma * factor) for a in case.aggregators)
     return replace(case, aggregators=aggs)
-
-
-def bus_demand(case: CaseData, bus: int, p_values) -> float:
-    """Total active demand (MW) of the aggregators at ``bus``.
-
-    ``p_values`` is indexed like ``case.aggregators``.
-    """
-    p_values = np.asarray(p_values, dtype=float)
-    if p_values.shape != (len(case.aggregators),):
-        raise ValueError("p_values length must match the aggregator count")
-    case.bus_index(bus)  # raises for an unknown id
-    return float(sum(p for a, p in zip(case.aggregators, p_values) if a.bus == bus))
 
 
 # ---------------------------------------------------------------------------

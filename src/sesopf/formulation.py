@@ -26,17 +26,18 @@ the sums of those flows' derivatives, so all three come from one form.
 Under the series-only line model the sum equals the Y-bus injection of
 ``acnetwork.bus_injections``. Each directed row carries a P flow and a Q
 flow from one (2, rows) admittance of (g, b) and the rotated (-b, g), so
-each balance evaluator makes one ``acnetwork`` kernel call. The line-limit
-rows are the P half of those flows, so ``constraints`` and ``jacobians``
-return both kinds of row from that one call; the solver uses them, and the
-audit checks the separate evaluators they equal bit for bit.
+each evaluator makes one ``acnetwork`` kernel call. The line-limit rows
+are the P half of those flows, so ``constraints`` and ``jacobians`` return
+both kinds of row from that one call. They are the one implementation of
+the constraint rows: the solver, ``kkt_check`` and the derivative audit all
+read them.
 
-The value evaluators (``objective``, ``equalities``, ``inequalities``) take
-one point of shape (n,) or a stack of points of shape (k, n) and return one
-value or row per point. They use only elementwise operations and reductions
-over the last axis, never a matrix product, so each row of a stacked call
-equals the single-point call on that row bit for bit; the derivative audit
-relies on this when it evaluates all its perturbed points at once.
+The value evaluators (``objective`` and ``constraints``) take one point of
+shape (n,) or a stack of points of shape (k, n) and return one value or row
+per point. They use only elementwise operations and reductions over the
+last axis, never a matrix product, so each row of a stacked call equals the
+single-point call on that row bit for bit; the derivative audit relies on
+this when it evaluates all its perturbed points at once.
 """
 
 from __future__ import annotations
@@ -263,86 +264,70 @@ class Problem:
         return diag
 
     # -- constraints (balance p.u., then inequalities <= 0) ------------------
-    # Row 0 of a kernel call at the (2, rows) admittance ``_gb`` is
-    # elementwise the call at (g, b) alone, so ``constraints`` and
-    # ``jacobians`` equal the separate evaluators bit for bit.
-    # ``inequalities`` and ``inequality_jacobian`` keep the single-row call:
-    # they need no Q flow, and the audit calls them at every sampled point.
 
     def _line_state(self, x: np.ndarray) -> np.ndarray:
         """(vi, vj, ti, tj) of every directed line row on the first axis,
         each of shape (rows,) for x of shape (n,), or (k, rows) for (k, n)."""
         return self._extended(x).take(self._state_cols, axis=-1).swapaxes(0, -2)
 
-    def _flows(self, x: np.ndarray) -> np.ndarray:
-        """P and Q flows of every directed row: shape lead + (2, rows)."""
-        return acnetwork.flow_p(*self._line_state(x)[..., None, :], *self._gb)
+    def constraints(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(power balance, inequalities) from one flow kernel call.
 
-    def _flow_grads(self, x: np.ndarray) -> np.ndarray:
-        """Their gradients in (vi, vj, ti, tj): shape (4, 2, rows)."""
-        return acnetwork.flow_p_grad(*self._line_state(x)[..., None, :], *self._gb)
-
-    def _balance(self, x: np.ndarray, pq: np.ndarray) -> np.ndarray:
-        """Generation minus demand minus the flows ``pq`` leaving each bus:
-        P rows, then Q rows."""
+        Power balance, p.u., is generation minus demand minus the P and Q
+        flows leaving each bus: P rows, then Q rows. The inequalities are
+        the directed line limits on the P flows, then adequacy, each <= 0
+        when satisfied."""
         lead = x.shape[:-1]
+        pq = acnetwork.flow_p(*self._line_state(x)[..., None, :], *self._gb)
         terms = self._balance_sign * np.concatenate(
             [x.take(self._inj_col, axis=-1), pq.reshape(lead + (-1,))], axis=-1)
         # one bincount for all points, the bins of point k offset by k * n_eq,
         # so every bus adds its terms in the same order for any stack
         k = math.prod(lead)
         bins = (self._balance_row + self.n_eq * np.arange(k)[:, None]).ravel()
-        sums = np.bincount(bins, weights=terms.ravel(), minlength=k * self.n_eq)
-        return sums.reshape(lead + (self.n_eq,))
-
-    def _limits(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Line-limit rows from the P flows ``p``, then the adequacy rows."""
+        balance = np.bincount(bins, weights=terms.ravel(), minlength=k * self.n_eq)
         adequacy = (self._adequacy * x[..., None, :]).sum(axis=-1)
-        return np.concatenate([p - self._smax2, adequacy], axis=-1)
-
-    def equalities(self, x: np.ndarray) -> np.ndarray:
-        """Power balance, p.u.: P rows, then Q rows."""
-        return self._balance(x, self._flows(x))
-
-    def inequalities(self, x: np.ndarray) -> np.ndarray:
-        """Directed line limits, then adequacy, each <= 0 when satisfied."""
-        return self._limits(x, acnetwork.flow_p(*self._line_state(x), *self._gb[:, 0]))
-
-    def constraints(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(equalities(x), inequalities(x)), bit for bit, from one flow
-        kernel call."""
-        pq = self._flows(x)
-        return self._balance(x, pq), self._limits(x, pq[..., 0, :])
-
-    def _equality_jacobian(self, grad: np.ndarray) -> np.ndarray:
-        """The constant injection entries, then minus the P and Q flow
-        gradients ``grad`` of every directed row in the rows of its sending
-        bus. Parallel lines and all lines leaving a bus share cells, so the
-        entries are summed, not assigned."""
-        weights = np.concatenate([
-            self._inj_sign, -grad.transpose(1, 2, 0)[:, self._jh_valid].ravel()])
-        n = self.n_var
-        return np.bincount(self._je_flat, weights=weights,
-                           minlength=self.n_eq * n).reshape(self.n_eq, n)
-
-    def _inequality_jacobian(self, grad_p: np.ndarray) -> np.ndarray:
-        jac = np.zeros((self.n_ineq, self.n_var))
-        jac.flat[self._jh_flat] = grad_p.T[self._jh_valid]
-        jac[-2:] = self._adequacy
-        return jac
-
-    def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self._equality_jacobian(self._flow_grads(x))
-
-    def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self._inequality_jacobian(
-            acnetwork.flow_p_grad(*self._line_state(x), *self._gb[:, 0]))
+        return (balance.reshape(lead + (self.n_eq,)),
+                np.concatenate([pq[..., 0, :] - self._smax2, adequacy], axis=-1))
 
     def jacobians(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(equality_jacobian(x), inequality_jacobian(x)), bit for bit, from
-        one flow-gradient kernel call."""
-        grad = self._flow_grads(x)
-        return self._equality_jacobian(grad), self._inequality_jacobian(grad[:, 0])
+        """(equality Jacobian, inequality Jacobian) at one point from one
+        flow-gradient kernel call.
+
+        The equality Jacobian holds the constant injection entries, then
+        minus the P and Q flow gradients of every directed row in the rows
+        of its sending bus. Parallel lines and all lines leaving a bus share
+        cells, so the entries are summed, not assigned."""
+        grad = acnetwork.flow_p_grad(*self._line_state(x)[..., None, :], *self._gb)
+        n = self.n_var
+        weights = np.concatenate([
+            self._inj_sign, -grad.transpose(1, 2, 0)[:, self._jh_valid].ravel()])
+        je = np.bincount(self._je_flat, weights=weights,
+                         minlength=self.n_eq * n).reshape(self.n_eq, n)
+        jh = np.zeros((self.n_ineq, n))
+        jh.flat[self._jh_flat] = grad[:, 0].T[self._jh_valid]
+        jh[-2:] = self._adequacy
+        return je, jh
+
+    def equalities(self, x: np.ndarray) -> np.ndarray:
+        """Power balance alone. Nothing in the package calls it; it stays as
+        a site that the benchmark's per-layer tracer patches."""
+        return self.constraints(x)[0]
+
+    def inequalities(self, x: np.ndarray) -> np.ndarray:
+        """The inequality rows alone. Nothing in the package calls it; it
+        stays as a site that the benchmark's per-layer tracer patches."""
+        return self.constraints(x)[1]
+
+    def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """The equality Jacobian alone. Nothing in the package calls it; it
+        stays as a site that the benchmark's per-layer tracer patches."""
+        return self.jacobians(x)[0]
+
+    def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """The inequality Jacobian alone. Nothing in the package calls it; it
+        stays as a site that the benchmark's per-layer tracer patches."""
+        return self.jacobians(x)[1]
 
     # -- Lagrangian Hessian --------------------------------------------------
 

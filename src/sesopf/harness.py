@@ -28,8 +28,8 @@ class Metrics:
     total_cost: float               # $/h
     social_welfare: float           # satisfaction - cost, $/h
     normalized_satisfaction: dict   # (bus, agg index) -> value in (0, 1]
-    curtailment: dict               # (bus, agg index) -> MW
-    total_curtailment: float        # MW
+    curtailment: dict               # (bus, agg index) -> p_n - P_a, MW
+    total_curtailment: float        # sum of curtailment, MW
     losses: float                   # MW
 
 
@@ -48,10 +48,10 @@ def compute_metrics(case: CaseData, solution: Solution) -> Metrics:
     norm = {k: normalized_satisfaction(a, p)
             for k, a, p in zip(keys, case.aggregators, solution.p_agg)}
     p_n = np.array([a.p_n for a in case.aggregators])
-    curt = dict(zip(keys, p_n - np.asarray(solution.p_agg)))
-    total_curt = float(np.sum(solution.p_gen) - np.sum(solution.p_agg))
+    curt_mw = p_n - np.asarray(solution.p_agg)
     losses = acnetwork.network_losses(case, solution.v, solution.theta)
-    return Metrics(sat, weighted, cost, sat - cost, norm, curt, total_curt, losses)
+    return Metrics(sat, weighted, cost, sat - cost, norm, dict(zip(keys, curt_mw)),
+                   float(curt_mw.sum()), losses)
 
 
 def run_solve(case: CaseData, opts: SolverOptions = SolverOptions()):

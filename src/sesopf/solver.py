@@ -44,6 +44,9 @@ is mostly numpy-call overhead, so the work is laid out by how often it runs:
 
 Rows for fixed variables are appended to c_E and J_E only if the problem
 has such variables.
+
+The derivative audit holds the same ``Problem.jacobians`` to central
+differences of the same ``Problem.constraints`` that the solver runs.
 """
 
 from __future__ import annotations
@@ -76,8 +79,9 @@ class SolverOptions:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
+                or not 0 < self.tol < np.inf):
+            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
         if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
                 or self.max_iter < 0):
             raise ValueError(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
@@ -452,10 +456,9 @@ class KKTReport:
 
 
 def kkt_check(problem: Problem, solution: Solution, tol: float = 1e-6) -> KKTReport:
-    """Recompute the four KKT residual norms of a solution from scratch.
-    The constraint values and Jacobians come from the fused
-    ``Problem.constraints`` and ``Problem.jacobians``, which equal the
-    separate evaluators bit for bit."""
+    """Recompute the four KKT residual norms of a solution from scratch,
+    with the constraint values and Jacobians from ``Problem.constraints``
+    and ``Problem.jacobians``."""
     if solution.lam_eq is None or solution.nu_ineq is None:
         raise ValueError("solution carries no dual multipliers")
     x = solution.x
@@ -579,8 +582,12 @@ class AuditReport:
 
 def finite_difference_audit(problem: Problem, n_points: int = 100,
                             seed: int = 0, tol: float = 1e-6) -> AuditReport:
-    """Compare analytic gradient/Jacobians with central differences at
-    seeded random interior points."""
+    """Compare the analytic objective gradient and the stacked constraint
+    Jacobian [J_E; J_h] of ``Problem.jacobians`` with central differences
+    of ``objective`` and ``Problem.constraints`` at seeded random interior
+    points. The worst entry is named ``gradient[j]``, ``eq_jacobian[i, j]``
+    or ``ineq_jacobian[i, j]``; a non-finite error counts as infinite, so
+    a NaN derivative fails the audit and is named."""
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     rng = np.random.default_rng(seed)
@@ -590,22 +597,32 @@ def finite_difference_audit(problem: Problem, n_points: int = 100,
     # The objective is piecewise quadratic, so a central difference is
     # exact for any step that stays on one branch; the wide step keeps
     # rounding noise (objective magnitudes reach 1e6) far below tol.
-    checks = [("gradient", problem.objective_gradient, problem.objective, _OBJ_FD_STEP),
-              ("eq_jacobian", problem.equality_jacobian, problem.equalities, 1e-6),
-              ("ineq_jacobian", problem.inequality_jacobian, problem.inequalities, 1e-6)]
+    checks = [(problem.objective_gradient, problem.objective, _OBJ_FD_STEP),
+              (lambda y: np.concatenate(problem.jacobians(y)),
+               lambda points: np.concatenate(problem.constraints(points), axis=-1), 1e-6)]
     for _ in range(n_points):
         x = _interior_point(problem, rng)
-        for name, derivative, fun, step in checks:
+        for derivative, fun, step in checks:
             analytic = derivative(x)
             fd = _central_diff(fun, x, step)
             err = np.abs(analytic - fd) / np.maximum(
                 1.0, np.maximum(np.abs(analytic), np.abs(fd)))
+            err[~np.isfinite(err)] = np.inf
+            # the first maximum in row-major order: equality rows before
+            # inequality rows
             k = int(np.argmax(err))
             if err.flat[k] > worst:
                 worst = float(err.flat[k])
-                index = ", ".join(str(i) for i in np.unravel_index(k, err.shape))
-                worst_entry = f"{name}[{index}]"
+                worst_entry = _entry_name(np.unravel_index(k, err.shape), problem.n_eq)
     return AuditReport(worst, worst_entry, n_points, tol)
+
+
+def _entry_name(index, n_eq: int) -> str:
+    """The audit's name for an entry of the gradient or of [J_E; J_h]."""
+    if len(index) == 1:
+        return f"gradient[{index[0]}]"
+    i, j = index
+    return f"eq_jacobian[{i}, {j}]" if i < n_eq else f"ineq_jacobian[{i - n_eq}, {j}]"
 
 
 _OBJ_FD_STEP = 0.02  # wide objective step; exact on a quadratic branch

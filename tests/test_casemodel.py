@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from sesopf.casemodel import (
     Aggregator, Bus, CaseData, Generator, Line,
-    builtin_case, bus_demand, case_from_dict, case_to_dict,
+    builtin_case, case_from_dict, case_to_dict,
     load_case, save_case, scale_ses, validate_case,
 )
 
@@ -81,7 +81,8 @@ def test_validate_flags_overcrowded_demand_bus(five_bus):
 
 
 def test_five_bus_reference_rows(five_bus):
-    agg = five_bus.aggregator(2, 2)
+    agg = five_bus.aggregators[1]  # the second aggregator at bus 2
+    assert agg.bus == 2
     assert agg.sigma == 85.0
     assert agg.gamma == 38.68
     assert agg.mu == 0.045
@@ -91,6 +92,7 @@ def test_five_bus_reference_rows(five_bus):
     line_14 = next(ln for ln in five_bus.lines
                    if {ln.from_bus, ln.to_bus} == {1, 4})
     assert line_14.s_max == 100.0
+    assert [a.gamma for a in five_bus.aggregators if a.bus == 4] == [29.99, 21.23, 10.0]
 
 
 def test_five_bus_demand_column_sums(five_bus):
@@ -130,7 +132,7 @@ def test_rts24_sigma_range_and_bus_occupancy(rts24):
     assert all(10.0 <= a.sigma <= 110.0 for a in rts24.aggregators)
     demand_buses = {a.bus for a in rts24.aggregators}
     for bus in demand_buses:
-        assert 2 <= len(rts24.aggregators_at(bus)) <= 3
+        assert 2 <= sum(a.bus == bus for a in rts24.aggregators) <= 3
 
 
 def test_rts24_ratings_reduced(rts24):
@@ -161,7 +163,8 @@ def test_scale_ses_identity(five_bus):
 
 def test_scale_ses_reference_value(five_bus):
     scaled = scale_ses(five_bus, 0.4)
-    assert scaled.aggregator(4, 1).sigma == pytest.approx(40.0)
+    assert scaled.aggregators[4].bus == 4
+    assert scaled.aggregators[4].sigma == pytest.approx(40.0)
 
 
 def test_scale_ses_rejects_nonpositive(five_bus):
@@ -187,27 +190,16 @@ def test_scale_ses_composes_multiplicatively(a, b):
 
 
 # ---------------------------------------------------------------------------
-# bus demand aggregation
+# bus demand
 
 
 def test_bus_demand_empty_bus(five_bus):
-    p_n = [a.p_n for a in five_bus.aggregators]
-    assert bus_demand(five_bus, 1, p_n) == 0.0
-    assert bus_demand(five_bus, 5, p_n) == 0.0
+    assert {a.bus for a in five_bus.aggregators} == {2, 3, 4}
 
 
 def test_bus_demand_reference_sums(five_bus):
-    p_n = [a.p_n for a in five_bus.aggregators]
-    p_c = [a.p_c for a in five_bus.aggregators]
-    assert bus_demand(five_bus, 4, p_n) == pytest.approx(564.16)
-    assert bus_demand(five_bus, 3, p_c) == pytest.approx(210.00)
-
-
-def test_bus_demand_errors(five_bus):
-    with pytest.raises(KeyError):
-        bus_demand(five_bus, 42, [a.p_n for a in five_bus.aggregators])
-    with pytest.raises(ValueError):
-        bus_demand(five_bus, 4, [1.0, 2.0])
+    assert sum(a.p_n for a in five_bus.aggregators if a.bus == 4) == pytest.approx(564.16)
+    assert sum(a.p_c for a in five_bus.aggregators if a.bus == 3) == pytest.approx(210.00)
 
 
 def test_bus_index_keeps_the_first_of_a_duplicate_id():
@@ -218,14 +210,6 @@ def test_bus_index_keeps_the_first_of_a_duplicate_id():
     assert [case.bus_index(i) for i in (7, 3, 5)] == [0, 1, 3]
     with pytest.raises(KeyError, match="unknown bus id 4"):
         case.bus_index(4)
-
-
-def test_aggregator_accessor(five_bus):
-    assert five_bus.aggregator(4, 3).gamma == 10.0
-    with pytest.raises(KeyError):
-        five_bus.aggregator(4, 4)
-    with pytest.raises(KeyError):
-        five_bus.aggregators_at(99)
 
 
 # ---------------------------------------------------------------------------

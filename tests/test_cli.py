@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import re
 
 import pytest
@@ -67,15 +68,53 @@ def _string_slack_flag(doc):
     return doc
 
 
+def _nan_line_limit(doc):
+    doc["lines"][0]["s_max"] = math.nan
+    return doc
+
+
+def _nan_cost_coefficient(doc):
+    doc["generators"][2]["a"] = math.nan
+    return doc
+
+
+def _nan_s_base(doc):
+    doc["s_base"] = math.nan
+    return doc
+
+
+def _infinite_sigma(doc):
+    doc["aggregators"][4]["sigma"] = math.inf
+    return doc
+
+
+_NON_FINITE = {_nan_line_limit: "line 1-2: s_max", _nan_cost_coefficient: "generator 2 at bus 3: a",
+               _nan_s_base: "s_base", _infinite_sigma: "aggregator 4 at bus 4: sigma"}
+
+
 @pytest.mark.parametrize("corrupt", [
     _line_without_r, _bus_with_unknown_key, _string_voltage_limit, _top_level_list,
-    _string_slack_flag])
+    _string_slack_flag, *_NON_FINITE])
 def test_malformed_case_file_exits_2(tmp_path, capsys, corrupt):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(corrupt(case_to_dict(builtin_case("five_bus")))))
     assert cli_main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("corrupt", list(_NON_FINITE))
+def test_non_finite_case_field_is_named(tmp_path, capsys, corrupt):
+    """JSON's NaN and Infinity pass the type checks of case_from_dict;
+    validation names the field, and check and solve both exit 2."""
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(corrupt(case_to_dict(builtin_case("five_bus")))))
+    message = f"{_NON_FINITE[corrupt]} must be finite"
+    assert cli_main(["check", str(path)]) == 2
+    assert f"violation: {message}" in capsys.readouterr().err
+    assert cli_main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid case: ") and message in err
 
 
 def test_unknown_builtin_exits_2(capsys):
@@ -194,6 +233,19 @@ def test_check_subcommand(capsys):
     assert re.fullmatch(r"derivative audit: max relative error \d\.\d{3}e-\d\d at "
                         r"(gradient\[\d+\]|(eq|ineq)_jacobian\[\d+, \d+\]) \(pass\)",
                         audit), audit
+
+
+@pytest.mark.parametrize("seed, worst", [
+    (0, "1.639e-08 at gradient[24]"), (15, "2.059e-08 at eq_jacobian[41, 186]"),
+    (28, "1.761e-08 at eq_jacobian[44, 186]"), (93, "1.678e-08 at eq_jacobian[41, 186]")])
+def test_check_rts24_lines_are_pinned(seed, worst, capsys):
+    """The audit's printed error and worst entry on rts24 for seeds whose
+    worst entry is a gradient or an equality Jacobian entry. A change to
+    any evaluator bit, to the audit's points or to its tie order moves
+    these lines."""
+    assert cli_main(["check", "builtin:rts24", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == (
+        f"validation: ok\nderivative audit: max relative error {worst} (pass)\n")
 
 
 def test_oracle_subcommand(tmp_path):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sesopf.acnetwork import build_admittance, bus_injections
+from sesopf.acnetwork import build_admittance, bus_injections, line_flows
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator
 from sesopf.formulation import build_problem
 from sesopf.harness import compute_metrics
@@ -77,13 +77,13 @@ def test_single_bus_balance_reduces_to_exchange():
     x[lay.qg] = 0.02
     x[lay.qa] = 0.005
     x[lay.v] = 1.0
-    eq = problem.equalities(x)
+    eq, _ = problem.constraints(x)
     assert eq == pytest.approx([0.02, 0.015])  # P_g - P_a, Q_g - Q_a
 
 
 def test_adequacy_rows_and_line_limits(five_bus_problem):
     x = five_bus_problem.initial_point()
-    vals = five_bus_problem.inequalities(x)
+    _, vals = five_bus_problem.constraints(x)
     lay = five_bus_problem.layout
     expected_p = np.sum(x[lay.pa]) - np.sum(x[lay.pg])
     expected_q = np.sum(x[lay.qa]) - np.sum(x[lay.qg])
@@ -95,7 +95,7 @@ def test_adequacy_rows_and_line_limits(five_bus_problem):
 
 def test_adequacy_redundant_at_converged_solution(five_bus_problem,
                                                   five_bus_solution):
-    vals = five_bus_problem.inequalities(five_bus_solution.x)
+    _, vals = five_bus_problem.constraints(five_bus_solution.x)
     assert vals[-2] <= 1e-6
     assert vals[-1] <= 1e-6
 
@@ -155,8 +155,8 @@ def test_derivatives_match_finite_differences(five_bus_problem):
 def test_constraint_evaluator_shapes(five_bus_problem):
     x = five_bus_problem.initial_point()
     p = five_bus_problem
-    eq, ineq = p.equalities(x), p.inequalities(x)
-    je, jh = p.equality_jacobian(x), p.inequality_jacobian(x)
+    eq, ineq = p.constraints(x)
+    je, jh = p.jacobians(x)
     assert eq.shape == (10,)
     assert ineq.shape == (14,)
     assert je.shape == (10, 33)
@@ -169,28 +169,42 @@ def test_stacked_points_give_the_single_point_rows(network_problem):
     p = network_problem
     rng = np.random.default_rng(17)
     xs = np.stack([random_interior_state(p, rng) for _ in range(7)])
-    for fun in (p.objective, p.equalities, p.inequalities):
-        stacked = fun(xs)
-        assert stacked.shape == (7,) + np.shape(fun(xs[0]))
-        for x, row in zip(xs, stacked):
-            assert np.array_equal(row, fun(x))
+    stacked = p.objective(xs)
+    assert stacked.shape == (7,)
+    assert [p.objective(x) for x in xs] == stacked.tolist()
     assert isinstance(p.objective(xs[0]), float)
+    eq, ineq = p.constraints(xs)
+    assert eq.shape == (7, p.n_eq) and ineq.shape == (7, p.n_ineq)
+    for x, eq_row, ineq_row in zip(xs, eq, ineq):
+        single_eq, single_ineq = p.constraints(x)
+        assert np.array_equal(eq_row, single_eq)
+        assert np.array_equal(ineq_row, single_ineq)
 
 
 def test_fused_evaluators_equal_the_separate_ones(network_problem):
-    """constraints and jacobians, which the solver calls, return bit for bit
-    the evaluators that _check_second_derivatives and the audit hold to
-    central differences."""
+    """The inequality rows of constraints, which the solver, kkt_check and
+    the audit read, equal rows computed apart from it: the line limits from
+    acnetwork.line_flows, and the adequacy rows and their Jacobian summed
+    unit by unit. The balance rows meet the Y-bus in
+    test_balance_from_line_flows_matches_the_y_bus."""
     p = network_problem
+    case, lay, sb = p.case, p.layout, p.case.s_base
+    s_max = np.array([ln.s_max for ln in case.lines])
+    adequacy_jac = np.zeros((2, p.n_var))
+    adequacy_jac[0, lay.pa], adequacy_jac[0, lay.pg] = 1.0, -1.0
+    adequacy_jac[1, lay.qa], adequacy_jac[1, lay.qg] = 1.0, -1.0
     rng = np.random.default_rng(29)
     for _ in range(5):
         x = random_interior_state(p, rng)
-        eq, ineq = p.constraints(x)
-        assert np.array_equal(eq, p.equalities(x))
-        assert np.array_equal(ineq, p.inequalities(x))
-        je, jh = p.jacobians(x)
-        assert np.array_equal(je, p.equality_jacobian(x))
-        assert np.array_equal(jh, p.inequality_jacobian(x))
+        _, ineq = p.constraints(x)
+        p_ft, p_tf = line_flows(case, x[lay.v], p.full_theta(x))
+        limits = np.concatenate([p_ft - s_max, p_tf - s_max]) / sb
+        assert np.allclose(ineq[:-2], limits, rtol=1e-12, atol=1e-14)
+        adequacy = [sum(x[lay.pa].tolist()) - sum(x[lay.pg].tolist()),
+                    sum(x[lay.qa].tolist()) - sum(x[lay.qg].tolist())]
+        assert np.allclose(ineq[-2:], adequacy, rtol=1e-12, atol=1e-14)
+        _, jh = p.jacobians(x)
+        assert np.array_equal(jh[-2:], adequacy_jac)
 
 
 def _net_injection(problem, x):
@@ -218,7 +232,7 @@ def test_balance_from_line_flows_matches_the_y_bus(network_problem):
     single = bus_injections(adm, xs[0, p.layout.v], p.full_theta(xs[0]))
     assert np.array_equal(pn[0], single[0]) and np.array_equal(qn[0], single[1])
     ybus = _net_injection(p, xs) - np.concatenate([pn, qn], axis=-1)
-    err = np.abs(p.equalities(xs) - ybus) / np.maximum(1.0, np.abs(ybus))
+    err = np.abs(p.constraints(xs)[0] - ybus) / np.maximum(1.0, np.abs(ybus))
     assert np.max(err) < 1e-12
 
 
@@ -238,9 +252,8 @@ def _check_second_derivatives(problem):
     nu = np.abs(rng.normal(size=problem.n_ineq))
 
     def lagrangian_grad(y):
-        return (-problem.objective_gradient(y)
-                + problem.equality_jacobian(y).T @ lam
-                + problem.inequality_jacobian(y).T @ nu)
+        je, jh = problem.jacobians(y)
+        return -problem.objective_gradient(y) + je.T @ lam + jh.T @ nu
 
     hess = problem.lagrangian_hessian(x, 1.0, lam, nu)
     assert np.allclose(hess, hess.T, atol=1e-12)
@@ -251,10 +264,9 @@ def _check_second_derivatives(problem):
         fd[:, i] = (lagrangian_grad(x + steps[i]) - lagrangian_grad(x - steps[i])) / (2 * h)
     scale = np.maximum(1.0, np.abs(hess))
     assert np.max(np.abs(hess - fd) / scale) < 1e-5
-    for values, jacobian in ((problem.equalities, problem.equality_jacobian),
-                             (problem.inequalities, problem.inequality_jacobian)):
-        jac = jacobian(x)
-        fd_jac = (values(x + steps) - values(x - steps)).T / (2 * h)
+    for jac, up, down in zip(problem.jacobians(x), problem.constraints(x + steps),
+                             problem.constraints(x - steps)):
+        fd_jac = (up - down).T / (2 * h)
         assert np.max(np.abs(jac - fd_jac) / np.maximum(1.0, np.abs(jac))) < 1e-6
 
 
@@ -264,12 +276,11 @@ def _check_second_derivatives(problem):
 
 def test_curtailment_report_bounds(five_bus, five_bus_solution):
     """Each aggregator is curtailed by at least zero and at most p_n - p_c,
-    and the total is generation minus aggregator consumption."""
+    and the total is their sum."""
     metrics = compute_metrics(five_bus, five_bus_solution)
     per = np.array(list(metrics.curtailment.values()))
     p_n = np.array([a.p_n for a in five_bus.aggregators])
     p_c = np.array([a.p_c for a in five_bus.aggregators])
     assert np.all(per >= -1e-4)
     assert np.all(per <= p_n - p_c + 1e-4)
-    assert metrics.total_curtailment == pytest.approx(
-        float(np.sum(five_bus_solution.p_gen) - np.sum(five_bus_solution.p_agg)))
+    assert metrics.total_curtailment == pytest.approx(float(np.sum(per)), rel=1e-12)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -110,6 +111,20 @@ def test_max_iter_accepts_numpy_integers():
     assert SolverOptions(max_iter=0).max_iter == 0
 
 
+@pytest.mark.parametrize("tol", [True, "1e-6", None, 0.0, -1e-6, math.nan, math.inf])
+def test_tol_must_be_a_positive_finite_number(tol):
+    """A bool or a string is rejected up front, naming the value, instead of
+    reading as 1 or failing inside a comparison."""
+    with pytest.raises(ValueError, match=f"tol .* got {re.escape(repr(tol))}"):
+        SolverOptions(tol=tol)
+
+
+def test_tol_accepts_numpy_floats():
+    assert SolverOptions(tol=np.float64(1e-7)).tol == 1e-7
+    assert SolverOptions(tol=np.float32(1e-3)).tol == np.float32(1e-3)
+    assert SolverOptions(tol=1).tol == 1
+
+
 # ---------------------------------------------------------------------------
 # five-bus convergence
 
@@ -131,8 +146,9 @@ def test_five_bus_feasibility_dominance(five_bus_problem, five_bus_solution):
     finite_ub = np.isfinite(p.ub)
     assert np.all(x[finite_lb] >= p.lb[finite_lb] - tol)
     assert np.all(x[finite_ub] <= p.ub[finite_ub] + tol)
-    assert np.max(p.inequalities(x)) <= tol
-    assert np.max(np.abs(p.equalities(x))) <= tol
+    eq, ineq = p.constraints(x)
+    assert np.max(ineq) <= tol
+    assert np.max(np.abs(eq)) <= tol
 
 
 def test_barrier_parameter_monotone(five_bus_solution):
@@ -182,29 +198,6 @@ def test_kkt_primal_residual_equals_bound_violation(five_bus_problem,
     assert report.primal_feasibility >= 0.01 - 1e-9
 
 
-class _SeparateEvaluators(Problem):
-    """constraints and jacobians assembled from the four separate
-    evaluators."""
-
-    def constraints(self, x):
-        return self.equalities(x), self.inequalities(x)
-
-    def jacobians(self, x):
-        return self.equality_jacobian(x), self.inequality_jacobian(x)
-
-
-@pytest.mark.parametrize("name", ["five_bus", "rts24"])
-def test_kkt_check_equals_the_separate_evaluators(name, request):
-    """kkt_check reads the fused constraints and jacobians; the report is
-    the same, field for field, as from the four separate evaluators."""
-    case = request.getfixturevalue(name)
-    solution = request.getfixturevalue(f"{name}_solution")
-    fused = kkt_check(build_problem(case), solution)
-    separate = kkt_check(_SeparateEvaluators(case), solution)
-    assert fused.passed
-    assert dataclasses.astuple(fused) == dataclasses.astuple(separate)
-
-
 # ---------------------------------------------------------------------------
 # derivative audit
 
@@ -223,17 +216,31 @@ class _CorruptedGradient(Problem):
 
 
 class _CorruptedEqJacobian(Problem):
-    def equality_jacobian(self, x):
-        jac = super().equality_jacobian(x)
-        jac[3, 30] += 1.0
-        return jac
+    def jacobians(self, x):
+        je, jh = super().jacobians(x)
+        je[3, 30] += 1.0
+        return je, jh
 
 
 class _CorruptedIneqJacobian(Problem):
-    def inequality_jacobian(self, x):
-        jac = super().inequality_jacobian(x)
-        jac[5, 27] += 1.0
-        return jac
+    def jacobians(self, x):
+        je, jh = super().jacobians(x)
+        jh[5, 27] += 1.0
+        return je, jh
+
+
+class _NaNGradient(Problem):
+    def objective_gradient(self, x):
+        grad = super().objective_gradient(x)
+        grad[0] = np.nan
+        return grad
+
+
+class _NaNEqJacobian(Problem):
+    def jacobians(self, x):
+        je, jh = super().jacobians(x)
+        je[3, 30] = np.nan
+        return je, jh
 
 
 def _rebuilt(cls, p):
@@ -255,19 +262,30 @@ def test_audit_flags_corrupted_jacobian_entry(cls, entry, five_bus_problem):
     assert report.worst_entry == entry
 
 
+@pytest.mark.parametrize("cls, entry", [(_NaNGradient, "gradient[0]"),
+                                        (_NaNEqJacobian, "eq_jacobian[3, 30]")])
+def test_audit_fails_on_a_nan_derivative(cls, entry, five_bus_problem):
+    """A NaN error never compares greater than the worst so far; the audit
+    counts it as infinite, so it fails and names the entry."""
+    report = finite_difference_audit(_rebuilt(cls, five_bus_problem), n_points=3, seed=1)
+    assert not report.passed
+    assert report.worst_entry == entry
+    assert report.max_rel_error == np.inf
+
+
 def test_audit_linear_rows_exact(five_bus_problem):
     """Adequacy rows are linear, so central differences agree to roundoff."""
     rng = np.random.default_rng(2)
     from conftest import random_interior_state
     x = random_interior_state(five_bus_problem, rng)
-    jac = five_bus_problem.inequality_jacobian(x)
+    _, jac = five_bus_problem.jacobians(x)
     h = 1e-6
     for i in range(five_bus_problem.n_var):
         up, dn = x.copy(), x.copy()
         up[i] += h
         dn[i] -= h
-        col = (five_bus_problem.inequalities(up)[-2:]
-               - five_bus_problem.inequalities(dn)[-2:]) / (2 * h)
+        col = (five_bus_problem.constraints(up)[1][-2:]
+               - five_bus_problem.constraints(dn)[1][-2:]) / (2 * h)
         assert np.allclose(jac[-2:, i], col, atol=1e-10)
 
 
