@@ -143,6 +143,8 @@ def validate_case(case: CaseData) -> list[str]:
             out.append(f"{tag}: negative sigma")
         if a.gamma <= 0 or a.mu <= 0:
             out.append(f"{tag}: gamma and mu must be positive")
+        if a.p_n <= 0:
+            out.append(f"{tag}: normal demand must be positive")
         if not 0 <= a.p_c <= a.p_n:
             out.append(f"{tag}: active limits must satisfy 0 <= p_c <= p_n")
         if not 0 <= a.q_c <= a.q_n:

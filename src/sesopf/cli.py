@@ -121,8 +121,9 @@ def cli_main(argv=None) -> int:
             return 0 if audit.passed else 1
 
         if args.command == "oracle":
+            problem = build_problem(case)  # validates the case first
             p_a, p_g, obj = copper_plate_oracle(case)
-            solution = solve(build_problem(case), _options(args))
+            solution = solve(problem, _options(args))
             rel = abs(solution.objective - obj) / max(1.0, abs(obj))
             doc = {
                 "oracle_objective": obj,

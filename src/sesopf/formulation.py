@@ -331,8 +331,8 @@ class Problem:
 
     # -- Lagrangian Hessian --------------------------------------------------
 
-    def lagrangian_hessian(self, x, sigma_obj, lam_eq, lam_ineq) -> np.ndarray:
-        """Hessian of sigma_obj * f_min + lam_eq . c_E + lam_ineq . h, where
+    def lagrangian_hessian(self, x, lam_eq, lam_ineq) -> np.ndarray:
+        """Hessian of f_min + lam_eq . c_E + lam_ineq . h, where
         f_min = -objective (minimization sense).
 
         A directed row's P and Q flows enter the balance residuals of its
@@ -344,7 +344,7 @@ class Problem:
         local = weight[..., None, None] * acnetwork.flow_p_hess(
             *self._line_state(x)[..., None, :], *self._gb)
         local = local[0] + local[1]
-        weights = np.concatenate([-sigma_obj * self.objective_hessian_diag(x),
+        weights = np.concatenate([-self.objective_hessian_diag(x),
                                   local[self._hess_valid]])
         return np.bincount(self._hess_flat, weights=weights, minlength=n * n).reshape(n, n)
 

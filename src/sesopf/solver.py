@@ -45,8 +45,10 @@ is mostly numpy-call overhead, so the work is laid out by how often it runs:
 Rows for fixed variables are appended to c_E and J_E only if the problem
 has such variables.
 
-The derivative audit holds the same ``Problem.jacobians`` to central
-differences of the same ``Problem.constraints`` that the solver runs.
+``kkt_check`` and the derivative audit pass below the fixed CHECK_TOL = 1e-6;
+the audit holds the same ``Problem.jacobians`` to central differences of the
+same ``Problem.constraints`` that the solver runs. The copper-plate oracle's
+dispatch is exact: it interpolates between the two bracketing prices.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import scipy.linalg
 
 from .casemodel import CaseData
 from .formulation import Problem
-from .welfare import gen_cost, satisfaction
+from .welfare import social_objective
 
 _FIXED_TOL = 1e-9     # bound pairs tighter than this are treated as fixed
 _SMAX = 100.0         # residual scaling cap (dual magnitudes)
@@ -172,7 +174,7 @@ class _InternalNLP:
     def condensed(self, x, lam, nu, jh, d_sigma):
         """Lagrangian Hessian plus jh' diag(d_sigma) jh over all rows."""
         mi = len(jh)
-        m = self.problem.lagrangian_hessian(x, 1.0, lam[:self.problem.n_eq], nu[:mi])
+        m = self.problem.lagrangian_hessian(x, lam[:self.problem.n_eq], nu[:mi])
         m += (jh.T * d_sigma[:mi]) @ jh
         m.reshape(-1)[::self.n + 1] += np.bincount(self.bound_idx, weights=d_sigma[mi:],
                                                    minlength=self.n)
@@ -244,15 +246,14 @@ def _screen_infeasible(problem: Problem) -> str | None:
 
 def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     """Solve ``problem`` by the interior-point method of the module docstring."""
-    reason = _screen_infeasible(problem)
-    if reason is not None:
-        x = problem.initial_point()
-        return _finish(problem, None, x, None, None, 0, [], "infeasible_detected", reason)
-
     nlp = _InternalNLP(problem)
     n, me = nlp.n, nlp.m_eq
-
     x = problem.initial_point()
+    reason = _screen_infeasible(problem)
+    if reason is not None:
+        return _finish(nlp, x, np.zeros(me), np.zeros(problem.n_ineq + len(nlp.bound_idx)),
+                       0, [], "infeasible_detected", reason)
+
     f, ce, h = nlp.values(x)
     grad = nlp.grad(x)
     s = np.maximum(1e-2, -h)
@@ -384,7 +385,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             came_by = {"alpha_p": alpha, "alpha_d": alpha_d, "delta_w": delta_w,
                        "backtracks": backtracks, "fallback": fallback}
 
-    return _finish(problem, nlp, x, lam, nu, it, log, status)
+    return _finish(nlp, x, lam, nu, it, log, status)
 
 
 def _max_step(vals, deltas):
@@ -403,42 +404,41 @@ def _merit(f, ce, h, s, mu, rho):
     return f - mu * np.log(s).sum() + rho * theta, theta
 
 
-def _finish(problem, nlp, x, lam, nu, iterations, log, status, reason=None) -> Solution:
+def _finish(nlp, x, lam, nu, iterations, log, status, reason=None) -> Solution:
+    problem = nlp.problem
     me_p, mi_p = problem.n_eq, problem.n_ineq
     z_l = np.zeros(problem.n_var)
     z_u = np.zeros(problem.n_var)
-    if nlp is None:
-        lam_eq = np.zeros(me_p)
-        nu_ineq = np.zeros(mi_p)
-    else:
-        lam_eq = lam[:me_p]
-        nu_ineq = nu[:mi_p]
-        z_l[nlp.lower_idx] = nu[mi_p:mi_p + len(nlp.lower_idx)]
-        z_u[nlp.upper_idx] = nu[mi_p + len(nlp.lower_idx):]
-        # duals of fixed-variable rows fold into the bound duals
-        d = lam[me_p:]
-        z_u[nlp.fixed_idx] = np.maximum(d, 0.0)
-        z_l[nlp.fixed_idx] = np.maximum(-d, 0.0)
+    z_l[nlp.lower_idx] = nu[mi_p:mi_p + len(nlp.lower_idx)]
+    z_u[nlp.upper_idx] = nu[mi_p + len(nlp.lower_idx):]
+    # duals of fixed-variable rows fold into the bound duals
+    d = lam[me_p:]
+    z_u[nlp.fixed_idx] = np.maximum(d, 0.0)
+    z_l[nlp.fixed_idx] = np.maximum(-d, 0.0)
 
-    eq, ineq = problem.constraints(x)
-    bound_viol = np.maximum(problem.lb - x, 0.0) + np.maximum(x - problem.ub, 0.0)
-    bound_viol[~np.isfinite(bound_viol)] = 0.0
-    max_violation = max(np.max(np.abs(eq)), np.max(ineq, initial=0.0),
-                        np.max(bound_viol, initial=0.0), 0.0)
-
-    state = problem.unpack(x)
     return Solution(
-        status=status, x=x, lam_eq=lam_eq, nu_ineq=nu_ineq,
+        status=status, x=x, lam_eq=lam[:me_p], nu_ineq=nu[:mi_p],
         z_lower=z_l, z_upper=z_u, iterations=iterations,
-        objective=problem.objective(x), log=log, max_violation=max_violation,
-        p_gen=state["p_gen"], q_gen=state["q_gen"],
-        p_agg=state["p_agg"], q_agg=state["q_agg"],
-        v=state["v"], theta=state["theta"], reason=reason,
+        objective=problem.objective(x), log=log,
+        max_violation=_primal_violation(problem, x, *problem.constraints(x)),
+        reason=reason, **problem.unpack(x),
     )
+
+
+def _primal_violation(problem: Problem, x, eq, ineq) -> float:
+    """Largest violation at x of a balance row, an inequality row or a
+    finite bound, given the constraint values ``eq`` and ``ineq`` at x:
+    ``Solution.max_violation`` and ``KKTReport.primal_feasibility``."""
+    return float(max(np.abs(eq).max(), ineq.max(initial=0.0),
+                     (problem.lb - x).max(initial=0.0), (x - problem.ub).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
 # KKT verification
+
+
+# a KKT residual or an audit error below this passes
+CHECK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -447,15 +447,14 @@ class KKTReport:
     primal_feasibility: float
     dual_feasibility: float
     complementarity: float
-    tol: float
 
     @property
     def passed(self) -> bool:
         return max(self.stationarity, self.primal_feasibility,
-                   self.dual_feasibility, self.complementarity) < self.tol
+                   self.dual_feasibility, self.complementarity) < CHECK_TOL
 
 
-def kkt_check(problem: Problem, solution: Solution, tol: float = 1e-6) -> KKTReport:
+def kkt_check(problem: Problem, solution: Solution) -> KKTReport:
     """Recompute the four KKT residual norms of a solution from scratch,
     with the constraint values and Jacobians from ``Problem.constraints``
     and ``Problem.jacobians``."""
@@ -468,100 +467,73 @@ def kkt_check(problem: Problem, solution: Solution, tol: float = 1e-6) -> KKTRep
 
     stat = (grad + je.T @ solution.lam_eq + jh.T @ solution.nu_ineq
             - solution.z_lower + solution.z_upper)
-    duals_sum = (np.abs(solution.lam_eq).sum() + np.abs(solution.nu_ineq).sum()
-                 + np.abs(solution.z_lower).sum() + np.abs(solution.z_upper).sum())
+    duals = (solution.lam_eq, solution.nu_ineq, solution.z_lower, solution.z_upper)
     m = max(1, problem.n_eq + problem.n_ineq + 2 * problem.n_var)
-    s_d = max(_SMAX, duals_sum / m) / _SMAX
+    # the scale of the stationarity and complementarity residuals
+    scale = max(_SMAX, sum(np.abs(v).sum() for v in duals) / m) / _SMAX
 
-    lo = np.where(np.isfinite(problem.lb), problem.lb - x, -np.inf)
-    up = np.where(np.isfinite(problem.ub), x - problem.ub, -np.inf)
-    primal = max(np.max(np.abs(eq)), np.max(ineq, initial=0.0),
-                 np.max(lo, initial=0.0), np.max(up, initial=0.0), 0.0)
+    # the sign-constrained duals and their slacks, zero at an infinite bound
+    signed = duals[1:]
+    slacks = (ineq, np.where(np.isfinite(problem.lb), x - problem.lb, 0.0),
+              np.where(np.isfinite(problem.ub), problem.ub - x, 0.0))
+    dual = max(0.0, *(-np.min(v, initial=0.0) for v in signed))
+    comp = max(np.abs(v * gap).max(initial=0.0) for v, gap in zip(signed, slacks))
 
-    dual = max(0.0, -np.min(solution.nu_ineq, initial=0.0),
-               -np.min(solution.z_lower, initial=0.0),
-               -np.min(solution.z_upper, initial=0.0))
-
-    comp_terms = [np.abs(solution.nu_ineq * ineq)]
-    lo_gap = np.where(np.isfinite(problem.lb), x - problem.lb, 0.0)
-    up_gap = np.where(np.isfinite(problem.ub), problem.ub - x, 0.0)
-    comp_terms.append(np.abs(solution.z_lower * lo_gap))
-    comp_terms.append(np.abs(solution.z_upper * up_gap))
-    comp = max(np.max(t, initial=0.0) for t in comp_terms)
-    s_c = max(_SMAX, duals_sum / m) / _SMAX
-
-    return KKTReport(float(np.max(np.abs(stat)) / s_d), float(primal),
-                     float(dual), float(comp / s_c), tol)
+    return KKTReport(float(np.max(np.abs(stat)) / scale), _primal_violation(problem, x, eq, ineq),
+                     float(dual), float(comp / scale))
 
 
 # ---------------------------------------------------------------------------
 # copper-plate oracle
 
+_HALVINGS = 200  # of the shadow-price bracket; far past float resolution
 
-def copper_plate_oracle(case: CaseData, gap_tol: float = 1e-9):
+
+def copper_plate_oracle(case: CaseData):
     """Network-free optimum of the weighted-welfare dispatch.
 
     Solves max sum(sigma*U(P_a)) - sum(C(P_g)) subject to the single balance
-    sum(P_g) = sum(P_a) and box bounds, by bisection on the shadow price.
-    Returns (p_agg MW, p_gen MW, weighted objective $/h).
+    sum(P_g) = sum(P_a) and box bounds. The shadow price is bisected a fixed
+    number of times; the dispatch is the convex combination of the two
+    bracketing dispatches that balances exactly, which also covers a
+    linear-cost unit setting the price. Returns (p_agg MW, p_gen MW,
+    weighted objective $/h).
     """
-    aggs, gens = case.aggregators, case.generators
+    sigma, gamma, mu, p_c, p_n = np.array(
+        [(r.sigma, r.gamma, r.mu, r.p_c, r.p_n) for r in case.aggregators]).reshape(-1, 5).T
+    a, b, p_min, p_max = np.array(
+        [(r.a, r.b, r.p_min, r.p_max) for r in case.generators]).reshape(-1, 4).T
+    # divisors with the zero-weight and linear-cost entries masked out
+    weighted, quadratic = sigma > 0, a > 0
+    sigma_w, a_q = np.where(weighted, sigma, 1.0), np.where(quadratic, a, 1.0)
 
-    def demand(lam):
-        out = []
-        for a in aggs:
-            if a.sigma <= 0:
-                out.append(a.p_c if lam > 0 else a.p_n)
-                continue
-            p = (a.gamma - lam / a.sigma) / a.mu
-            out.append(min(max(p, a.p_c), a.p_n))
-        return np.array(out)
+    def dispatch(lam):
+        """Price-taking demands and supplies at the shadow price lam, and
+        their gap sum(P_g) - sum(P_a), which is nondecreasing in lam."""
+        p_a = np.where(weighted, np.clip((gamma - lam / sigma_w) / mu, p_c, p_n),
+                       np.where(lam > 0, p_c, p_n))
+        p_g = np.where(quadratic, np.clip((lam - b) / (2.0 * a_q), p_min, p_max),
+                       np.where(lam >= b, p_max, p_min))
+        return p_a, p_g, float(np.sum(p_g) - np.sum(p_a))
 
-    def supply(lam):
-        out = []
-        for g in gens:
-            if g.a > 0:
-                p = (lam - g.b) / (2.0 * g.a)
-            else:
-                p = g.p_max if lam >= g.b else g.p_min
-            out.append(min(max(p, g.p_min), g.p_max))
-        return np.array(out)
-
-    def gap(lam):
-        return float(np.sum(supply(lam)) - np.sum(demand(lam)))
-
-    hi = max([a.sigma * a.gamma for a in aggs]
-             + [2.0 * g.a * g.p_max + g.b for g in gens]) + 1.0
-    lo = min(0.0, min(g.b for g in gens)) - 1.0
-    if gap(hi) < -gap_tol or gap(lo) > gap_tol:
+    # bisect, keeping gap <= 0 at lo and gap >= 0 at hi
+    lo = min(0.0, np.min(b, initial=0.0)) - 1.0
+    hi = np.max(np.concatenate([sigma * gamma, 2.0 * a * p_max + b])) + 1.0
+    at_lo, at_hi = dispatch(lo), dispatch(hi)
+    if at_lo[2] > 0 or at_hi[2] < 0:
         raise ValueError("no shadow price balances supply and demand within bounds")
-
-    for _ in range(200):
+    for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if abs(g_mid) < gap_tol:
-            lo = hi = mid
-            break
-        if g_mid > 0:
-            hi = mid
+        at_mid = dispatch(mid)
+        if at_mid[2] < 0:
+            lo, at_lo = mid, at_mid
         else:
-            lo = mid
-    lam = 0.5 * (lo + hi)
-    p_a, p_g = demand(lam), supply(lam)
+            hi, at_hi = mid, at_mid
 
-    # close any residual gap across marginal (strictly interior) units
-    resid = float(np.sum(p_g) - np.sum(p_a))
-    if abs(resid) > gap_tol:
-        interior = [k for k, g in enumerate(gens)
-                    if g.p_min + 1e-12 < p_g[k] < g.p_max - 1e-12]
-        if interior:
-            p_g[interior] -= resid / len(interior)
-        else:
-            raise ValueError("no shadow price balances supply and demand within bounds")
-
-    weighted = (sum(a.sigma * satisfaction(a, p) for a, p in zip(aggs, p_a))
-                - sum(gen_cost(g, p) for g, p in zip(gens, p_g)))
-    return p_a, p_g, float(weighted)
+    (a_lo, g_lo, gap_lo), (a_hi, g_hi, gap_hi) = at_lo, at_hi
+    t = gap_lo / (gap_lo - gap_hi) if gap_lo < 0 else 0.0
+    p_a, p_g = a_lo + t * (a_hi - a_lo), g_lo + t * (g_hi - g_lo)
+    return p_a, p_g, social_objective(case, p_a, p_g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +545,14 @@ class AuditReport:
     max_rel_error: float
     worst_entry: str
     n_points: int
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.tol
+        return self.max_rel_error < CHECK_TOL
 
 
 def finite_difference_audit(problem: Problem, n_points: int = 100,
-                            seed: int = 0, tol: float = 1e-6) -> AuditReport:
+                            seed: int = 0) -> AuditReport:
     """Compare the analytic objective gradient and the stacked constraint
     Jacobian [J_E; J_h] of ``Problem.jacobians`` with central differences
     of ``objective`` and ``Problem.constraints`` at seeded random interior
@@ -596,7 +567,7 @@ def finite_difference_audit(problem: Problem, n_points: int = 100,
 
     # The objective is piecewise quadratic, so a central difference is
     # exact for any step that stays on one branch; the wide step keeps
-    # rounding noise (objective magnitudes reach 1e6) far below tol.
+    # rounding noise (objective magnitudes reach 1e6) far below CHECK_TOL.
     checks = [(problem.objective_gradient, problem.objective, _OBJ_FD_STEP),
               (lambda y: np.concatenate(problem.jacobians(y)),
                lambda points: np.concatenate(problem.constraints(points), axis=-1), 1e-6)]
@@ -614,7 +585,7 @@ def finite_difference_audit(problem: Problem, n_points: int = 100,
             if err.flat[k] > worst:
                 worst = float(err.flat[k])
                 worst_entry = _entry_name(np.unravel_index(k, err.shape), problem.n_eq)
-    return AuditReport(worst, worst_entry, n_points, tol)
+    return AuditReport(worst, worst_entry, n_points)
 
 
 def _entry_name(index, n_eq: int) -> str:

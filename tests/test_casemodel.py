@@ -40,6 +40,17 @@ def test_validate_flags_inverted_demand_limits(five_bus):
     assert "aggregator 0" in report[0] and "p_c <= p_n" in report[0]
 
 
+@pytest.mark.parametrize("p_n", [0.0, -1.0])
+def test_validate_flags_nonpositive_normal_demand(five_bus, p_n):
+    """p_c = p_n = 0 passes the ordering check, but normalized satisfaction
+    divides by the satisfaction at p_n, so it is rejected up front."""
+    bad = dataclasses.replace(five_bus.aggregators[0], p_n=p_n, p_c=0.0)
+    case = dataclasses.replace(
+        five_bus, aggregators=(bad,) + five_bus.aggregators[1:])
+    report = validate_case(case)
+    assert f"aggregator 0 at bus {bad.bus}: normal demand must be positive" in report
+
+
 def test_validate_flags_multiple_slack_buses(five_bus):
     buses = tuple(dataclasses.replace(b, is_slack=True) for b in five_bus.buses[:2])
     case = dataclasses.replace(five_bus, buses=buses + five_bus.buses[2:])

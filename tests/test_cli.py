@@ -117,6 +117,38 @@ def test_non_finite_case_field_is_named(tmp_path, capsys, corrupt):
     assert err.startswith("error: invalid case: ") and message in err
 
 
+def _zero_mu(doc):
+    doc["aggregators"][0]["mu"] = 0
+    return doc
+
+
+def _zero_normal_demand(doc):
+    doc["aggregators"][0]["p_c"] = doc["aggregators"][0]["p_n"] = 0
+    return doc
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_zero_mu, "aggregator 0 at bus 2: gamma and mu must be positive"),
+    (_zero_normal_demand, "aggregator 0 at bus 2: normal demand must be positive")])
+@pytest.mark.parametrize("command", ["check", "solve", "sweep", "oracle"])
+def test_invalid_case_exits_2_before_any_solve(tmp_path, capsys, corrupt, message, command):
+    """Every subcommand validates the case before it solves or runs the
+    oracle, and exits 2 naming the violation, without writing output."""
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(corrupt(case_to_dict(builtin_case("five_bus")))))
+    assert cli_main([command, str(path), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "sweep", "oracle"])
+def test_missing_case_file_exits_2(command, capsys):
+    """As test_solve_missing_file_exits_2, for the other subcommands."""
+    assert cli_main([command, "no-such-file.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_builtin_exits_2(capsys):
     assert cli_main(["solve", "builtin:nine_bus"]) == 2
 

@@ -255,7 +255,7 @@ def _check_second_derivatives(problem):
         je, jh = problem.jacobians(y)
         return -problem.objective_gradient(y) + je.T @ lam + jh.T @ nu
 
-    hess = problem.lagrangian_hessian(x, 1.0, lam, nu)
+    hess = problem.lagrangian_hessian(x, lam, nu)
     assert np.allclose(hess, hess.T, atol=1e-12)
     fd = np.empty_like(hess)
     h = 1e-6

@@ -10,7 +10,9 @@ import pytest
 import scipy.linalg
 
 from sesopf import acnetwork, solver
-from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, Line, scale_ses
+from sesopf.casemodel import (
+    Aggregator, Bus, CaseData, Generator, Line, builtin_case, scale_ses,
+)
 from sesopf.formulation import Problem, build_problem
 from sesopf.solver import (
     MU0, MU_REDUCTION, SolverOptions, _inertia, copper_plate_oracle,
@@ -70,14 +72,62 @@ def test_solver_matches_oracle_on_copperized_five_bus(five_bus):
     assert rel < 1e-5
 
 
-def test_oracle_pins_demands_at_critical_when_capacity_is_exhausted():
+def _pinned_case():
+    """Capacity equals total critical demand: both demands sit at p_c."""
     gen = Generator(1, 0.1, 1.0, 0.0, 0.0, 60.0, 0.0, 0.0)
     aggs = (Aggregator(1, 5.0, 40.0, 0.2, 50.0, 30.0, 0.0, 0.0),
             Aggregator(1, 9.0, 40.0, 0.2, 50.0, 30.0, 0.0, 0.0))
-    case = CaseData("pinned", 100.0, (Bus(1, is_slack=True),), (), (gen,), aggs)
-    p_a, p_g, _ = copper_plate_oracle(case)
+    return CaseData("pinned", 100.0, (Bus(1, is_slack=True),), (), (gen,), aggs)
+
+
+def _linear_marginal_case():
+    """A linear-cost unit (a = 0, b = 10) sets the price: demand 50 - P
+    meets the unit's step at 10 $/MWh, so P = 40 MW and the weighted
+    welfare is 50*40 - 40**2/2 - 10*40 = 800 $/h."""
+    gen = Generator(1, 0.0, 10.0, 0.0, 0.0, 100.0, 0.0, 0.0)
+    agg = Aggregator(1, 1.0, 50.0, 1.0, 100.0, 0.0, 0.0, 0.0)
+    return single_bus_case(gen, agg, "linear_marginal")
+
+
+def test_oracle_pins_demands_at_critical_when_capacity_is_exhausted():
+    p_a, p_g, _ = copper_plate_oracle(_pinned_case())
     assert np.allclose(p_a, [30.0, 30.0], atol=1e-6)
     assert np.sum(p_g) == pytest.approx(60.0, abs=1e-6)
+
+
+def test_oracle_solves_a_linear_cost_marginal_unit():
+    case = _linear_marginal_case()
+    p_a, p_g, obj = copper_plate_oracle(case)
+    assert p_a[0] == pytest.approx(40.0, abs=1e-9)
+    assert p_g[0] == pytest.approx(40.0, abs=1e-9)
+    assert obj == pytest.approx(800.0, abs=1e-9)
+    solution = solve(build_problem(case))
+    assert solution.status == "converged"
+    assert abs(solution.objective - obj) / max(1.0, abs(obj)) < 1e-5
+    assert solution.p_gen[0] == pytest.approx(40.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("builder", [
+    toy_case, two_bus_copper_case, three_bus_copper_case, _pinned_case, _linear_marginal_case,
+    lambda: copperize(builtin_case("five_bus")), lambda: builtin_case("five_bus"),
+    lambda: builtin_case("rts24")],
+    ids=["toy", "two_bus", "three_bus", "pinned", "linear_marginal", "five_bus_copper",
+         "five_bus", "rts24"])
+def test_oracle_dispatch_balances_inside_the_boxes(builder):
+    """The dispatch interpolates between the two bracketing prices, so it
+    balances to rounding and keeps every unit inside its box."""
+    case = builder()
+    p_a, p_g, _ = copper_plate_oracle(case)
+    assert abs(np.sum(p_g) - np.sum(p_a)) <= 1e-9
+    assert all(a.p_c <= p <= a.p_n for a, p in zip(case.aggregators, p_a))
+    assert all(g.p_min <= p <= g.p_max for g, p in zip(case.generators, p_g))
+
+
+def test_oracle_rejects_a_case_no_price_can_balance():
+    gen = Generator(1, 1.0, 0.0, 0.0, 0.0, 10.0, 0.0, 0.0)
+    agg = Aggregator(1, 1.0, 50.0, 0.1, 30.0, 20.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="no shadow price balances"):
+        copper_plate_oracle(single_bus_case(gen, agg))
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +140,11 @@ def test_infeasible_case_detected():
     solution = solve(build_problem(single_bus_case(gen, agg)))
     assert solution.status == "infeasible_detected"
     assert solution.reason == "total generation capacity below total critical active demand"
+    # the screen reports zero duals of the problem's shapes
+    problem = build_problem(single_bus_case(gen, agg))
+    for duals, size in [(solution.lam_eq, problem.n_eq), (solution.nu_ineq, problem.n_ineq),
+                        (solution.z_lower, problem.n_var), (solution.z_upper, problem.n_var)]:
+        assert np.array_equal(duals, np.zeros(size))
 
 
 def test_iteration_limit_reported():
@@ -135,7 +190,7 @@ def test_five_bus_converges_with_certificates(five_bus_problem,
     assert sol.status == "converged"
     assert sol.iterations <= 200
     assert sol.max_violation < 1e-6
-    report = kkt_check(five_bus_problem, sol, tol=1e-6)
+    report = kkt_check(five_bus_problem, sol)
     assert report.passed, report
 
 
@@ -166,6 +221,16 @@ def test_solver_determinism(five_bus_problem):
 
 # ---------------------------------------------------------------------------
 # KKT verifier
+
+
+@pytest.mark.parametrize("name", ["five_bus", "rts24"])
+def test_max_violation_is_the_kkt_primal_residual(name, request):
+    """Solution.max_violation and KKTReport.primal_feasibility are one
+    definition, so they agree to the bit."""
+    case = request.getfixturevalue(name)
+    solution = request.getfixturevalue(f"{name}_solution")
+    report = kkt_check(build_problem(case), solution)
+    assert solution.max_violation == report.primal_feasibility
 
 
 def test_kkt_check_requires_duals(five_bus_problem, five_bus_solution):
