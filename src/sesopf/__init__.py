@@ -8,7 +8,7 @@ from .welfare import (
     SatisfactionParams, gen_cost, inverse_demand, normalized_satisfaction,
     satisfaction, social_objective,
 )
-from .acnetwork import Admittance, build_admittance, injection_residuals, network_losses
+from .acnetwork import network_losses
 from .formulation import Problem, build_problem
 from .solver import (
     KKTReport, Solution, SolverOptions, copper_plate_oracle,

@@ -23,8 +23,14 @@ def _load(spec: str) -> CaseData:
     return load_case(spec)
 
 
+def _given(args, *names) -> dict:
+    """The options among ``names`` that the command line sets, as keyword
+    arguments: the library's default stands for every other."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
 def _options(args) -> SolverOptions:
-    return SolverOptions(tol=args.tol, max_iter=args.max_iter)
+    return SolverOptions(**_given(args, "tol", "max_iter"))
 
 
 def _write_or_print(doc, fmt, path):
@@ -34,42 +40,41 @@ def _write_or_print(doc, fmt, path):
         harness.emit(doc, fmt, path)
 
 
-def cli_main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-6)
-    common.add_argument("--max-iter", type=int, default=200)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed of the audit's random points; used only by check")
-    common.add_argument("--output", default=None)
-    common.add_argument("--format", choices=["csv", "json"], default=None)
+def _solving(sub, name: str, help: str, fmt: str) -> argparse.ArgumentParser:
+    """A subcommand that solves the case: solver options and an output."""
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
+    parser.add_argument("case")
+    parser.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    parser.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
+    parser.add_argument("--output", metavar="FILE")
+    parser.add_argument("--format", choices=["csv", "json"], default=fmt)
+    return parser
 
+
+def cli_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sesopf",
         description="Equity-weighted AC optimal power flow under scarcity")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[common],
-                             help="solve a case at default SES")
-    p_solve.add_argument("case")
+    p_solve = _solving(sub, "solve", "solve a case at default SES", "json")
     p_solve.add_argument("--trace", metavar="FILE", default=None,
                          help="write the solver log to FILE as JSON lines")
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
-                             help="SES sensitivity sweep")
-    p_sweep.add_argument("case")
+    p_sweep = _solving(sub, "sweep", "SES sensitivity sweep", "csv")
     p_sweep.add_argument("--from", dest="from_pct", type=float, default=10.0)
     p_sweep.add_argument("--to", dest="to_pct", type=float, default=150.0)
     p_sweep.add_argument("--step", dest="step_pct", type=float, default=2.0)
     p_sweep.add_argument("--trace", metavar="FILE", default=None,
                          help="write every point's solver log to FILE as JSON lines")
 
-    p_check = sub.add_parser("check", parents=[common],
-                             help="validate a case and audit derivatives")
+    p_check = sub.add_parser("check", help="validate a case and audit derivatives",
+                             allow_abbrev=False)
     p_check.add_argument("case")
+    p_check.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                         help="seed of the derivative audit's random points")
 
-    p_oracle = sub.add_parser("oracle", parents=[common],
-                              help="copper-plate comparison")
-    p_oracle.add_argument("case")
+    _solving(sub, "oracle", "copper-plate comparison", "json")
 
     try:
         args = parser.parse_args(argv)
@@ -89,7 +94,7 @@ def cli_main(argv=None) -> int:
                 with open(args.trace, "w") as fh:
                     harness.write_trace(fh, solution.log)
             doc = harness.solve_document(case, solution, metrics)
-            _write_or_print(doc, args.format or "json", args.output)
+            _write_or_print(doc, args.format, args.output)
             return 0 if solution.status == "converged" else 1
 
         if args.command == "sweep":
@@ -102,7 +107,7 @@ def cli_main(argv=None) -> int:
                     lambda pct, sol: harness.write_trace(fh, sol.log, scale_pct=pct))
                 result = harness.ses_sweep(case, args.from_pct, args.to_pct,
                                            args.step_pct, opts, on_solve=on_solve)
-            _write_or_print(result, args.format or "csv", args.output)
+            _write_or_print(result, args.format, args.output)
             ok = all(r.status == "converged" for r in result.records)
             return 0 if ok else 1
 
@@ -112,8 +117,7 @@ def cli_main(argv=None) -> int:
                 print(f"violation: {message}", file=sys.stderr)
             if report:
                 return 2
-            audit = finite_difference_audit(build_problem(case), n_points=20,
-                                            seed=args.seed)
+            audit = finite_difference_audit(build_problem(case), **_given(args, "seed"))
             print("validation: ok")
             print(f"derivative audit: max relative error "
                   f"{audit.max_rel_error:.3e} at {audit.worst_entry} "
@@ -133,7 +137,7 @@ def cli_main(argv=None) -> int:
                 "oracle_p_agg": list(np.asarray(p_a)),
                 "oracle_p_gen": list(np.asarray(p_g)),
             }
-            _write_or_print(doc, args.format or "json", args.output)
+            _write_or_print(doc, args.format, args.output)
             return 0 if solution.status == "converged" else 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

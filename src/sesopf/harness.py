@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,13 +27,19 @@ class Metrics:
     weighted_objective: float       # score * $/h, the raw objective
     total_cost: float               # $/h
     social_welfare: float           # satisfaction - cost, $/h
-    normalized_satisfaction: dict   # (bus, agg index) -> value in (0, 1]
-    curtailment: dict               # (bus, agg index) -> p_n - P_a, MW
-    total_curtailment: float        # sum of curtailment, MW
-    losses: float                   # MW
+    total_curtailment_mw: float     # sum of curtailment
+    losses_mw: float                # network losses
+    # per aggregator, in case order like Solution.p_agg
+    normalized_satisfaction: np.ndarray  # in (0, 1]
+    curtailment: np.ndarray              # p_n - P_a, MW
+
+
+# the scalar Metrics fields, as the sweep rows and the solve document name them
+SCALAR_METRICS = tuple(f.name for f in fields(Metrics) if f.type == "float")
 
 
 def _agg_keys(case: CaseData) -> list[tuple[int, int]]:
+    """(bus, index at that bus) of each aggregator: its label in the reports."""
     keys = []
     counters: dict[int, int] = {}
     for a in case.aggregators:
@@ -44,14 +50,13 @@ def _agg_keys(case: CaseData) -> list[tuple[int, int]]:
 
 def compute_metrics(case: CaseData, solution: Solution) -> Metrics:
     weighted, sat, cost = social_objective(case, solution.p_agg, solution.p_gen)
-    keys = _agg_keys(case)
-    norm = {k: normalized_satisfaction(a, p)
-            for k, a, p in zip(keys, case.aggregators, solution.p_agg)}
+    norm = np.array([normalized_satisfaction(a, p)
+                     for a, p in zip(case.aggregators, solution.p_agg)])
     p_n = np.array([a.p_n for a in case.aggregators])
     curt_mw = p_n - np.asarray(solution.p_agg)
     losses = acnetwork.network_losses(case, solution.v, solution.theta)
-    return Metrics(sat, weighted, cost, sat - cost, norm, dict(zip(keys, curt_mw)),
-                   float(curt_mw.sum()), losses)
+    return Metrics(sat, weighted, cost, sat - cost, float(curt_mw.sum()), losses,
+                   norm, curt_mw)
 
 
 def run_solve(case: CaseData, opts: SolverOptions = SolverOptions()):
@@ -74,7 +79,7 @@ class SweepRecord:
 class SweepResult:
     case_name: str
     records: tuple[SweepRecord, ...]
-    agg_keys: tuple = field(default=())
+    agg_keys: tuple[tuple[int, int], ...]  # labels of the per-aggregator columns
 
 
 # Most points a sweep may list. The default sweep has 71; a range with more
@@ -126,19 +131,14 @@ def _fmt(x: float) -> str:
 
 
 def sweep_rows(result: SweepResult) -> tuple[list[str], list[list[str]]]:
-    header = ["scale_pct", "status", "iterations", "total_satisfaction",
-              "weighted_objective", "total_cost", "social_welfare",
-              "total_curtailment_mw", "losses_mw"]
+    header = ["scale_pct", "status", "iterations", *SCALAR_METRICS]
     header += [f"norm_sat_{bus}_{idx}" for bus, idx in result.agg_keys]
     rows = []
     for rec in result.records:
         m = rec.metrics
-        row = [_fmt(rec.scale_pct), rec.status, str(rec.iterations),
-               _fmt(m.total_satisfaction), _fmt(m.weighted_objective),
-               _fmt(m.total_cost), _fmt(m.social_welfare),
-               _fmt(m.total_curtailment), _fmt(m.losses)]
-        row += [_fmt(m.normalized_satisfaction[k]) for k in result.agg_keys]
-        rows.append(row)
+        rows.append([_fmt(rec.scale_pct), rec.status, str(rec.iterations),
+                     *(_fmt(getattr(m, name)) for name in SCALAR_METRICS),
+                     *map(_fmt, m.normalized_satisfaction)])
     return header, rows
 
 
@@ -150,7 +150,6 @@ def write_trace(fh, log, **extra) -> None:
 
 
 def solve_document(case: CaseData, solution: Solution, metrics: Metrics) -> dict:
-    keys = _agg_keys(case)
     p_ft, p_tf = acnetwork.line_flows(case, solution.v, solution.theta)
     lines = [
         {"from_bus": ln.from_bus, "to_bus": ln.to_bus, "s_max": ln.s_max,
@@ -164,14 +163,7 @@ def solve_document(case: CaseData, solution: Solution, metrics: Metrics) -> dict
         "iterations": solution.iterations,
         "objective": solution.objective,
         "max_violation": solution.max_violation,
-        "metrics": {
-            "total_satisfaction": metrics.total_satisfaction,
-            "weighted_objective": metrics.weighted_objective,
-            "total_cost": metrics.total_cost,
-            "social_welfare": metrics.social_welfare,
-            "total_curtailment_mw": metrics.total_curtailment,
-            "losses_mw": metrics.losses,
-        },
+        "metrics": {name: getattr(metrics, name) for name in SCALAR_METRICS},
         "buses": [
             {"id": b.id, "v": solution.v[i], "theta": solution.theta[i]}
             for i, b in enumerate(case.buses)
@@ -183,9 +175,9 @@ def solve_document(case: CaseData, solution: Solution, metrics: Metrics) -> dict
         "aggregators": [
             {"bus": bus, "index": idx,
              "p": solution.p_agg[k], "q": solution.q_agg[k],
-             "curtailment": metrics.curtailment[(bus, idx)],
-             "normalized_satisfaction": metrics.normalized_satisfaction[(bus, idx)]}
-            for k, (bus, idx) in enumerate(keys)
+             "curtailment": metrics.curtailment[k],
+             "normalized_satisfaction": metrics.normalized_satisfaction[k]}
+            for k, (bus, idx) in enumerate(_agg_keys(case))
         ],
         "lines": lines,
     }

@@ -249,12 +249,12 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     nlp = _InternalNLP(problem)
     n, me = nlp.n, nlp.m_eq
     x = problem.initial_point()
+    f, ce, h = nlp.values(x)
     reason = _screen_infeasible(problem)
     if reason is not None:
-        return _finish(nlp, x, np.zeros(me), np.zeros(problem.n_ineq + len(nlp.bound_idx)),
+        return _finish(nlp, x, f, ce, h, np.zeros(me), np.zeros(len(h)),
                        0, [], "infeasible_detected", reason)
 
-    f, ce, h = nlp.values(x)
     grad = nlp.grad(x)
     s = np.maximum(1e-2, -h)
     mu = MU0 * max(1.0, np.abs(grad).max() / 100.0)
@@ -385,7 +385,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             came_by = {"alpha_p": alpha, "alpha_d": alpha_d, "delta_w": delta_w,
                        "backtracks": backtracks, "fallback": fallback}
 
-    return _finish(nlp, x, lam, nu, it, log, status)
+    return _finish(nlp, x, f, ce, h, lam, nu, it, log, status)
 
 
 def _max_step(vals, deltas):
@@ -404,7 +404,8 @@ def _merit(f, ce, h, s, mu, rho):
     return f - mu * np.log(s).sum() + rho * theta, theta
 
 
-def _finish(nlp, x, lam, nu, iterations, log, status, reason=None) -> Solution:
+def _finish(nlp, x, f, ce, h, lam, nu, iterations, log, status, reason=None) -> Solution:
+    """The Solution at x, from the values (f, c_E, h) of ``nlp.values(x)``."""
     problem = nlp.problem
     me_p, mi_p = problem.n_eq, problem.n_ineq
     z_l = np.zeros(problem.n_var)
@@ -419,8 +420,8 @@ def _finish(nlp, x, lam, nu, iterations, log, status, reason=None) -> Solution:
     return Solution(
         status=status, x=x, lam_eq=lam[:me_p], nu_ineq=nu[:mi_p],
         z_lower=z_l, z_upper=z_u, iterations=iterations,
-        objective=problem.objective(x), log=log,
-        max_violation=_primal_violation(problem, x, *problem.constraints(x)),
+        objective=-f, log=log,
+        max_violation=_primal_violation(problem, x, ce[:me_p], h[:mi_p]),
         reason=reason, **problem.unpack(x),
     )
 
@@ -551,7 +552,7 @@ class AuditReport:
         return self.max_rel_error < CHECK_TOL
 
 
-def finite_difference_audit(problem: Problem, n_points: int = 100,
+def finite_difference_audit(problem: Problem, n_points: int = 20,
                             seed: int = 0) -> AuditReport:
     """Compare the analytic objective gradient and the stacked constraint
     Jacobian [J_E; J_h] of ``Problem.jacobians`` with central differences

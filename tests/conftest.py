@@ -93,7 +93,9 @@ def with_parallel_lines(case):
 
 
 def copperize(case):
-    """Strip resistances and lift line limits so the network is transparent."""
+    """Strip resistances and lift line limits. The reactances stay, so this is
+    a copper plate only where they do not limit the transfers: on five_bus
+    the solve matches copper_plate_oracle, on rts24 it ends 1.3 % below it."""
     lines = tuple(Line(ln.from_bus, ln.to_bus, 0.0, ln.x, 1e6)
                   for ln in case.lines)
     return replace(case, name=case.name + "_copper", lines=lines)

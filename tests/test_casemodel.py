@@ -87,6 +87,49 @@ def test_validate_flags_overcrowded_demand_bus(five_bus):
     assert any("expected 1-3" in msg for msg in validate_case(case))
 
 
+def _with(case, kind, k, **changes):
+    """case with record k of ``kind`` ("buses", "lines", ...) changed."""
+    records = list(getattr(case, kind))
+    records[k] = dataclasses.replace(records[k], **changes)
+    return dataclasses.replace(case, **{kind: tuple(records)})
+
+
+# one corruption of five_bus per check of validate_case, with every message
+# it produces
+CORRUPTIONS = {
+    "duplicate_bus_id": (lambda c: dataclasses.replace(c, buses=c.buses + (Bus(5),)),
+                         ["duplicate bus ids", "network graph is not connected"]),
+    "zero_s_base": (lambda c: dataclasses.replace(c, s_base=0.0),
+                    ["s_base must be positive"]),
+    "voltage_limits": (lambda c: _with(c, "buses", 2, v_min=1.1),
+                       ["bus 3: voltage limits must satisfy 0 < v_min <= v_max"]),
+    "self_loop": (lambda c: _with(c, "lines", 0, to_bus=1), ["line 1-1: self loop"]),
+    "line_unknown_bus": (lambda c: _with(c, "lines", 0, to_bus=99),
+                         ["line 1-99: references unknown bus"]),
+    "zero_flow_limit": (lambda c: _with(c, "lines", 0, s_max=0.0),
+                        ["line 1-2: nonpositive flow limit"]),
+    "p_min_above_p_max": (lambda c: _with(c, "generators", 0, p_min=50.0),
+                          ["generator 0 at bus 1: p_min > p_max"]),
+    "q_min_above_q_max": (lambda c: _with(c, "generators", 0, q_min=31.0),
+                          ["generator 0 at bus 1: q_min > q_max"]),
+    "negative_a": (lambda c: _with(c, "generators", 0, a=-1.0),
+                   ["generator 0 at bus 1: negative quadratic cost coefficient"]),
+    "aggregator_unknown_bus": (lambda c: _with(c, "aggregators", 0, bus=99),
+                               ["aggregator 0 at bus 99: references unknown bus"]),
+    "negative_sigma": (lambda c: _with(c, "aggregators", 0, sigma=-1.0),
+                       ["aggregator 0 at bus 2: negative sigma"]),
+    "reactive_limits": (lambda c: _with(c, "aggregators", 0, q_c=30.0),
+                        ["aggregator 0 at bus 2: reactive limits must satisfy "
+                         "0 <= q_c <= q_n"]),
+}
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_validate_names_each_violation(five_bus, name):
+    corrupt, messages = CORRUPTIONS[name]
+    assert validate_case(corrupt(five_bus)) == messages
+
+
 # ---------------------------------------------------------------------------
 # five-bus reference data
 

@@ -127,19 +127,55 @@ def _zero_normal_demand(doc):
     return doc
 
 
+def _self_loop(doc):
+    doc["lines"][0]["to_bus"] = 1
+    return doc
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_zero_mu, "aggregator 0 at bus 2: gamma and mu must be positive"),
-    (_zero_normal_demand, "aggregator 0 at bus 2: normal demand must be positive")])
+    (_zero_normal_demand, "aggregator 0 at bus 2: normal demand must be positive"),
+    (_self_loop, "line 1-1: self loop")])
 @pytest.mark.parametrize("command", ["check", "solve", "sweep", "oracle"])
 def test_invalid_case_exits_2_before_any_solve(tmp_path, capsys, corrupt, message, command):
     """Every subcommand validates the case before it solves or runs the
-    oracle, and exits 2 naming the violation, without writing output."""
+    oracle, and exits 2 naming the violation, without writing output;
+    check prints one violation line per message."""
     path = tmp_path / "case.json"
     path.write_text(json.dumps(corrupt(case_to_dict(builtin_case("five_bus")))))
-    assert cli_main([command, str(path), "--output", str(tmp_path / "out")]) == 2
+    output = [] if command == "check" else ["--output", str(tmp_path / "out")]
+    assert cli_main([command, str(path), *output]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    if command == "check":
+        assert err == f"violation: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# the options each subcommand reads, besides --help
+OPTIONS = {"solve": {"--tol", "--max-iter", "--output", "--format", "--trace"},
+           "sweep": {"--tol", "--max-iter", "--output", "--format", "--from", "--to",
+                     "--step", "--trace"},
+           "check": {"--seed"},
+           "oracle": {"--tol", "--max-iter", "--output", "--format"}}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_help_lists_only_the_options_read(command, capsys):
+    assert cli_main([command, "--help"]) == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == OPTIONS[command] | {"--help"}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_an_option_not_read_exits_2(command, tmp_path, capsys):
+    """Every option of another subcommand is an input error, not ignored;
+    nothing is written."""
+    out = tmp_path / "out"
+    values = {"--output": str(out), "--format": "json", "--trace": str(out), "--seed": "99"}
+    for option in set().union(*OPTIONS.values()) - OPTIONS[command]:
+        assert cli_main([command, "builtin:five_bus", option, values.get(option, "1")]) == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["check", "sweep", "oracle"])

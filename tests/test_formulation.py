@@ -278,9 +278,9 @@ def test_curtailment_report_bounds(five_bus, five_bus_solution):
     """Each aggregator is curtailed by at least zero and at most p_n - p_c,
     and the total is their sum."""
     metrics = compute_metrics(five_bus, five_bus_solution)
-    per = np.array(list(metrics.curtailment.values()))
+    per = metrics.curtailment
     p_n = np.array([a.p_n for a in five_bus.aggregators])
     p_c = np.array([a.p_c for a in five_bus.aggregators])
     assert np.all(per >= -1e-4)
     assert np.all(per <= p_n - p_c + 1e-4)
-    assert metrics.total_curtailment == pytest.approx(float(np.sum(per)), rel=1e-12)
+    assert metrics.total_curtailment_mw == pytest.approx(float(np.sum(per)), rel=1e-12)

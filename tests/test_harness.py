@@ -48,22 +48,22 @@ def test_metrics_recompute_from_primal_values(five_bus, five_bus_run):
 def test_metrics_normalized_satisfaction_range(five_bus, five_bus_run):
     _, metrics = five_bus_run
     assert len(metrics.normalized_satisfaction) == 7
-    for agg, value in zip(five_bus.aggregators, metrics.normalized_satisfaction.values()):
+    for agg, value in zip(five_bus.aggregators, metrics.normalized_satisfaction):
         floor = normalized_satisfaction(agg, agg.p_c)
         assert floor - 1e-9 <= value <= 1.0 + 1e-9
 
 
 def test_metrics_curtailment_consistency(five_bus, five_bus_run):
     solution, metrics = five_bus_run
-    per = np.array([metrics.curtailment[k]
-                    for k in sorted(metrics.curtailment)])
+    per = metrics.curtailment
+    p_n = np.array([a.p_n for a in five_bus.aggregators])
+    assert np.array_equal(per, p_n - solution.p_agg)
     assert np.all(per >= -1e-4)
-    assert metrics.total_curtailment == pytest.approx(float(np.sum(per)), rel=1e-12)
+    assert metrics.total_curtailment_mw == pytest.approx(float(np.sum(per)), rel=1e-12)
     # the curtailed demand, not the network losses that balance adds to it
-    p_n = sum(a.p_n for a in five_bus.aggregators)
-    assert metrics.total_curtailment == pytest.approx(p_n - float(np.sum(solution.p_agg)))
-    assert metrics.total_curtailment == pytest.approx(449.98, abs=0.01)
-    assert metrics.losses == pytest.approx(2.05, abs=0.01)
+    assert metrics.total_curtailment_mw == pytest.approx(p_n.sum() - float(np.sum(solution.p_agg)))
+    assert metrics.total_curtailment_mw == pytest.approx(449.98, abs=0.01)
+    assert metrics.losses_mw == pytest.approx(2.05, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def test_sweep_identity_point_matches_run_solve(five_bus, five_bus_run,
 def test_sweep_records_normalized_satisfaction_bounds(five_bus, small_sweep):
     for record in small_sweep.records:
         for agg, value in zip(five_bus.aggregators,
-                              record.metrics.normalized_satisfaction.values()):
+                              record.metrics.normalized_satisfaction):
             floor = normalized_satisfaction(agg, agg.p_c)
             assert floor - 1e-9 <= value <= 1.0 + 1e-9
 

@@ -147,6 +147,24 @@ def test_infeasible_case_detected():
         assert np.array_equal(duals, np.zeros(size))
 
 
+def test_reactive_shortfall_is_screened(monkeypatch):
+    """Active supply covers the critical demand but reactive capability does
+    not; the screen reports it from the one evaluation at the start point."""
+    gen = Generator(1, 1.0, 0.0, 0.0, 0.0, 100.0, -5.0, 5.0)
+    agg = Aggregator(1, 1.0, 50.0, 0.1, 30.0, 20.0, 20.0, 10.0)
+    problem = build_problem(single_bus_case(gen, agg))
+    calls = []
+
+    def counted(self, x, _constraints=Problem.constraints):
+        calls.append(x)
+        return _constraints(self, x)
+    monkeypatch.setattr(Problem, "constraints", counted)
+    solution = solve(problem)
+    assert solution.status == "infeasible_detected"
+    assert solution.reason == "total reactive capability below total critical reactive demand"
+    assert len(calls) == 1
+
+
 def test_iteration_limit_reported():
     solution = solve(build_problem(toy_case()), SolverOptions(max_iter=2))
     assert solution.status == "iteration_limit"
@@ -308,8 +326,24 @@ class _NaNEqJacobian(Problem):
         return je, jh
 
 
+class _NaNHessian(Problem):
+    def lagrangian_hessian(self, x, lam_eq, lam_ineq):
+        return np.full((self.n_var, self.n_var), np.nan)
+
+
 def _rebuilt(cls, p):
     return cls(p.case)
+
+
+def test_nan_hessian_ends_as_numerical_failure(five_bus_problem):
+    """No delta_w makes a NaN KKT matrix factorable: the first iteration
+    ends the solve as numerical_failure, with the start point's log row."""
+    solution = solve(_rebuilt(_NaNHessian, five_bus_problem))
+    assert solution.status == "numerical_failure"
+    assert solution.iterations == 1
+    assert len(solution.log) == 1
+    assert all(math.isfinite(value) for value in solution.log[0].values())
+    assert math.isfinite(solution.objective) and math.isfinite(solution.max_violation)
 
 
 def test_audit_flags_corrupted_gradient(five_bus_problem):
@@ -593,9 +627,10 @@ def test_log_rows_flag_the_fallback_step(monkeypatch):
 
 def test_each_iterate_is_evaluated_once(five_bus, monkeypatch):
     """Each trig-bearing flow kernel runs once per point it is needed at:
-    the values at the start, at every line-search trial and in _finish, the
-    gradients at every iterate, the Hessian at every iterate that takes a
-    step. The scaled residuals are computed once per iteration."""
+    the values at the start and at every line-search trial (_finish reuses
+    those of the last iterate), the gradients at every iterate, the Hessian
+    at every iterate that takes a step. The scaled residuals are computed
+    once per iteration."""
     calls = dict.fromkeys(("flow_p", "flow_p_grad", "flow_p_hess"), 0)
     for name in calls:
         def counted(*args, _kernel=getattr(acnetwork, name), _name=name):
@@ -613,7 +648,7 @@ def test_each_iterate_is_evaluated_once(five_bus, monkeypatch):
     assert calls["flow_p_grad"] == solution.iterations
     assert calls["flow_p_hess"] == solution.iterations - 1
     trials = sum(row["backtracks"] + 1 for row in solution.log[1:])
-    assert calls["flow_p"] == 1 + trials + 1
+    assert calls["flow_p"] == 1 + trials
     assert len(residual_calls) == solution.iterations
 
 
