@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 import numpy as np
@@ -33,9 +34,23 @@ def _options(args) -> SolverOptions:
     return SolverOptions(**_given(args, "tol", "max_iter"))
 
 
+def _print(write) -> None:
+    """Call ``write(sys.stdout)`` and flush stdout. A reader that has closed
+    the pipe (``sesopf ... | head``) ends the output, not the command:
+    stdout is pointed at os.devnull, so that the flush at exit stays quiet,
+    and the command returns the exit code it has earned."""
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _write_or_print(doc, fmt, path):
     if path is None:
-        harness.write_result(doc, fmt, sys.stdout, lineterminator="\n")
+        _print(lambda out: harness.write_result(doc, fmt, out, lineterminator="\n"))
     else:
         harness.emit(doc, fmt, path)
 
@@ -51,7 +66,7 @@ def _solving(sub, name: str, help: str, fmt: str) -> argparse.ArgumentParser:
     return parser
 
 
-def cli_main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sesopf",
         description="Equity-weighted AC optimal power flow under scarcity")
@@ -62,9 +77,9 @@ def cli_main(argv=None) -> int:
                          help="write the solver log to FILE as JSON lines")
 
     p_sweep = _solving(sub, "sweep", "SES sensitivity sweep", "csv")
-    p_sweep.add_argument("--from", dest="from_pct", type=float, default=10.0)
-    p_sweep.add_argument("--to", dest="to_pct", type=float, default=150.0)
-    p_sweep.add_argument("--step", dest="step_pct", type=float, default=2.0)
+    p_sweep.add_argument("--from", dest="from_pct", type=float, default=harness.SWEEP_FROM_PCT)
+    p_sweep.add_argument("--to", dest="to_pct", type=float, default=harness.SWEEP_TO_PCT)
+    p_sweep.add_argument("--step", dest="step_pct", type=float, default=harness.SWEEP_STEP_PCT)
     p_sweep.add_argument("--trace", metavar="FILE", default=None,
                          help="write every point's solver log to FILE as JSON lines")
 
@@ -75,9 +90,12 @@ def cli_main(argv=None) -> int:
                          help="seed of the derivative audit's random points")
 
     _solving(sub, "oracle", "copper-plate comparison", "json")
+    return parser
 
+
+def cli_main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
@@ -118,10 +136,10 @@ def cli_main(argv=None) -> int:
             if report:
                 return 2
             audit = finite_difference_audit(build_problem(case), **_given(args, "seed"))
-            print("validation: ok")
-            print(f"derivative audit: max relative error "
-                  f"{audit.max_rel_error:.3e} at {audit.worst_entry} "
-                  f"({'pass' if audit.passed else 'fail'})")
+            _print(lambda out: out.write(
+                f"validation: ok\nderivative audit: max relative error "
+                f"{audit.max_rel_error:.3e} at {audit.worst_entry} "
+                f"({'pass' if audit.passed else 'fail'})\n"))
             return 0 if audit.passed else 1
 
         if args.command == "oracle":

@@ -42,6 +42,7 @@ this when it evaluates all its perturbed points at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -181,6 +182,28 @@ class Problem:
         self._adequacy = np.zeros((2, n))
         self._adequacy[0, lay.pa], self._adequacy[0, lay.pg] = 1.0, -1.0
         self._adequacy[1, lay.qa], self._adequacy[1, lay.qg] = 1.0, -1.0
+
+    @functools.cached_property
+    def constraint_read_sets(self) -> np.ndarray:
+        """(n_eq + n_ineq, n) bool: entry (i, j) is set where row i of
+        ``constraints`` (balance rows, then inequality rows) reads variable j.
+
+        It comes from the index arrays that ``constraints`` reads: the
+        injection columns of each balance row, the valid state columns of
+        every directed row in its two balance rows and its limit row, and
+        the nonzero adequacy coefficients. Only the derivative audit needs
+        it, so it is built on first use, not by ``__post_init__``."""
+        n_eq = self.n_eq
+        reads = np.zeros((n_eq + self.n_ineq, self.n_var), dtype=bool)
+        reads[self._inj_row, self._inj_col] = True
+        # the P and Q balance rows of each directed row's sending bus, and
+        # its limit row, against the columns of its local state
+        owner = np.vstack([self._flow_row, n_eq + np.arange(self._flow_row.shape[1])])
+        rows, cols = np.broadcast_arrays(owner[:, None, :], self._state_cols)
+        valid = cols >= 0
+        reads[rows[valid], cols[valid]] = True
+        reads[-2:] = self._adequacy != 0
+        return reads
 
     @property
     def n_var(self) -> int:

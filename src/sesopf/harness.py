@@ -106,8 +106,14 @@ def sweep_points(from_pct: float, to_pct: float, step_pct: float) -> list[float]
     raise ValueError(f"sweep range has more than {MAX_SWEEP_POINTS} points")
 
 
-def ses_sweep(case: CaseData, from_pct: float = 10.0, to_pct: float = 150.0,
-              step_pct: float = 2.0,
+# The default sweep, 71 points: the SES values scaled from 10 % to 150 %
+# in steps of 2 %. ``sesopf sweep`` reads its --from, --to and --step
+# defaults from here.
+SWEEP_FROM_PCT, SWEEP_TO_PCT, SWEEP_STEP_PCT = 10.0, 150.0, 2.0
+
+
+def ses_sweep(case: CaseData, from_pct: float = SWEEP_FROM_PCT, to_pct: float = SWEEP_TO_PCT,
+              step_pct: float = SWEEP_STEP_PCT,
               opts: SolverOptions = SolverOptions(), *, on_solve=None) -> SweepResult:
     """Re-solve the case with all SES values scaled together at each point
     of ``sweep_points``. ``on_solve``, if given, is called with

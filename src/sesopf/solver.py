@@ -49,6 +49,17 @@ has such variables.
 the audit holds the same ``Problem.jacobians`` to central differences of the
 same ``Problem.constraints`` that the solver runs. The copper-plate oracle's
 dispatch is exact: it interpolates between the two bracketing prices.
+
+The audit differences the constraint rows by column groups (Curtis, Powell
+& Reid 1974; Coleman & More 1983): the columns of a group share no row of
+``Problem.constraint_read_sets``, so they move together, and each row's
+difference belongs to the one column of the group that it reads. That is
+bit for bit the difference of one column at a time. A point where a row
+changes under a group none of whose columns it reads is differenced one
+column at a time instead. Cost model of one audit point on rts24: 2 x 73
+constraint points in four ``constraints`` calls instead of 2 x 193 in seven,
+and 2 x 193 objective points, one column at a time, in two ``objective``
+calls. The group plan is built once per audit.
 """
 
 from __future__ import annotations
@@ -57,6 +68,7 @@ import functools
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -559,24 +571,30 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
     of ``objective`` and ``Problem.constraints`` at seeded random interior
     points. The worst entry is named ``gradient[j]``, ``eq_jacobian[i, j]``
     or ``ineq_jacobian[i, j]``; a non-finite error counts as infinite, so
-    a NaN derivative fails the audit and is named."""
+    a NaN derivative fails the audit and is named.
+
+    The constraint rows are differenced by the column groups of
+    ``_group_plan``, which give the per-column differences bit for bit;
+    a point where a row changes under a group it does not read is
+    differenced one column at a time instead."""
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_entry = "none"
 
-    # The objective is piecewise quadratic, so a central difference is
-    # exact for any step that stays on one branch; the wide step keeps
-    # rounding noise (objective magnitudes reach 1e6) far below CHECK_TOL.
-    checks = [(problem.objective_gradient, problem.objective, _OBJ_FD_STEP),
-              (lambda y: np.concatenate(problem.jacobians(y)),
-               lambda points: np.concatenate(problem.constraints(points), axis=-1), 1e-6)]
+    def constraints(points):
+        return np.concatenate(problem.constraints(points), axis=-1)
+
+    plan = _group_plan(problem.constraint_read_sets)
     for _ in range(n_points):
         x = _interior_point(problem, rng)
-        for derivative, fun, step in checks:
-            analytic = derivative(x)
-            fd = _central_diff(fun, x, step)
+        fd_jac = _grouped_central_diff(constraints, x, _CON_FD_STEP, plan)
+        if fd_jac is None:
+            fd_jac = _central_diff(constraints, x, _CON_FD_STEP)
+        for analytic, fd in (
+                (problem.objective_gradient(x), _central_diff(problem.objective, x, _OBJ_FD_STEP)),
+                (np.concatenate(problem.jacobians(x)), fd_jac)):
             err = np.abs(analytic - fd) / np.maximum(
                 1.0, np.maximum(np.abs(analytic), np.abs(fd)))
             err[~np.isfinite(err)] = np.inf
@@ -597,12 +615,25 @@ def _entry_name(index, n_eq: int) -> str:
     return f"eq_jacobian[{i}, {j}]" if i < n_eq else f"ineq_jacobian[{i - n_eq}, {j}]"
 
 
-_OBJ_FD_STEP = 0.02  # wide objective step; exact on a quadratic branch
-# Coordinates perturbed per evaluator call, so 2 * 32 stacked points. On
-# rts24 (193 coordinates), blocks of 8, 16, 64 or all coordinates made the
-# audit 17-46 % slower, and the two larger ones raised peak memory by 0.6
-# and 2.9 MB.
-_FD_BLOCK = 32
+# The objective is piecewise quadratic, so a central difference is exact
+# for any step that stays on one branch; the wide step keeps rounding noise
+# (objective magnitudes reach 1e6) far below CHECK_TOL.
+_OBJ_FD_STEP = 0.02
+_CON_FD_STEP = 1e-6
+# Coordinates perturbed per ``_central_diff`` call, so 2 * 100 stacked
+# points. With the constraint rows grouped, the objective is its one caller
+# outside the fallback: rts24's 193 coordinates take two calls. The 20
+# objective differences of an rts24 audit took a median 15.1 ms in blocks of
+# 32, 9.8 ms in blocks of 65, 8.3 ms in blocks of 100 and 8.1 ms in blocks of
+# 129 (40 interleaved runs on a 2-core Xeon); one block of 193 took 7.5 to
+# 20 ms, and a block of 100 traces 0.66 MB at its peak, one of 193 1.27 MB.
+_FD_BLOCK = 100
+# Column groups per ``constraints`` call in ``_grouped_central_diff``, so
+# 2 * 19 stacked points: rts24's 73 groups take four calls. On the same runs
+# its 20 constraint differences took a median 30.0 ms in stacks of 19 and
+# 31-36 ms in stacks of 10, 13, 25, 37 or all 73; a stack of 19 traces
+# 0.80 MB at its peak, one of 73 1.93 MB, per-column blocks of 32 1.07 MB.
+_GROUP_BLOCK = 19
 
 
 def _interior_point(problem: Problem, rng) -> np.ndarray:
@@ -617,13 +648,12 @@ def _interior_point(problem: Problem, rng) -> np.ndarray:
     # derivative jumps (central differences straddle it otherwise); the
     # margin must exceed the widest finite-difference step in use
     sb = problem.case.s_base
-    for k, agg in enumerate(problem.case.aggregators):
-        i = lay.pa.start + k
-        sat = agg.gamma / agg.mu / sb
-        margin = 2.0 * _OBJ_FD_STEP * max(1.0, sat)
-        if abs(x[i] - sat) < margin:
-            below = sat - margin
-            x[i] = below if below >= lb[i] else min(sat + margin, ub[i])
+    sat = np.array([agg.gamma / agg.mu / sb for agg in problem.case.aggregators])
+    margin = 2.0 * _OBJ_FD_STEP * np.maximum(1.0, sat)
+    pa, lb_a, ub_a = x[lay.pa], lb[lay.pa], ub[lay.pa]
+    below = sat - margin
+    moved = np.where(below >= lb_a, below, np.minimum(sat + margin, ub_a))
+    x[lay.pa] = np.where(np.abs(pa - sat) < margin, moved, pa)
     return x
 
 
@@ -644,3 +674,84 @@ def _central_diff(fun, x, step):
         scale = (2 * h[idx]).reshape((k,) + (1,) * (values.ndim - 1))
         blocks.append((values[:k] - values[k:]) / scale)
     return np.moveaxis(np.concatenate(blocks), 0, -1)
+
+
+def _column_groups(reads: np.ndarray) -> np.ndarray:
+    """The group of every column of the (rows, n) bool ``reads``, such
+    that no row reads two columns of one group: each column, in natural
+    order, joins the lowest group that none of its rows reads yet (Curtis,
+    Powell & Reid 1974; Coleman & More 1983). Each row keeps the groups it
+    reads as the bits of an int."""
+    cols, rows = np.nonzero(reads.T)
+    bounds = np.searchsorted(cols, np.arange(reads.shape[1] + 1)).tolist()
+    rows = rows.tolist()
+    taken = [0] * reads.shape[0]
+    group = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        rows_j = rows[start:stop]
+        busy = 0
+        for i in rows_j:
+            busy |= taken[i]
+        g = (~busy & (busy + 1)).bit_length() - 1  # the lowest clear bit
+        for i in rows_j:
+            taken[i] |= 1 << g
+        group.append(g)
+    return np.array(group, dtype=int)
+
+
+class _GroupStack(NamedTuple):
+    """The groups that one ``constraints`` call of ``_grouped_central_diff``
+    moves. Column ``cols[m]`` moves in the points of group ``at[m]`` (an
+    offset in the stack); ``read[a, i]`` is set where row i reads a column
+    of group a, and ``(group, row, col)`` lists those reads."""
+    at: np.ndarray
+    cols: np.ndarray
+    read: np.ndarray
+    group: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+
+
+def _group_plan(reads: np.ndarray) -> list[_GroupStack]:
+    """The column groups of ``_column_groups(reads)`` in stacks of
+    _GROUP_BLOCK, in group order."""
+    group = _column_groups(reads)
+    cols, rows = np.nonzero(reads.T)
+    plan = []
+    n_groups = int(group.max()) + 1
+    for start in range(0, n_groups, _GROUP_BLOCK):
+        k = min(_GROUP_BLOCK, n_groups - start)
+        moved = np.flatnonzero((group >= start) & (group < start + k))
+        pair = (group[cols] >= start) & (group[cols] < start + k)
+        g, i, c = group[cols[pair]] - start, rows[pair], cols[pair]
+        read = np.zeros((k, reads.shape[0]), dtype=bool)
+        read[g, i] = True
+        plan.append(_GroupStack(group[moved] - start, moved, read, g, i, c))
+    return plan
+
+
+def _grouped_central_diff(fun, x, step, plan):
+    """``_central_diff(fun, x, step)`` for a fun of shape (rows,), from the
+    column groups of ``plan``: each point of a stack moves all columns of
+    one group by +-h_j. A row reads at most one column j of a group, so its
+    difference over that group, divided by 2 h_j, is its derivative in j,
+    and every entry it does not read is 0. A term of a row that reads no
+    moved column is unchanged, so each row sums the same terms as under a
+    one-column move, and the result is the per-column one bit for bit.
+
+    Returns None if a row changes under a group none of whose columns it
+    reads, or a difference is not finite: the read sets do not describe
+    fun at x, and the caller differences it one column at a time."""
+    h = step * np.maximum(1.0, np.abs(x))
+    jac = np.zeros((plan[0].read.shape[1], len(x)))
+    for at, cols, read, g, i, c in plan:
+        k = len(read)
+        points = np.tile(x, (2 * k, 1))
+        points[at, cols] += h[cols]
+        points[k + at, cols] -= h[cols]
+        values = fun(points)
+        diff = values[:k] - values[k:]
+        if not np.isfinite(diff).all() or diff[~read].any():
+            return None
+        jac[i, c] = diff[g, i] / (2 * h[c])
+    return jac

@@ -1,13 +1,18 @@
 """Command-line surface: subcommands, flags, exit codes, and outputs."""
 
 import csv
+import errno
+import inspect
 import io
 import json
 import math
+import os
 import re
+import sys
 
 import pytest
 
+from sesopf import cli, harness
 from sesopf.casemodel import builtin_case, case_to_dict, save_case
 from sesopf.cli import cli_main
 
@@ -201,6 +206,44 @@ def test_sweep_range_flags(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4  # header + 3 scale points
     assert lines[0].startswith("scale_pct,status,iterations")
+
+
+def test_sweep_range_defaults_are_the_library_ones(capsys):
+    args = cli._parser().parse_args(["sweep", "builtin:five_bus"])
+    defaults = inspect.signature(harness.ses_sweep).parameters
+    for name in ("from_pct", "to_pct", "step_pct"):
+        assert getattr(args, name) == defaults[name].default
+    assert cli_main(["sweep", "builtin:five_bus"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 1 + 71
+    assert (rows[1][0], rows[-1][0]) == ("10", "150")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its descriptor is ``fd``."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_pipe_keeps_the_exit_code(tmp_path, capsys, monkeypatch):
+    """A reader that closes the pipe early (``sesopf ... | head``) ends the
+    output quietly: the command keeps its exit code and prints no error."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert cli_main(["solve", "builtin:five_bus", "--format", "csv"]) == 0
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_prints_the_rows_it_writes(tmp_path, capsys):

@@ -393,6 +393,114 @@ def test_audit_rejects_zero_points(five_bus_problem):
         finite_difference_audit(five_bus_problem, n_points=0)
 
 
+def _interior_point_by_loop(problem, rng):
+    """The audit's interior point with the kink margin applied one
+    aggregator at a time: the reference for ``solver._interior_point``."""
+    lay, lb, ub = problem.layout, problem.lb, problem.ub
+    t = rng.uniform(0.15, 0.85, size=problem.n_var)
+    x = np.zeros(problem.n_var)
+    boxed = np.isfinite(lb) & np.isfinite(ub)
+    x[boxed] = lb[boxed] + t[boxed] * (ub[boxed] - lb[boxed])
+    x[lay.th] = rng.uniform(-0.3, 0.3, size=lay.n_bus - 1)
+    sb = problem.case.s_base
+    for k, agg in enumerate(problem.case.aggregators):
+        i = lay.pa.start + k
+        sat = agg.gamma / agg.mu / sb
+        margin = 2.0 * solver._OBJ_FD_STEP * max(1.0, sat)
+        if abs(x[i] - sat) < margin:
+            below = sat - margin
+            x[i] = below if below >= lb[i] else min(sat + margin, ub[i])
+    return x
+
+
+@pytest.mark.parametrize("name", ["five_bus", "rts24"])
+@pytest.mark.parametrize("frac", [0.0, 0.01, 0.5, 0.99, 1.0])
+def test_interior_point_matches_the_loop(name, frac):
+    """Each aggregator's satisfaction kink put at frac of its demand box,
+    so that the margin moves demands below it, above it and onto a bound:
+    the vectorised margin gives the loop's points bit for bit."""
+    case = builtin_case(name)
+    aggs = tuple(dataclasses.replace(a, gamma=a.mu * (a.p_c + frac * (a.p_n - a.p_c)))
+                 for a in case.aggregators)
+    problem = Problem(dataclasses.replace(case, aggregators=aggs))
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(10):
+        assert np.array_equal(solver._interior_point(problem, rng),
+                              _interior_point_by_loop(problem, ref_rng))
+
+
+def _stacked_constraints(problem):
+    return lambda points: np.concatenate(problem.constraints(points), axis=-1)
+
+
+def test_grouped_differences_equal_per_column_ones(network_problem):
+    """Differencing by column groups gives the per-column central
+    differences bit for bit, the signs of zeros included."""
+    fun = _stacked_constraints(network_problem)
+    plan = solver._group_plan(network_problem.constraint_read_sets)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x = solver._interior_point(network_problem, rng)
+        grouped = solver._grouped_central_diff(fun, x, 1e-6, plan)
+        per_column = solver._central_diff(fun, x, 1e-6)
+        assert grouped is not None
+        assert np.array_equal(grouped, per_column)
+        assert np.array_equal(np.signbit(grouped), np.signbit(per_column))
+
+
+def test_column_groups_share_no_row(network_problem):
+    reads = network_problem.constraint_read_sets
+    groups = solver._column_groups(reads)
+    for g in range(groups.max() + 1):
+        assert reads[:, groups == g].sum(axis=1).max() <= 1
+
+
+def test_rts24_columns_fall_in_73_groups(rts24):
+    """73 = n_gen + n_agg, the columns of the P-adequacy row, so no
+    grouping has fewer."""
+    problem = build_problem(rts24)
+    lay = problem.layout
+    assert solver._column_groups(problem.constraint_read_sets).max() + 1 == 73
+    assert lay.n_gen + lay.n_agg == 73
+
+
+def test_read_sets_are_built_on_first_use_only(five_bus):
+    problem = Problem(five_bus)
+    assert "constraint_read_sets" not in vars(problem)
+    assert problem.constraint_read_sets.shape == (problem.n_eq + problem.n_ineq, problem.n_var)
+
+
+_UNREAD_ROW, _UNREAD_COL = 0, 13
+
+
+class _UnreadColumn(Problem):
+    """Balance row _UNREAD_ROW also reads variable _UNREAD_COL, which its
+    read set and its analytic Jacobian leave out."""
+    def constraints(self, x):
+        eq, ineq = super().constraints(x)
+        eq[..., _UNREAD_ROW] += 1e-3 * x[..., _UNREAD_COL]
+        return eq, ineq
+
+
+def test_audit_falls_back_to_per_column_differences(five_bus_problem, monkeypatch):
+    """A row that changes under a group none of whose columns it reads
+    sends the point to per-column differences: the report is the one of
+    per-column differencing and names the entry outside the read set."""
+    problem = _rebuilt(_UnreadColumn, five_bus_problem)
+    reads = problem.constraint_read_sets
+    groups = solver._column_groups(reads)
+    assert not (reads[_UNREAD_ROW] & (groups == groups[_UNREAD_COL])).any()
+    x = solver._interior_point(problem, np.random.default_rng(1))
+    assert solver._grouped_central_diff(_stacked_constraints(problem), x, 1e-6,
+                                        solver._group_plan(reads)) is None
+
+    report = finite_difference_audit(problem, n_points=3, seed=1)
+    monkeypatch.setattr(solver, "_grouped_central_diff", lambda *args: None)
+    assert report == finite_difference_audit(problem, n_points=3, seed=1)
+    assert not report.passed
+    assert report.worst_entry == f"eq_jacobian[{_UNREAD_ROW}, {_UNREAD_COL}]"
+
+
 # ---------------------------------------------------------------------------
 # KKT inertia and evaluations per iterate
 
