@@ -205,6 +205,15 @@ class Problem:
         reads[-2:] = self._adequacy != 0
         return reads
 
+    @functools.cached_property
+    def objective_read_set(self) -> np.ndarray:
+        """(n,) bool: set on the columns that ``objective`` reads, the
+        aggregator and generator P columns of ``_demand_and_generation``.
+        Built on first use, like ``constraint_read_sets``."""
+        reads = np.zeros(self.n_var, dtype=bool)
+        reads[self.layout.pa] = reads[self.layout.pg] = True
+        return reads
+
     @property
     def n_var(self) -> int:
         return self.layout.n_var

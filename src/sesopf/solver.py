@@ -50,16 +50,16 @@ the audit holds the same ``Problem.jacobians`` to central differences of the
 same ``Problem.constraints`` that the solver runs. The copper-plate oracle's
 dispatch is exact: it interpolates between the two bracketing prices.
 
-The audit differences the constraint rows by column groups (Curtis, Powell
-& Reid 1974; Coleman & More 1983): the columns of a group share no row of
-``Problem.constraint_read_sets``, so they move together, and each row's
-difference belongs to the one column of the group that it reads. That is
-bit for bit the difference of one column at a time. A point where a row
-changes under a group none of whose columns it reads is differenced one
-column at a time instead. Cost model of one audit point on rts24: 2 x 73
-constraint points in four ``constraints`` calls instead of 2 x 193 in seven,
-and 2 x 193 objective points, one column at a time, in two ``objective``
-calls. The group plan is built once per audit.
+One routine, ``_central_diff``, differences the objective and the
+constraint rows by column groups (Curtis, Powell & Reid 1974; Coleman & More
+1983): the columns of a group share no row of ``Problem.objective_read_set``
+or ``Problem.constraint_read_sets``, so they move together, and each row's
+difference belongs to the one column of the group that it reads: bit for
+bit the difference of one column at a time. A point where a row changes
+under a group none of whose columns it reads is differenced under the dense
+plan, every column a group of its own. Cost model of one audit point on
+rts24: 2 x 73 constraint points in four ``constraints`` calls and 2 x 73
+objective points in four ``objective`` calls, instead of 2 x 193 each.
 """
 
 from __future__ import annotations
@@ -87,6 +87,13 @@ MU_REDUCTION = 0.2    # linear factor of the mu update
 TAU = 0.995           # fraction-to-boundary
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise a ValueError naming ``value`` unless it is a non-bool integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = "nonnegative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-6          # on the scaled residuals and on the final mu
@@ -96,9 +103,7 @@ class SolverOptions:
         if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
                 or not 0 < self.tol < np.inf):
             raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
-                or self.max_iter < 0):
-            raise ValueError(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
+        _check_count("max_iter", self.max_iter, 0)
 
 
 @dataclass
@@ -573,28 +578,39 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
     or ``ineq_jacobian[i, j]``; a non-finite error counts as infinite, so
     a NaN derivative fails the audit and is named.
 
-    The constraint rows are differenced by the column groups of
-    ``_group_plan``, which give the per-column differences bit for bit;
-    a point where a row changes under a group it does not read is
-    differenced one column at a time instead."""
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1")
+    Both are differenced under the column groups of their read sets, which
+    give the per-column differences bit for bit; a point where a row changes
+    under a group it does not read is differenced one column at a time."""
+    _check_count("n_points", n_points, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_entry = "none"
 
+    def objective(points):
+        return problem.objective(points)[:, None]
+
     def constraints(points):
         return np.concatenate(problem.constraints(points), axis=-1)
 
-    plan = _group_plan(problem.constraint_read_sets)
+    @functools.cache
+    def dense_plan(rows):
+        return _group_plan(np.ones((rows, problem.n_var), dtype=bool))
+
+    def differences(fun, x, step, plan):
+        fd = _central_diff(fun, x, step, plan)
+        return fd if fd is not None else _central_diff(
+            fun, x, step, dense_plan(plan[0].read.shape[1]))
+
+    obj_plan = _group_plan(problem.objective_read_set[None])
+    con_plan = _group_plan(problem.constraint_read_sets)
     for _ in range(n_points):
         x = _interior_point(problem, rng)
-        fd_jac = _grouped_central_diff(constraints, x, _CON_FD_STEP, plan)
-        if fd_jac is None:
-            fd_jac = _central_diff(constraints, x, _CON_FD_STEP)
         for analytic, fd in (
-                (problem.objective_gradient(x), _central_diff(problem.objective, x, _OBJ_FD_STEP)),
-                (np.concatenate(problem.jacobians(x)), fd_jac)):
+                (problem.objective_gradient(x),
+                 differences(objective, x, _OBJ_FD_STEP, obj_plan)[0]),
+                (np.concatenate(problem.jacobians(x)),
+                 differences(constraints, x, _CON_FD_STEP, con_plan))):
             err = np.abs(analytic - fd) / np.maximum(
                 1.0, np.maximum(np.abs(analytic), np.abs(fd)))
             err[~np.isfinite(err)] = np.inf
@@ -620,19 +636,11 @@ def _entry_name(index, n_eq: int) -> str:
 # (objective magnitudes reach 1e6) far below CHECK_TOL.
 _OBJ_FD_STEP = 0.02
 _CON_FD_STEP = 1e-6
-# Coordinates perturbed per ``_central_diff`` call, so 2 * 100 stacked
-# points. With the constraint rows grouped, the objective is its one caller
-# outside the fallback: rts24's 193 coordinates take two calls. The 20
-# objective differences of an rts24 audit took a median 15.1 ms in blocks of
-# 32, 9.8 ms in blocks of 65, 8.3 ms in blocks of 100 and 8.1 ms in blocks of
-# 129 (40 interleaved runs on a 2-core Xeon); one block of 193 took 7.5 to
-# 20 ms, and a block of 100 traces 0.66 MB at its peak, one of 193 1.27 MB.
-_FD_BLOCK = 100
-# Column groups per ``constraints`` call in ``_grouped_central_diff``, so
-# 2 * 19 stacked points: rts24's 73 groups take four calls. On the same runs
-# its 20 constraint differences took a median 30.0 ms in stacks of 19 and
-# 31-36 ms in stacks of 10, 13, 25, 37 or all 73; a stack of 19 traces
-# 0.80 MB at its peak, one of 73 1.93 MB, per-column blocks of 32 1.07 MB.
+# Column groups per ``fun`` call in ``_central_diff``, so 2 * 19 stacked
+# points: rts24's 73 groups take four calls. Its 20 constraint differences
+# took a median 30.0 ms in stacks of 19 and 31-36 ms in stacks of 10, 13, 25,
+# 37 or all 73 (40 interleaved runs on a 2-core Xeon); a stack of 19 traces
+# 0.80 MB at its peak, one of 73 1.93 MB.
 _GROUP_BLOCK = 19
 
 
@@ -647,33 +655,13 @@ def _interior_point(problem: Problem, rng) -> np.ndarray:
     # keep demands away from the satisfaction kink where the second
     # derivative jumps (central differences straddle it otherwise); the
     # margin must exceed the widest finite-difference step in use
-    sb = problem.case.s_base
-    sat = np.array([agg.gamma / agg.mu / sb for agg in problem.case.aggregators])
+    sat = problem._gamma / problem._mu / problem.case.s_base
     margin = 2.0 * _OBJ_FD_STEP * np.maximum(1.0, sat)
     pa, lb_a, ub_a = x[lay.pa], lb[lay.pa], ub[lay.pa]
     below = sat - margin
     moved = np.where(below >= lb_a, below, np.minimum(sat + margin, ub_a))
     x[lay.pa] = np.where(np.abs(pa - sat) < margin, moved, pa)
     return x
-
-
-def _central_diff(fun, x, step):
-    """Central differences of fun at x along every coordinate i, with step
-    h_i = step * max(1, |x_i|): shape fun(x).shape + (n,). fun evaluates a
-    stack of points, here the + and - points of _FD_BLOCK coordinates."""
-    n = len(x)
-    h = step * np.maximum(1.0, np.abs(x))
-    blocks = []
-    for start in range(0, n, _FD_BLOCK):
-        idx = np.arange(start, min(start + _FD_BLOCK, n))
-        k = len(idx)
-        points = np.tile(x, (2 * k, 1))
-        points[np.arange(k), idx] += h[idx]
-        points[k + np.arange(k), idx] -= h[idx]
-        values = fun(points)
-        scale = (2 * h[idx]).reshape((k,) + (1,) * (values.ndim - 1))
-        blocks.append((values[:k] - values[k:]) / scale)
-    return np.moveaxis(np.concatenate(blocks), 0, -1)
 
 
 def _column_groups(reads: np.ndarray) -> np.ndarray:
@@ -700,10 +688,10 @@ def _column_groups(reads: np.ndarray) -> np.ndarray:
 
 
 class _GroupStack(NamedTuple):
-    """The groups that one ``constraints`` call of ``_grouped_central_diff``
-    moves. Column ``cols[m]`` moves in the points of group ``at[m]`` (an
-    offset in the stack); ``read[a, i]`` is set where row i reads a column
-    of group a, and ``(group, row, col)`` lists those reads."""
+    """The groups that one ``fun`` call of ``_central_diff`` moves. Column
+    ``cols[m]`` moves in the points of group ``at[m]`` (an offset in the
+    stack); ``read[a, i]`` is set where row i reads a column of group a,
+    and ``(group, row, col)`` lists those reads."""
     at: np.ndarray
     cols: np.ndarray
     read: np.ndarray
@@ -714,7 +702,8 @@ class _GroupStack(NamedTuple):
 
 def _group_plan(reads: np.ndarray) -> list[_GroupStack]:
     """The column groups of ``_column_groups(reads)`` in stacks of
-    _GROUP_BLOCK, in group order."""
+    _GROUP_BLOCK, in group order. Under an all-True ``reads`` (the dense
+    plan) every column is a group of its own."""
     group = _column_groups(reads)
     cols, rows = np.nonzero(reads.T)
     plan = []
@@ -730,8 +719,9 @@ def _group_plan(reads: np.ndarray) -> list[_GroupStack]:
     return plan
 
 
-def _grouped_central_diff(fun, x, step, plan):
-    """``_central_diff(fun, x, step)`` for a fun of shape (rows,), from the
+def _central_diff(fun, x, step, plan):
+    """Central differences (rows, n) at x, step h_j = step * max(1, |x_j|)
+    in column j, of a fun mapping (k, n) points to (k, rows), from the
     column groups of ``plan``: each point of a stack moves all columns of
     one group by +-h_j. A row reads at most one column j of a group, so its
     difference over that group, divided by 2 h_j, is its derivative in j,
@@ -739,9 +729,9 @@ def _grouped_central_diff(fun, x, step, plan):
     moved column is unchanged, so each row sums the same terms as under a
     one-column move, and the result is the per-column one bit for bit.
 
-    Returns None if a row changes under a group none of whose columns it
-    reads, or a difference is not finite: the read sets do not describe
-    fun at x, and the caller differences it one column at a time."""
+    Returns None if a row changes (NaN and inf included) under a group none
+    of whose columns it reads: the read sets do not describe fun at x, and
+    the caller differences it under the dense plan."""
     h = step * np.maximum(1.0, np.abs(x))
     jac = np.zeros((plan[0].read.shape[1], len(x)))
     for at, cols, read, g, i, c in plan:
@@ -751,7 +741,7 @@ def _grouped_central_diff(fun, x, step, plan):
         points[k + at, cols] -= h[cols]
         values = fun(points)
         diff = values[:k] - values[k:]
-        if not np.isfinite(diff).all() or diff[~read].any():
+        if diff[~read].any():
             return None
         jac[i, c] = diff[g, i] / (2 * h[c])
     return jac

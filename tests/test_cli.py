@@ -346,6 +346,13 @@ def test_check_subcommand(capsys):
                         audit), audit
 
 
+def test_check_negative_seed_is_an_input_error(capsys):
+    assert cli_main(["check", "builtin:five_bus", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
+
 @pytest.mark.parametrize("seed, worst", [
     (0, "1.639e-08 at gradient[24]"), (15, "2.059e-08 at eq_jacobian[41, 186]"),
     (28, "1.761e-08 at eq_jacobian[44, 186]"), (93, "1.678e-08 at eq_jacobian[41, 186]")])

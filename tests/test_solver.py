@@ -389,8 +389,29 @@ def test_audit_linear_rows_exact(five_bus_problem):
 
 
 def test_audit_rejects_zero_points(five_bus_problem):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_points must be a positive integer, got 0"):
         finite_difference_audit(five_bus_problem, n_points=0)
+
+
+@pytest.mark.parametrize("n_points", [-1, 2.5, True, "3", None])
+def test_audit_n_points_must_be_a_positive_integer(n_points, five_bus_problem):
+    """A bool, a float or a string is rejected up front, naming the value,
+    instead of reporting a bool's one point or failing inside range."""
+    with pytest.raises(ValueError, match=f"n_points .* got {re.escape(repr(n_points))}"):
+        finite_difference_audit(five_bus_problem, n_points=n_points)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+def test_audit_seed_must_be_a_nonnegative_integer(seed, five_bus_problem):
+    """The seed is checked like ``max_iter``, not left to numpy, whose
+    message does not name it."""
+    with pytest.raises(ValueError, match=f"seed .* got {re.escape(repr(seed))}"):
+        finite_difference_audit(five_bus_problem, n_points=1, seed=seed)
+
+
+def test_audit_accepts_numpy_integers(five_bus_problem):
+    assert (finite_difference_audit(five_bus_problem, n_points=np.int64(2), seed=np.int64(4))
+            == finite_difference_audit(five_bus_problem, n_points=2, seed=4))
 
 
 def _interior_point_by_loop(problem, rng):
@@ -433,19 +454,54 @@ def _stacked_constraints(problem):
     return lambda points: np.concatenate(problem.constraints(points), axis=-1)
 
 
+def _stacked_objective(problem):
+    return lambda points: problem.objective(points)[:, None]
+
+
+def _per_column_diff(fun, x, step):
+    """Central differences of a stacked fun at x, one column at a time in
+    its own call: the reference for ``solver._central_diff``."""
+    h = step * np.maximum(1.0, np.abs(x))
+    columns = []
+    for j in range(len(x)):
+        points = np.tile(x, (2, 1))
+        points[0, j] += h[j]
+        points[1, j] -= h[j]
+        values = fun(points)
+        columns.append((values[0] - values[1]) / (2 * h[j]))
+    return np.stack(columns, axis=-1)
+
+
 def test_grouped_differences_equal_per_column_ones(network_problem):
-    """Differencing by column groups gives the per-column central
-    differences bit for bit, the signs of zeros included."""
-    fun = _stacked_constraints(network_problem)
-    plan = solver._group_plan(network_problem.constraint_read_sets)
+    """Differencing by the column groups of a read set gives the per-column
+    central differences bit for bit, the signs of zeros included, for the
+    constraint rows and for the objective as a one-row function."""
+    p = network_problem
     rng = np.random.default_rng(5)
     for _ in range(5):
-        x = solver._interior_point(network_problem, rng)
-        grouped = solver._grouped_central_diff(fun, x, 1e-6, plan)
-        per_column = solver._central_diff(fun, x, 1e-6)
-        assert grouped is not None
-        assert np.array_equal(grouped, per_column)
-        assert np.array_equal(np.signbit(grouped), np.signbit(per_column))
+        x = solver._interior_point(p, rng)
+        for fun, reads, step in (
+                (_stacked_constraints(p), p.constraint_read_sets, 1e-6),
+                (_stacked_objective(p), p.objective_read_set[None], solver._OBJ_FD_STEP)):
+            grouped = solver._central_diff(fun, x, step, solver._group_plan(reads))
+            per_column = _per_column_diff(fun, x, step)
+            assert grouped is not None
+            assert np.array_equal(grouped, per_column)
+            assert np.array_equal(np.signbit(grouped), np.signbit(per_column))
+
+
+def test_objective_ignores_columns_outside_its_read_set(network_problem):
+    """Moving every column that ``objective_read_set`` leaves out keeps the
+    objective bit for bit, so those differences are exact zeros."""
+    p = network_problem
+    unread = ~p.objective_read_set
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        x = solver._interior_point(p, rng)
+        moved = x.copy()
+        moved[unread] += rng.uniform(-0.5, 0.5, size=unread.sum())
+        assert p.objective(moved) == p.objective(x)
+    assert unread.sum() == p.n_var - p.layout.n_gen - p.layout.n_agg
 
 
 def test_column_groups_share_no_row(network_problem):
@@ -467,7 +523,9 @@ def test_rts24_columns_fall_in_73_groups(rts24):
 def test_read_sets_are_built_on_first_use_only(five_bus):
     problem = Problem(five_bus)
     assert "constraint_read_sets" not in vars(problem)
+    assert "objective_read_set" not in vars(problem)
     assert problem.constraint_read_sets.shape == (problem.n_eq + problem.n_ineq, problem.n_var)
+    assert problem.objective_read_set.shape == (problem.n_var,)
 
 
 _UNREAD_ROW, _UNREAD_COL = 0, 13
@@ -482,23 +540,72 @@ class _UnreadColumn(Problem):
         return eq, ineq
 
 
-def test_audit_falls_back_to_per_column_differences(five_bus_problem, monkeypatch):
+class _DenseReadSets:
+    """Every row reads every column: each column is a group of its own,
+    so the audit differences one column at a time."""
+    @property
+    def constraint_read_sets(self):
+        return np.ones((self.n_eq + self.n_ineq, self.n_var), dtype=bool)
+
+
+class _DenseUnreadColumn(_DenseReadSets, _UnreadColumn):
+    pass
+
+
+def test_audit_falls_back_to_per_column_differences(five_bus_problem):
     """A row that changes under a group none of whose columns it reads
-    sends the point to per-column differences: the report is the one of
-    per-column differencing and names the entry outside the read set."""
+    sends the point to the dense plan: the report is the one of per-column
+    differencing and names the entry outside the read set."""
     problem = _rebuilt(_UnreadColumn, five_bus_problem)
     reads = problem.constraint_read_sets
     groups = solver._column_groups(reads)
     assert not (reads[_UNREAD_ROW] & (groups == groups[_UNREAD_COL])).any()
     x = solver._interior_point(problem, np.random.default_rng(1))
-    assert solver._grouped_central_diff(_stacked_constraints(problem), x, 1e-6,
-                                        solver._group_plan(reads)) is None
+    assert solver._central_diff(_stacked_constraints(problem), x, 1e-6,
+                                solver._group_plan(reads)) is None
 
     report = finite_difference_audit(problem, n_points=3, seed=1)
-    monkeypatch.setattr(solver, "_grouped_central_diff", lambda *args: None)
-    assert report == finite_difference_audit(problem, n_points=3, seed=1)
+    assert report == finite_difference_audit(_rebuilt(_DenseUnreadColumn, five_bus_problem),
+                                             n_points=3, seed=1)
     assert not report.passed
     assert report.worst_entry == f"eq_jacobian[{_UNREAD_ROW}, {_UNREAD_COL}]"
+
+
+class _NaNAtPlusPoint(Problem):
+    """Balance row 0 is NaN wherever its column ``col`` exceeds its value
+    at the audit point ``at``: at that column's + point only. Both are set
+    on the instance."""
+
+    def constraints(self, x):
+        eq, ineq = super().constraints(x)
+        eq[..., 0] += np.where(x[..., self.col] > self.at[self.col], np.nan, 0.0)
+        return eq, ineq
+
+
+class _DenseNaNAtPlusPoint(_DenseReadSets, _NaNAtPlusPoint):
+    pass
+
+
+def test_audit_names_a_nan_difference_as_per_column_differencing_does(five_bus_problem,
+                                                                      monkeypatch):
+    """A NaN at the + point of a column that the row reads is the grouped
+    difference of that entry alone; the audit names it as the dense plan,
+    one column at a time, names it."""
+    x = solver._interior_point(five_bus_problem, np.random.default_rng(1))
+    monkeypatch.setattr(solver, "_interior_point", lambda problem, rng: x.copy())
+    col = int(np.flatnonzero(five_bus_problem.constraint_read_sets[0])[-1])
+    grouped, dense = (_rebuilt(cls, five_bus_problem)
+                      for cls in (_NaNAtPlusPoint, _DenseNaNAtPlusPoint))
+    for problem in (grouped, dense):
+        problem.at, problem.col = x, col
+
+    fd = solver._central_diff(_stacked_constraints(grouped), x, 1e-6,
+                              solver._group_plan(grouped.constraint_read_sets))
+    assert np.isnan(fd[0, col]) and np.isfinite(np.delete(fd.ravel(), col)).all()
+    report = finite_difference_audit(grouped, n_points=1)
+    assert report == finite_difference_audit(dense, n_points=1)
+    assert report.worst_entry == f"eq_jacobian[0, {col}]"
+    assert report.max_rel_error == np.inf
 
 
 # ---------------------------------------------------------------------------
