@@ -400,6 +400,8 @@ def _rts24() -> CaseData:
 # ---------------------------------------------------------------------------
 # case file I/O (JSON, MW/MVAr units)
 
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float)}  # by field type
+
 
 def case_to_dict(case: CaseData) -> dict:
     return {
@@ -435,21 +437,22 @@ def _entries(doc: dict, key: str, cls) -> tuple:
     rows = doc.get(key)
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError(f"case needs '{key}' as a list of objects")
+    typed = [(f.name, f.type) for f in fields(cls)]
     out = []
     for k, row in enumerate(rows):
         try:
             out.append(cls(**row))
         except TypeError as exc:
             raise ValueError(f"{key}[{k}]: {exc}") from None
-        for f in fields(cls):
-            _check_type(f"{key}[{k}]", f.name, getattr(out[-1], f.name), f.type)
+        for name, kind in typed:
+            _check_type(f"{key}[{k}]", name, getattr(out[-1], name), kind)
     return tuple(out)
 
 
 def _check_type(tag: str, name: str, value, kind: str) -> None:
     """A bool field needs true or false; an int or float field needs a JSON
     number, which true and false are not."""
-    expected = {"bool": bool, "int": int, "float": (int, float)}.get(kind)
+    expected = _JSON_TYPES.get(kind)
     if expected and (not isinstance(value, expected)
                      or (isinstance(value, bool) and kind != "bool")):
         raise ValueError(f"{tag}: {name} must be {kind}, got {value!r}")

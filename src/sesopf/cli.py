@@ -14,7 +14,7 @@ import numpy as np
 
 from . import harness
 from .casemodel import CaseData, builtin_case, load_case, validate_case
-from .formulation import build_problem
+from .formulation import Problem, build_problem
 from .solver import SolverOptions, copper_plate_oracle, finite_difference_audit, solve
 
 
@@ -135,7 +135,7 @@ def cli_main(argv=None) -> int:
                 print(f"violation: {message}", file=sys.stderr)
             if report:
                 return 2
-            audit = finite_difference_audit(build_problem(case), **_given(args, "seed"))
+            audit = finite_difference_audit(Problem(case), **_given(args, "seed"))
             _print(lambda out: out.write(
                 f"validation: ok\nderivative audit: max relative error "
                 f"{audit.max_rel_error:.3e} at {audit.worst_entry} "

@@ -59,7 +59,8 @@ bit the difference of one column at a time. A point where a row changes
 under a group none of whose columns it reads is differenced under the dense
 plan, every column a group of its own. Cost model of one audit point on
 rts24: 2 x 73 constraint points in four ``constraints`` calls and 2 x 73
-objective points in four ``objective`` calls, instead of 2 x 193 each.
+objective points in one ``objective`` call, instead of 2 x 193 each; the
+relative error over the ~950 nonzero entries of [J_E; J_h], not all 126 x 193.
 """
 
 from __future__ import annotations
@@ -600,9 +601,9 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
     def differences(fun, x, step, plan):
         fd = _central_diff(fun, x, step, plan)
         return fd if fd is not None else _central_diff(
-            fun, x, step, dense_plan(plan[0].read.shape[1]))
+            fun, x, step, dense_plan(plan[0].unread.shape[1]))
 
-    obj_plan = _group_plan(problem.objective_read_set[None])
+    obj_plan = _group_plan(problem.objective_read_set[None], block=problem.n_var)
     con_plan = _group_plan(problem.constraint_read_sets)
     for _ in range(n_points):
         x = _interior_point(problem, rng)
@@ -611,16 +612,27 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
                  differences(objective, x, _OBJ_FD_STEP, obj_plan)[0]),
                 (np.concatenate(problem.jacobians(x)),
                  differences(constraints, x, _CON_FD_STEP, con_plan))):
-            err = np.abs(analytic - fd) / np.maximum(
-                1.0, np.maximum(np.abs(analytic), np.abs(fd)))
-            err[~np.isfinite(err)] = np.inf
-            # the first maximum in row-major order: equality rows before
-            # inequality rows
-            k = int(np.argmax(err))
-            if err.flat[k] > worst:
-                worst = float(err.flat[k])
-                worst_entry = _entry_name(np.unravel_index(k, err.shape), problem.n_eq)
+            err, k = _max_rel_error(analytic, fd)
+            if err > worst:
+                worst = err
+                worst_entry = _entry_name(np.unravel_index(k, fd.shape), problem.n_eq)
     return AuditReport(worst, worst_entry, n_points)
+
+
+def _max_rel_error(analytic, fd) -> tuple[float, int]:
+    """The largest |a - f| / max(1, |a|, |f|), a non-finite one counting as
+    inf, and the flat index of its first maximum in row-major order (equality
+    rows first). Every entry where both are 0 has error 0, so only the others
+    and entry 0, the first maximum of an all-zero error, are computed."""
+    nonzero = (analytic != 0) | (fd != 0)
+    nonzero.flat[0] = True
+    nz = np.flatnonzero(nonzero)
+    a, f = analytic.take(nz), fd.take(nz)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf give NaN
+        err = np.abs(a - f) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
+    err[~np.isfinite(err)] = np.inf
+    k = int(np.argmax(err))
+    return float(err[k]), int(nz[k])
 
 
 def _entry_name(index, n_eq: int) -> str:
@@ -636,11 +648,11 @@ def _entry_name(index, n_eq: int) -> str:
 # (objective magnitudes reach 1e6) far below CHECK_TOL.
 _OBJ_FD_STEP = 0.02
 _CON_FD_STEP = 1e-6
-# Column groups per ``fun`` call in ``_central_diff``, so 2 * 19 stacked
-# points: rts24's 73 groups take four calls. Its 20 constraint differences
-# took a median 30.0 ms in stacks of 19 and 31-36 ms in stacks of 10, 13, 25,
-# 37 or all 73 (40 interleaved runs on a 2-core Xeon); a stack of 19 traces
-# 0.80 MB at its peak, one of 73 1.93 MB.
+# Column groups per ``constraints`` call (the objective's go in one stack), so
+# 2 * 19 stacked points: rts24's 73 groups take four calls. Its 20 constraint
+# differences took a median 30.0 ms in stacks of 19 and 31-36 ms in stacks of
+# 10, 13, 25, 37 or all 73 (40 interleaved runs on a 2-core Xeon); a stack of
+# 19 traces 0.80 MB at its peak, one of 73 1.93 MB.
 _GROUP_BLOCK = 19
 
 
@@ -690,32 +702,32 @@ def _column_groups(reads: np.ndarray) -> np.ndarray:
 class _GroupStack(NamedTuple):
     """The groups that one ``fun`` call of ``_central_diff`` moves. Column
     ``cols[m]`` moves in the points of group ``at[m]`` (an offset in the
-    stack); ``read[a, i]`` is set where row i reads a column of group a,
-    and ``(group, row, col)`` lists those reads."""
+    stack); ``unread[a, i]`` is set where row i reads no column of group a,
+    and ``(group, row, col)`` lists the reads."""
     at: np.ndarray
     cols: np.ndarray
-    read: np.ndarray
+    unread: np.ndarray
     group: np.ndarray
     row: np.ndarray
     col: np.ndarray
 
 
-def _group_plan(reads: np.ndarray) -> list[_GroupStack]:
+def _group_plan(reads: np.ndarray, block: int = _GROUP_BLOCK) -> list[_GroupStack]:
     """The column groups of ``_column_groups(reads)`` in stacks of
-    _GROUP_BLOCK, in group order. Under an all-True ``reads`` (the dense
-    plan) every column is a group of its own."""
+    ``block``, in group order. Under an all-True ``reads`` (the dense plan)
+    every column is a group of its own."""
     group = _column_groups(reads)
     cols, rows = np.nonzero(reads.T)
     plan = []
     n_groups = int(group.max()) + 1
-    for start in range(0, n_groups, _GROUP_BLOCK):
-        k = min(_GROUP_BLOCK, n_groups - start)
+    for start in range(0, n_groups, block):
+        k = min(block, n_groups - start)
         moved = np.flatnonzero((group >= start) & (group < start + k))
         pair = (group[cols] >= start) & (group[cols] < start + k)
         g, i, c = group[cols[pair]] - start, rows[pair], cols[pair]
         read = np.zeros((k, reads.shape[0]), dtype=bool)
         read[g, i] = True
-        plan.append(_GroupStack(group[moved] - start, moved, read, g, i, c))
+        plan.append(_GroupStack(group[moved] - start, moved, ~read, g, i, c))
     return plan
 
 
@@ -733,15 +745,15 @@ def _central_diff(fun, x, step, plan):
     of whose columns it reads: the read sets do not describe fun at x, and
     the caller differences it under the dense plan."""
     h = step * np.maximum(1.0, np.abs(x))
-    jac = np.zeros((plan[0].read.shape[1], len(x)))
-    for at, cols, read, g, i, c in plan:
-        k = len(read)
-        points = np.tile(x, (2 * k, 1))
+    jac = np.zeros((plan[0].unread.shape[1], len(x)))
+    for at, cols, unread, g, i, c in plan:
+        k = len(unread)
+        points = np.repeat(x[None], 2 * k, axis=0)
         points[at, cols] += h[cols]
         points[k + at, cols] -= h[cols]
         values = fun(points)
         diff = values[:k] - values[k:]
-        if diff[~read].any():
+        if diff[unread].any():
             return None
         jac[i, c] = diff[g, i] / (2 * h[c])
     return jac

@@ -288,6 +288,24 @@ def test_case_dict_round_trip_survives_json(rts24):
     assert again.lines == rts24.lines
 
 
+@pytest.mark.parametrize("key, k, change, message", [
+    ("buses", 0, {"v_min": "0.9"}, "buses[0]: v_min must be float, got '0.9'"),
+    ("buses", 3, {"is_slack": 1}, "buses[3]: is_slack must be bool, got 1"),
+    ("buses", 3, {"id": True}, "buses[3]: id must be int, got True"),
+    ("generators", 7, {"p_max": False}, "generators[7]: p_max must be float, got False"),
+    ("aggregators", 0, {"bus": 3.5, "sigma": "x"}, "aggregators[0]: bus must be int, got 3.5"),
+    ("lines", 5, {"extra": 1},
+     "lines[5]: Line.__init__() got an unexpected keyword argument 'extra'"),
+])
+def test_malformed_entry_is_named(rts24, key, k, change, message):
+    """The first bad field of the first bad entry, in field order."""
+    doc = case_to_dict(rts24)
+    doc[key][k] = {**doc[key][k], **change}
+    with pytest.raises(ValueError) as info:
+        case_from_dict(doc)
+    assert str(info.value) == message
+
+
 def test_single_bus_case_is_valid():
     case = single_bus_case(
         Generator(1, 1.0, 0.0, 0.0, 0.0, 10.0, -5.0, 5.0),

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from sesopf import cli, harness
+from sesopf import cli, formulation, harness
 from sesopf.casemodel import builtin_case, case_to_dict, save_case
 from sesopf.cli import cli_main
 
@@ -344,6 +344,18 @@ def test_check_subcommand(capsys):
     assert re.fullmatch(r"derivative audit: max relative error \d\.\d{3}e-\d\d at "
                         r"(gradient\[\d+\]|(eq|ineq)_jacobian\[\d+, \d+\]) \(pass\)",
                         audit), audit
+
+
+def test_check_validates_the_case_once(monkeypatch, capsys):
+    """``check`` reports the validation itself and builds the problem
+    without validating it a second time."""
+    calls = []
+    for module in (cli, formulation):
+        original = module.validate_case
+        monkeypatch.setattr(module, "validate_case",
+                            lambda case, original=original: calls.append(case) or original(case))
+    assert cli_main(["check", "builtin:five_bus", "--seed", "2"]) == 0
+    assert len(calls) == 1
 
 
 def test_check_negative_seed_is_an_input_error(capsys):

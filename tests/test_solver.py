@@ -475,19 +475,109 @@ def _per_column_diff(fun, x, step):
 def test_grouped_differences_equal_per_column_ones(network_problem):
     """Differencing by the column groups of a read set gives the per-column
     central differences bit for bit, the signs of zeros included, for the
-    constraint rows and for the objective as a one-row function."""
+    constraint rows and for the objective as a one-row function, in stacks
+    of _GROUP_BLOCK groups and in the audit's one stack of all its groups."""
     p = network_problem
+    objective_reads = p.objective_read_set[None]
+    one_stack = solver._group_plan(objective_reads, block=p.n_var)
+    assert len(one_stack) == 1
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = solver._interior_point(p, rng)
-        for fun, reads, step in (
-                (_stacked_constraints(p), p.constraint_read_sets, 1e-6),
-                (_stacked_objective(p), p.objective_read_set[None], solver._OBJ_FD_STEP)):
-            grouped = solver._central_diff(fun, x, step, solver._group_plan(reads))
+        for fun, plan, step in (
+                (_stacked_constraints(p), solver._group_plan(p.constraint_read_sets), 1e-6),
+                (_stacked_objective(p), solver._group_plan(objective_reads),
+                 solver._OBJ_FD_STEP),
+                (_stacked_objective(p), one_stack, solver._OBJ_FD_STEP)):
+            grouped = solver._central_diff(fun, x, step, plan)
             per_column = _per_column_diff(fun, x, step)
             assert grouped is not None
             assert np.array_equal(grouped, per_column)
             assert np.array_equal(np.signbit(grouped), np.signbit(per_column))
+
+
+class _CountedObjective(Problem):
+    def objective(self, x):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().objective(x)
+
+
+def test_audit_differences_the_objective_in_one_call_per_point(network_problem):
+    problem = _rebuilt(_CountedObjective, network_problem)
+    finite_difference_audit(problem, n_points=3, seed=2)
+    assert problem.calls == 3
+
+
+def _dense_max_rel_error(analytic, fd):
+    """The relative error over every entry of the matrix, the first maximum
+    in row-major order: the reference for ``solver._max_rel_error``."""
+    with np.errstate(invalid="ignore"):
+        err = np.abs(analytic - fd) / np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
+    err[~np.isfinite(err)] = np.inf
+    k = int(np.argmax(err))
+    return float(err.flat[k]), k
+
+
+@pytest.fixture(scope="module")
+def rts24_audit_matrices(rts24):
+    """The analytic [J_E; J_h] and its grouped central differences at each
+    of the 20 points of an rts24 audit with seed 0."""
+    problem = Problem(rts24)
+    plan = solver._group_plan(problem.constraint_read_sets)
+    rng = np.random.default_rng(0)
+    matrices = []
+    for _ in range(20):
+        x = solver._interior_point(problem, rng)
+        matrices.append((np.concatenate(problem.jacobians(x)),
+                         solver._central_diff(_stacked_constraints(problem), x,
+                                              solver._CON_FD_STEP, plan)))
+    return problem, matrices
+
+
+def test_sparse_error_equals_the_dense_one_at_every_rts24_audit_point(rts24_audit_matrices):
+    """The error and the flat index of the worst entry, which names it."""
+    _, matrices = rts24_audit_matrices
+    for analytic, fd in matrices:
+        assert fd is not None
+        assert solver._max_rel_error(analytic, fd) == _dense_max_rel_error(analytic, fd)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.5, -0.0, 1e300])
+@pytest.mark.parametrize("side", ["analytic", "fd"])
+@pytest.mark.parametrize("inside", [True, False])
+def test_sparse_error_equals_the_dense_one_on_corrupted_entries(rts24_audit_matrices,
+                                                                value, side, inside):
+    """A NaN, an infinity, a large value or a signed zero on either side,
+    at a read entry or outside the read sets (an analytic bug, or a
+    dense-fallback difference), alone and as the second of an exact tie."""
+    problem, matrices = rts24_audit_matrices
+    reads = problem.constraint_read_sets
+    rows, cols = np.nonzero(reads if inside else ~reads)
+    first, second = (rows[len(rows) // 3], cols[len(rows) // 3]), (rows[-1], cols[-1])
+    for analytic, fd in matrices[:3]:
+        for entries in ([second], [first, second]):
+            a, f = analytic.copy(), fd.copy()
+            for entry in entries:
+                (a if side == "analytic" else f)[entry] = value
+            assert solver._max_rel_error(a, f) == _dense_max_rel_error(a, f)
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 5)])
+def test_sparse_error_of_zeros_and_ties(shape):
+    """All zeros, signed zeros included, and equal nonzero entries give an
+    error of 0 at entry 0; exact ties give the first entry in row-major
+    order, as the dense error does."""
+    zeros, negative_zeros = np.zeros(shape), np.full(shape, -0.0)
+    assert solver._max_rel_error(zeros, negative_zeros) == (0.0, 0)
+    assert _dense_max_rel_error(zeros, negative_zeros) == (0.0, 0)
+    equal = np.zeros(shape)
+    equal.flat[3] = 2.5
+    assert solver._max_rel_error(equal, equal.copy()) == (0.0, 0)
+    assert _dense_max_rel_error(equal, equal.copy()) == (0.0, 0)
+    analytic, fd = np.zeros(shape), np.zeros(shape)
+    analytic.flat[[5, 2]] = 3.0
+    fd.flat[[4, 5, 6]] = [-1.5, 1.5, 1.5]
+    assert solver._max_rel_error(analytic, fd) == _dense_max_rel_error(analytic, fd) == (1.0, 2)
 
 
 def test_objective_ignores_columns_outside_its_read_set(network_problem):
