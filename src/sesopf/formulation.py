@@ -27,10 +27,12 @@ Under the series-only line model the sum equals the Y-bus injection of
 ``acnetwork.bus_injections``. Each directed row carries a P flow and a Q
 flow from one (2, rows) admittance of (g, b) and the rotated (-b, g), so
 each evaluator makes one ``acnetwork`` kernel call. The line-limit rows
-are the P half of those flows, so ``constraints`` and ``jacobians`` return
-both kinds of row from that one call. They are the one implementation of
-the constraint rows: the solver, ``kkt_check`` and the derivative audit all
-read them.
+are the P half of those flows, so ``_network_rows`` and ``jacobians``
+return both kinds of row from that one call. ``constraints`` puts the
+network rows and the adequacy rows of ``_adequacy_rows`` together; the
+three are the one implementation of the constraint rows. The solver and
+``kkt_check`` read ``constraints``, and the derivative audit differences its
+two blocks apart.
 
 The value evaluators (``objective`` and ``constraints``) take one point of
 shape (n,) or a stack of points of shape (k, n) and return one value or row
@@ -302,13 +304,12 @@ class Problem:
         each of shape (rows,) for x of shape (n,), or (k, rows) for (k, n)."""
         return self._extended(x).take(self._state_cols, axis=-1).swapaxes(0, -2)
 
-    def constraints(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(power balance, inequalities) from one flow kernel call.
+    def _network_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(power balance, line limits) from one flow kernel call.
 
         Power balance, p.u., is generation minus demand minus the P and Q
-        flows leaving each bus: P rows, then Q rows. The inequalities are
-        the directed line limits on the P flows, then adequacy, each <= 0
-        when satisfied."""
+        flows leaving each bus: P rows, then Q rows. The line limits are
+        the directed P flows less their limits."""
         lead = x.shape[:-1]
         pq = acnetwork.flow_p(*self._line_state(x)[..., None, :], *self._gb)
         terms = self._balance_sign * np.concatenate(
@@ -318,9 +319,20 @@ class Problem:
         k = math.prod(lead)
         bins = (self._balance_row + self.n_eq * np.arange(k)[:, None]).ravel()
         balance = np.bincount(bins, weights=terms.ravel(), minlength=k * self.n_eq)
-        adequacy = (self._adequacy * x[..., None, :]).sum(axis=-1)
-        return (balance.reshape(lead + (self.n_eq,)),
-                np.concatenate([pq[..., 0, :] - self._smax2, adequacy], axis=-1))
+        return balance.reshape(lead + (self.n_eq,)), pq[..., 0, :] - self._smax2
+
+    def _adequacy_rows(self, x: np.ndarray) -> np.ndarray:
+        """The two adequacy rows, sum(P_a) - sum(P_g) and sum(Q_a) - sum(Q_g)."""
+        return (self._adequacy * x[..., None, :]).sum(axis=-1)
+
+    def constraints(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(power balance, inequalities): the rows of ``_network_rows``,
+        then those of ``_adequacy_rows`` after the line limits, each
+        inequality <= 0 when satisfied. The derivative audit differences
+        the two blocks apart, each under the column groups of its own rows
+        of ``constraint_read_sets``."""
+        balance, limits = self._network_rows(x)
+        return balance, np.concatenate([limits, self._adequacy_rows(x)], axis=-1)
 
     def jacobians(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(equality Jacobian, inequality Jacobian) at one point from one

@@ -47,20 +47,28 @@ has such variables.
 
 ``kkt_check`` and the derivative audit pass below the fixed CHECK_TOL = 1e-6;
 the audit holds the same ``Problem.jacobians`` to central differences of the
-same ``Problem.constraints`` that the solver runs. The copper-plate oracle's
-dispatch is exact: it interpolates between the two bracketing prices.
+two row blocks that make up the ``Problem.constraints`` the solver runs. The
+copper-plate oracle's dispatch is exact: it interpolates between the two
+bracketing prices.
 
 One routine, ``_central_diff``, differences the objective and the
 constraint rows by column groups (Curtis, Powell & Reid 1974; Coleman & More
 1983): the columns of a group share no row of ``Problem.objective_read_set``
 or ``Problem.constraint_read_sets``, so they move together, and each row's
 difference belongs to the one column of the group that it reads: bit for
-bit the difference of one column at a time. A point where a row changes
-under a group none of whose columns it reads is differenced under the dense
-plan, every column a group of its own. Cost model of one audit point on
-rts24: 2 x 73 constraint points in four ``constraints`` calls and 2 x 73
-objective points in one ``objective`` call, instead of 2 x 193 each; the
-relative error over the ~950 nonzero entries of [J_E; J_h], not all 126 x 193.
+bit the difference of one column at a time. The constraint rows are
+differenced in two blocks, each under the groups of its own rows: the
+network rows (balance and line limits) of ``Problem._network_rows`` and the
+two adequacy rows of ``Problem._adequacy_rows``. Each adequacy row reads
+every P or every Q column, so no grouping of all the rows has fewer groups
+than there are generators and aggregators; the network rows alone need far
+fewer. A point where a row of a block changes under a group none of whose
+columns it reads has that block differenced under the dense plan, every
+column a group of its own. Cost model of one audit point on rts24: 2 x 17
+network points in one ``_network_rows`` call (one flow-kernel call), 2 x 73
+adequacy points in one ``_adequacy_rows`` call and 2 x 73 objective points
+in one ``objective`` call, instead of 2 x 193 each; the relative error over
+the ~950 nonzero entries of [J_E; J_h], not all 126 x 193.
 """
 
 from __future__ import annotations
@@ -574,14 +582,19 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
                             seed: int = 0) -> AuditReport:
     """Compare the analytic objective gradient and the stacked constraint
     Jacobian [J_E; J_h] of ``Problem.jacobians`` with central differences
-    of ``objective`` and ``Problem.constraints`` at seeded random interior
-    points. The worst entry is named ``gradient[j]``, ``eq_jacobian[i, j]``
-    or ``ineq_jacobian[i, j]``; a non-finite error counts as infinite, so
-    a NaN derivative fails the audit and is named.
+    of ``objective`` and of the two row blocks of ``Problem.constraints``
+    at seeded random interior points. The worst entry is named
+    ``gradient[j]``, ``eq_jacobian[i, j]`` or ``ineq_jacobian[i, j]``; a
+    non-finite error counts as infinite, so a NaN derivative fails the
+    audit and is named.
 
-    Both are differenced under the column groups of their read sets, which
-    give the per-column differences bit for bit; a point where a row changes
-    under a group it does not read is differenced one column at a time."""
+    The objective, the network rows (``Problem._network_rows``: balance and
+    line limits) and the two adequacy rows (``Problem._adequacy_rows``) are
+    differenced apart, each under the column groups of its own read set,
+    which give the per-column differences bit for bit; the two constraint
+    blocks are stacked in row order. A block with a row that changes under
+    a group it does not read is differenced one column at a time at that
+    point."""
     _check_count("n_points", n_points, 1)
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -591,8 +604,8 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
     def objective(points):
         return problem.objective(points)[:, None]
 
-    def constraints(points):
-        return np.concatenate(problem.constraints(points), axis=-1)
+    def network(points):
+        return np.concatenate(problem._network_rows(points), axis=-1)
 
     @functools.cache
     def dense_plan(rows):
@@ -604,14 +617,19 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
             fun, x, step, dense_plan(plan[0].unread.shape[1]))
 
     obj_plan = _group_plan(problem.objective_read_set[None], block=problem.n_var)
-    con_plan = _group_plan(problem.constraint_read_sets)
+    # the two adequacy rows, last, read every P or every Q column; the
+    # network rows above them colour into far fewer groups without them
+    reads = problem.constraint_read_sets
+    con_blocks = ((network, _group_plan(reads[:-2])),
+                  (problem._adequacy_rows, _group_plan(reads[-2:], block=problem.n_var)))
     for _ in range(n_points):
         x = _interior_point(problem, rng)
         for analytic, fd in (
                 (problem.objective_gradient(x),
                  differences(objective, x, _OBJ_FD_STEP, obj_plan)[0]),
                 (np.concatenate(problem.jacobians(x)),
-                 differences(constraints, x, _CON_FD_STEP, con_plan))):
+                 np.concatenate([differences(fun, x, _CON_FD_STEP, plan)
+                                 for fun, plan in con_blocks]))):
             err, k = _max_rel_error(analytic, fd)
             if err > worst:
                 worst = err
@@ -648,11 +666,13 @@ def _entry_name(index, n_eq: int) -> str:
 # (objective magnitudes reach 1e6) far below CHECK_TOL.
 _OBJ_FD_STEP = 0.02
 _CON_FD_STEP = 1e-6
-# Column groups per ``constraints`` call (the objective's go in one stack), so
-# 2 * 19 stacked points: rts24's 73 groups take four calls. Its 20 constraint
-# differences took a median 30.0 ms in stacks of 19 and 31-36 ms in stacks of
-# 10, 13, 25, 37 or all 73 (40 interleaved runs on a 2-core Xeon); a stack of
-# 19 traces 0.80 MB at its peak, one of 73 1.93 MB.
+# Groups per call of ``_central_diff``. The audit's grouped plans fit in one
+# call (rts24: 17 network groups; the 73 adequacy and 73 objective groups
+# are planned with block=n_var), so this splits the dense fallback plans,
+# one column per group. rts24's network fallback took 2.30 ms per point in
+# 11 calls of 2 * 19 points, against 2.63-4.66 ms in stacks of 10, 13, 25,
+# 37, 49, 65, 97 or all 193 columns (timeit, min of 7 x 10, 2-core Xeon);
+# a stack of 19 traces 0.70 MB at its peak, one of 193 3.97 MB.
 _GROUP_BLOCK = 19
 
 

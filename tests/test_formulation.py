@@ -181,6 +181,24 @@ def test_stacked_points_give_the_single_point_rows(network_problem):
         assert np.array_equal(ineq_row, single_ineq)
 
 
+def test_constraints_are_the_network_rows_then_the_adequacy_rows(network_problem):
+    """constraints is _network_rows with _adequacy_rows after the line
+    limits, bit for bit and sign bits included, at one point and in stacks
+    of 1, 7 and 38: the audit differences the two blocks apart, and the
+    solver reads constraints."""
+    p = network_problem
+    rng = np.random.default_rng(31)
+    xs = np.stack([random_interior_state(p, rng) for _ in range(38)])
+    for x in (xs[0], xs[:1], xs[:7], xs):
+        balance, limits = p._network_rows(x)
+        adequacy = p._adequacy_rows(x)
+        assert adequacy.shape == x.shape[:-1] + (2,)
+        for whole, part in zip(p.constraints(x),
+                               (balance, np.concatenate([limits, adequacy], axis=-1))):
+            assert np.array_equal(whole, part)
+            assert np.array_equal(np.signbit(whole), np.signbit(part))
+
+
 def test_fused_evaluators_equal_the_separate_ones(network_problem):
     """The inequality rows of constraints, which the solver, kkt_check and
     the audit read, equal rows computed apart from it: the line limits from

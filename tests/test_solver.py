@@ -1,5 +1,6 @@
 """Interior-point solver, KKT verification, oracle, and derivative audit."""
 
+import collections
 import dataclasses
 import math
 import re
@@ -454,6 +455,10 @@ def _stacked_constraints(problem):
     return lambda points: np.concatenate(problem.constraints(points), axis=-1)
 
 
+def _stacked_network(problem):
+    return lambda points: np.concatenate(problem._network_rows(points), axis=-1)
+
+
 def _stacked_objective(problem):
     return lambda points: problem.objective(points)[:, None]
 
@@ -474,18 +479,23 @@ def _per_column_diff(fun, x, step):
 
 def test_grouped_differences_equal_per_column_ones(network_problem):
     """Differencing by the column groups of a read set gives the per-column
-    central differences bit for bit, the signs of zeros included, for the
-    constraint rows and for the objective as a one-row function, in stacks
-    of _GROUP_BLOCK groups and in the audit's one stack of all its groups."""
+    central differences bit for bit, the signs of zeros included, for all
+    constraint rows, for the audit's network and adequacy blocks apart and
+    for the objective as a one-row function, in stacks of _GROUP_BLOCK
+    groups and in the audit's one stack of all its groups."""
     p = network_problem
-    objective_reads = p.objective_read_set[None]
+    reads, objective_reads = p.constraint_read_sets, p.objective_read_set[None]
+    network_plan = solver._group_plan(reads[:-2])
+    adequacy_plan = solver._group_plan(reads[-2:], block=p.n_var)
     one_stack = solver._group_plan(objective_reads, block=p.n_var)
-    assert len(one_stack) == 1
+    assert len(network_plan) == len(adequacy_plan) == len(one_stack) == 1
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = solver._interior_point(p, rng)
         for fun, plan, step in (
-                (_stacked_constraints(p), solver._group_plan(p.constraint_read_sets), 1e-6),
+                (_stacked_constraints(p), solver._group_plan(reads), 1e-6),
+                (_stacked_network(p), network_plan, 1e-6),
+                (p._adequacy_rows, adequacy_plan, 1e-6),
                 (_stacked_objective(p), solver._group_plan(objective_reads),
                  solver._OBJ_FD_STEP),
                 (_stacked_objective(p), one_stack, solver._OBJ_FD_STEP)):
@@ -506,6 +516,37 @@ def test_audit_differences_the_objective_in_one_call_per_point(network_problem):
     problem = _rebuilt(_CountedObjective, network_problem)
     finite_difference_audit(problem, n_points=3, seed=2)
     assert problem.calls == 3
+
+
+class _CountedBlocks(Problem):
+    """Counts the calls of ``constraints`` and of its two row blocks."""
+    def __post_init__(self):
+        super().__post_init__()
+        self.calls = collections.Counter()
+
+    def constraints(self, x):
+        self.calls["constraints"] += 1
+        return super().constraints(x)
+
+    def _network_rows(self, x):
+        self.calls["_network_rows"] += 1
+        return super()._network_rows(x)
+
+    def _adequacy_rows(self, x):
+        self.calls["_adequacy_rows"] += 1
+        return super()._adequacy_rows(x)
+
+
+def test_audit_differences_each_constraint_block_in_one_call_per_point(network_problem):
+    """The network rows in one stack of 2 x 17 points on rts24 and the
+    adequacy rows in one of 2 x 73, and never ``constraints`` itself."""
+    problem = _rebuilt(_CountedBlocks, network_problem)
+    finite_difference_audit(problem, n_points=3, seed=2)
+    assert problem.calls == {"_network_rows": 3, "_adequacy_rows": 3}
+
+
+def _dense_plan_calls(problem, rows):
+    return len(solver._group_plan(np.ones((rows, problem.n_var), dtype=bool)))
 
 
 def _dense_max_rel_error(analytic, fd):
@@ -610,6 +651,33 @@ def test_rts24_columns_fall_in_73_groups(rts24):
     assert lay.n_gen + lay.n_agg == 73
 
 
+def test_rts24_network_rows_fall_in_17_groups_and_adequacy_rows_in_73(rts24):
+    """Without the two dense adequacy rows, the balance and line-limit rows
+    need 17 groups; the adequacy rows alone need their 73 columns."""
+    reads = build_problem(rts24).constraint_read_sets
+    assert solver._column_groups(reads[:-2]).max() + 1 == 17
+    assert solver._column_groups(reads[-2:]).max() + 1 == 73
+
+
+def test_constraint_blocks_ignore_columns_outside_their_read_sets(network_problem):
+    """Moving every column that a row of a block does not read keeps that
+    row bit for bit, sign included: point i of the stack moves the columns
+    that row i of the block leaves out. So a group's difference in a row
+    comes from the one column of the group that the row reads."""
+    p = network_problem
+    reads = p.constraint_read_sets
+    rng = np.random.default_rng(7)
+    for fun, block_reads in ((_stacked_network(p), reads[:-2]), (p._adequacy_rows, reads[-2:])):
+        rows = np.arange(len(block_reads))
+        for _ in range(3):
+            x = solver._interior_point(p, rng)
+            moved = np.repeat(x[None], len(rows), axis=0)
+            moved[~block_reads] += rng.uniform(-0.5, 0.5, size=(~block_reads).sum())
+            kept, at_x = fun(moved)[rows, rows], fun(x[None])[0]
+            assert np.array_equal(kept, at_x)
+            assert np.array_equal(np.signbit(kept), np.signbit(at_x))
+
+
 def test_read_sets_are_built_on_first_use_only(five_bus):
     problem = Problem(five_bus)
     assert "constraint_read_sets" not in vars(problem)
@@ -621,13 +689,13 @@ def test_read_sets_are_built_on_first_use_only(five_bus):
 _UNREAD_ROW, _UNREAD_COL = 0, 13
 
 
-class _UnreadColumn(Problem):
+class _UnreadColumn(_CountedBlocks):
     """Balance row _UNREAD_ROW also reads variable _UNREAD_COL, which its
     read set and its analytic Jacobian leave out."""
-    def constraints(self, x):
-        eq, ineq = super().constraints(x)
+    def _network_rows(self, x):
+        eq, limits = super()._network_rows(x)
         eq[..., _UNREAD_ROW] += 1e-3 * x[..., _UNREAD_COL]
-        return eq, ineq
+        return eq, limits
 
 
 class _DenseReadSets:
@@ -643,18 +711,22 @@ class _DenseUnreadColumn(_DenseReadSets, _UnreadColumn):
 
 
 def test_audit_falls_back_to_per_column_differences(five_bus_problem):
-    """A row that changes under a group none of whose columns it reads
-    sends the point to the dense plan: the report is the one of per-column
-    differencing and names the entry outside the read set."""
+    """A network row that changes under a group none of whose columns it
+    reads sends the point's network block, and only it, to the dense plan:
+    the report is the one of per-column differencing and names the entry
+    outside the read set."""
     problem = _rebuilt(_UnreadColumn, five_bus_problem)
-    reads = problem.constraint_read_sets
+    reads = problem.constraint_read_sets[:-2]
     groups = solver._column_groups(reads)
     assert not (reads[_UNREAD_ROW] & (groups == groups[_UNREAD_COL])).any()
     x = solver._interior_point(problem, np.random.default_rng(1))
-    assert solver._central_diff(_stacked_constraints(problem), x, 1e-6,
+    assert solver._central_diff(_stacked_network(problem), x, 1e-6,
                                 solver._group_plan(reads)) is None
 
+    problem.calls.clear()
     report = finite_difference_audit(problem, n_points=3, seed=1)
+    assert problem.calls == {"_network_rows": 3 * (1 + _dense_plan_calls(problem, len(reads))),
+                             "_adequacy_rows": 3}
     assert report == finite_difference_audit(_rebuilt(_DenseUnreadColumn, five_bus_problem),
                                              n_points=3, seed=1)
     assert not report.passed
@@ -666,10 +738,10 @@ class _NaNAtPlusPoint(Problem):
     at the audit point ``at``: at that column's + point only. Both are set
     on the instance."""
 
-    def constraints(self, x):
-        eq, ineq = super().constraints(x)
+    def _network_rows(self, x):
+        eq, limits = super()._network_rows(x)
         eq[..., 0] += np.where(x[..., self.col] > self.at[self.col], np.nan, 0.0)
-        return eq, ineq
+        return eq, limits
 
 
 class _DenseNaNAtPlusPoint(_DenseReadSets, _NaNAtPlusPoint):
@@ -689,13 +761,44 @@ def test_audit_names_a_nan_difference_as_per_column_differencing_does(five_bus_p
     for problem in (grouped, dense):
         problem.at, problem.col = x, col
 
-    fd = solver._central_diff(_stacked_constraints(grouped), x, 1e-6,
-                              solver._group_plan(grouped.constraint_read_sets))
+    fd = solver._central_diff(_stacked_network(grouped), x, 1e-6,
+                              solver._group_plan(grouped.constraint_read_sets[:-2]))
     assert np.isnan(fd[0, col]) and np.isfinite(np.delete(fd.ravel(), col)).all()
     report = finite_difference_audit(grouped, n_points=1)
     assert report == finite_difference_audit(dense, n_points=1)
     assert report.worst_entry == f"eq_jacobian[0, {col}]"
     assert report.max_rel_error == np.inf
+
+
+class _AdequacyReadsVoltage(_CountedBlocks):
+    """Both adequacy rows also read the first voltage column, which the read
+    sets give to the Q row alone. That column then has a group of its own in
+    the adequacy plan, one the P row does not read, so the P row's change
+    under it is a fault the plan sees. (Under the true read sets every
+    adequacy group holds one column of each adequacy row.)"""
+    @property
+    def constraint_read_sets(self):
+        reads = super().constraint_read_sets.copy()
+        reads[-1, self.layout.v.start] = True
+        return reads
+
+    def _adequacy_rows(self, x):
+        return super()._adequacy_rows(x) + 1e-3 * x[..., self.layout.v.start, None]
+
+
+class _DenseAdequacyReadsVoltage(_DenseReadSets, _AdequacyReadsVoltage):
+    pass
+
+
+def test_a_fault_in_the_adequacy_rows_sends_only_them_to_the_dense_plan(five_bus_problem):
+    problem = _rebuilt(_AdequacyReadsVoltage, five_bus_problem)
+    report = finite_difference_audit(problem, n_points=3, seed=1)
+    assert problem.calls == {"_network_rows": 3,
+                             "_adequacy_rows": 3 * (1 + _dense_plan_calls(problem, 2))}
+    assert report == finite_difference_audit(
+        _rebuilt(_DenseAdequacyReadsVoltage, five_bus_problem), n_points=3, seed=1)
+    assert not report.passed
+    assert report.worst_entry == f"ineq_jacobian[{problem.n_ineq - 2}, {problem.layout.v.start}]"
 
 
 # ---------------------------------------------------------------------------
