@@ -86,9 +86,10 @@ def injection_residuals(adm: Admittance, v, theta, p_net, q_net):
 #
 # Directed active sending p = vi^2 g - vi vj (g cos + b sin) with respect to
 # the local state (vi, vj, ti, tj). The reactive sending
-# q = -vi^2 b - vi vj (g sin - b cos) = p(-b, g), so each kernel serves both;
-# given a (2, ...) admittance of (g, b) and (-b, g), it returns P and Q from
-# one cos and one sin of each angle difference.
+# q = -vi^2 b - vi vj (g sin - b cos) = p(-b, g), so each kernel serves both,
+# given a (2, ...) admittance of (g, b) and (-b, g). The formulation passes
+# each line state once per admittance row, shaped like the admittance: on
+# small cases a broadcast operand costs more than the second cos and sin.
 
 
 def flow_p(vi, vj, ti, tj, g, b):
@@ -102,7 +103,10 @@ def flow_p_grad(vi, vj, ti, tj, g, b):
     ct, st = np.cos(dth), np.sin(dth)
     a = g * ct + b * st
     d = -g * st + b * ct  # da/dti
-    return np.array([2 * vi * g - vj * a, -vi * a, -vi * vj * d, vi * vj * d])
+    # -(vi vj d) is (-vi) vj d bit for bit: negation is exact and IEEE
+    # rounding is symmetric in the sign
+    vvd = vi * vj * d
+    return np.array([2 * vi * g - vj * a, -vi * a, -vvd, vvd])
 
 
 def flow_p_hess(vi, vj, ti, tj, g, b):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -161,11 +161,17 @@ def validate_case(case: CaseData) -> list[str]:
     return out
 
 
+@cache
+def _float_fields(cls) -> tuple[str, ...]:
+    """The names of the float fields of a record class, found once per class."""
+    return tuple(f.name for f in fields(cls) if f.type == "float")
+
+
 def _non_finite(tag: str, record) -> list[str]:
     """One message per float field of ``record`` that is NaN or infinite."""
-    return [f"{tag}: {f.name} must be finite, got {getattr(record, f.name)!r}"
-            for f in fields(record)
-            if f.type == "float" and not math.isfinite(getattr(record, f.name))]
+    return [f"{tag}: {name} must be finite, got {getattr(record, name)!r}"
+            for name in _float_fields(type(record))
+            if not math.isfinite(getattr(record, name))]
 
 
 def _connected(case: CaseData) -> bool:

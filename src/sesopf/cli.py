@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -66,7 +67,10 @@ def _solving(sub, name: str, help: str, fmt: str) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and building it costs more than a small case's check."""
     parser = argparse.ArgumentParser(
         prog="sesopf",
         description="Equity-weighted AC optimal power flow under scarcity")

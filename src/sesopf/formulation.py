@@ -19,6 +19,10 @@ aggregator, the variable columns of every directed line's local state, and
 the flat positions those columns take in the two Jacobians and the
 Lagrangian Hessian, where the per-line gradients and 4x4 blocks are
 scattered (MATPOWER Tech. Note 2, Zimmerman 2010, in real coordinates).
+The valid entries of those gradients and blocks are gathered by integer
+``take`` indices built once too, not by boolean masks, and the objective's
+coefficients (gamma/mu, mu/2, gamma^2/(2 mu), 2a and the constant Hessian
+diagonal) are computed once per problem, not on every call.
 
 Power balance takes the network injection at each bus as the sum of the
 directed flows leaving it over its lines, and its Jacobian and Hessian as
@@ -107,9 +111,12 @@ class Problem:
     row each for vi, vj, ti and tj; a slack angle is -1, which gathers the
     zero appended to x by ``_extended`` and is dropped when derivatives are
     scattered. Each row carries a P flow and a Q flow, from the (2, rows)
-    admittance ``_gb`` of (g, b) and the rotated (-b, g). The balance
-    Jacobian, the inequality Jacobian and the Lagrangian Hessian are each
-    one scatter of these rows' derivatives."""
+    admittance ``_gb`` of (g, b) and the rotated (-b, g); ``_state_take``
+    repeats each state column for both, so that no kernel operand is
+    broadcast. The balance Jacobian, the inequality Jacobian and the
+    Lagrangian Hessian are each one scatter of these rows' derivatives,
+    gathered by the flat ``take`` indices ``_grad_take`` and
+    ``_hess_take``."""
 
     case: CaseData
 
@@ -120,24 +127,29 @@ class Problem:
                                            case.slack_index())
         n, nb, ng, na = lay.n_var, lay.n_bus, lay.n_gen, lay.n_agg
 
-        self.lb, self.ub = lb, ub = np.empty(n), np.empty(n)
-        lb[lay.pg] = [g.p_min / sb for g in gens]
-        ub[lay.pg] = [g.p_max / sb for g in gens]
-        lb[lay.qg] = [g.q_min / sb for g in gens]
-        ub[lay.qg] = [g.q_max / sb for g in gens]
-        lb[lay.pa] = [a.p_c / sb for a in aggs]
-        ub[lay.pa] = [a.p_n / sb for a in aggs]
-        lb[lay.qa] = [a.q_c / sb for a in aggs]
-        ub[lay.qa] = [a.q_n / sb for a in aggs]
-        lb[lay.v] = [b.v_min for b in case.buses]
-        ub[lay.v] = [b.v_max for b in case.buses]
-        lb[lay.th] = -np.inf
-        ub[lay.th] = np.inf
+        # the bounds in layout order: P_g, Q_g, P_a, Q_a, v, then the free angles
+        self.lb = np.array([*(g.p_min / sb for g in gens), *(g.q_min / sb for g in gens),
+                            *(a.p_c / sb for a in aggs), *(a.q_c / sb for a in aggs),
+                            *(b.v_min for b in case.buses), *[-np.inf] * (nb - 1)], dtype=float)
+        self.ub = np.array([*(g.p_max / sb for g in gens), *(g.q_max / sb for g in gens),
+                            *(a.p_n / sb for a in aggs), *(a.q_n / sb for a in aggs),
+                            *(b.v_max for b in case.buses), *[np.inf] * (nb - 1)], dtype=float)
 
+        self._pa, self._pg = lay.pa, lay.pg
         self._sigma = np.array([a.sigma for a in aggs], dtype=float)
         self._gamma = np.array([a.gamma for a in aggs], dtype=float)
         self._mu = np.array([a.mu for a in aggs], dtype=float)
-        self._cost = np.array([(g.a, g.b, g.c) for g in gens], dtype=float).reshape(ng, 3).T
+        self._cost = tuple(np.array([(g.a, g.b, g.c) for g in gens], dtype=float).reshape(ng, 3).T)
+        # the objective's per-problem constants: the demand (MW) where
+        # satisfaction saturates, its curvature and its saturated value, the
+        # cost slope factor 2a, and the constant Hessian diagonal entries
+        self._pa_kink = self._gamma / self._mu
+        self._half_mu = 0.5 * self._mu
+        self._sat_cap = 0.5 * self._gamma ** 2 / self._mu
+        self._two_a = 2.0 * self._cost[0]
+        self._pa_curv = -self._sigma * self._mu * sb * sb
+        self._diag_base = np.zeros(n)
+        self._diag_base[lay.pg] = -2.0 * self._cost[0] * sb * sb
 
         # power balance: each generator and aggregator enters one P and one
         # Q row with a fixed sign; these are also the constant entries of
@@ -145,7 +157,8 @@ class Problem:
         gen_bus = np.array([case.bus_index(g.bus) for g in gens], dtype=int)
         agg_bus = np.array([case.bus_index(a.bus) for a in aggs], dtype=int)
         self._inj_row = np.concatenate([gen_bus, agg_bus, nb + gen_bus, nb + agg_bus])
-        self._inj_col = np.r_[lay.pg, lay.pa, lay.qg, lay.qa]
+        self._inj_col = np.concatenate([np.arange(sl.start, sl.stop)
+                                        for sl in (lay.pg, lay.pa, lay.qg, lay.qa)])
         self._inj_sign = np.repeat([1.0, -1.0, 1.0, -1.0], [ng, na, ng, na])
 
         self._theta_col = np.full(nb, -1)
@@ -156,34 +169,45 @@ class Problem:
         to = np.concatenate([line_to, line_from])
         # power balance: the signed injections above, then the P and Q
         # flow of every directed row, leaving its sending bus
-        self._flow_row = np.stack([fr, nb + fr])
+        self._flow_row = np.array([fr, nb + fr])
         self._balance_row = np.concatenate([self._inj_row, self._flow_row.ravel()])
         self._balance_sign = np.concatenate([self._inj_sign, np.full(2 * len(fr), -1.0)])
-        self._state_cols = np.stack([lay.v.start + fr, lay.v.start + to,
+        self._state_cols = np.array([lay.v.start + fr, lay.v.start + to,
                                      self._theta_col[fr], self._theta_col[to]])
+        self._state_take = np.repeat(self._state_cols[:, None, :], 2, axis=1)
         cols = self._state_cols.T
         # each directed row's P flow at (g, b), its Q flow at (-b, g)
-        g, b = np.tile(line_g, 2), np.tile(line_b, 2)
+        g, b = np.concatenate([line_g, line_g]), np.concatenate([line_b, line_b])
         self._gb = np.array([[g, -b], [b, g]])
-        self._smax2 = np.tile([ln.s_max / sb for ln in case.lines], 2)
+        self._smax2 = np.array([ln.s_max / sb for ln in case.lines] * 2, dtype=float)
 
-        self._jh_valid = cols >= 0
-        self._jh_flat = (np.arange(len(fr))[:, None] * n + cols)[self._jh_valid]
+        valid = cols >= 0
+        rows_v, cols_v = np.nonzero(valid)
+        self._jh_flat = rows_v * n + cols[rows_v, cols_v]
+        # the flat positions, in the (4, 2, rows) flow-gradient array, of the
+        # P entries of every valid (row, column) pair and then of their Q
+        # entries; the first half is the P gradient that J_h holds
+        n_rows = len(fr)
+        self._grad_take = (cols_v * 2 * n_rows + np.arange(2)[:, None] * n_rows + rows_v).ravel()
         # the injection entries, then each directed row's valid columns in
         # the P row and in the Q row of its sending bus
         self._je_flat = np.concatenate([
             self._inj_row * n + self._inj_col,
-            (self._flow_row[:, :, None] * n + cols)[:, self._jh_valid].ravel()])
-        self._hess_valid = self._jh_valid[:, :, None] & self._jh_valid[:, None, :]
+            (self._flow_row[:, :, None] * n + cols)[:, valid].ravel()])
+        hess_valid = valid[:, :, None] & valid[:, None, :]
+        self._hess_take = np.flatnonzero(hess_valid)
         # the objective's diagonal, then every valid (row, column) pair of
         # each directed row's 4x4 block
         self._hess_flat = np.concatenate([
             np.arange(n) * (n + 1),
-            (cols[:, :, None] * n + cols[:, None, :])[self._hess_valid]])
+            (cols[:, :, None] * n + cols[:, None, :])[hess_valid]])
         # adequacy rows: sum(P_a) - sum(P_g) and sum(Q_a) - sum(Q_g)
         self._adequacy = np.zeros((2, n))
         self._adequacy[0, lay.pa], self._adequacy[0, lay.pg] = 1.0, -1.0
         self._adequacy[1, lay.qa], self._adequacy[1, lay.qg] = 1.0, -1.0
+        # J_h outside the line-limit entries: zeros, then the adequacy rows
+        self._jh_base = np.zeros((self.n_ineq, n))
+        self._jh_base[-2:] = self._adequacy
 
     @functools.cached_property
     def constraint_read_sets(self) -> np.ndarray:
@@ -267,42 +291,40 @@ class Problem:
     # and marginal_cost, over all aggregators and generators at once.
 
     def _demand_and_generation(self, x):
-        lay, sb = self.layout, self.case.s_base
-        pa = x[..., lay.pa] * sb
-        return pa, pa < self._gamma / self._mu, x[..., lay.pg] * sb
+        sb = self.case.s_base
+        pa = x[..., self._pa] * sb
+        return pa, pa < self._pa_kink, x[..., self._pg] * sb
 
     def objective(self, x: np.ndarray):
         """A float for one point, an array of k values for (k, n) points."""
         pa, unsaturated, pg = self._demand_and_generation(x)
-        gamma, mu = self._gamma, self._mu
-        sat = np.where(unsaturated, gamma * pa - 0.5 * mu * pa * pa, 0.5 * gamma ** 2 / mu)
+        sat = np.where(unsaturated, self._gamma * pa - self._half_mu * pa * pa, self._sat_cap)
         a, b, c = self._cost
         value = (self._sigma * sat).sum(axis=-1) - (a * pg * pg + b * pg + c).sum(axis=-1)
         return value if value.ndim else float(value)
 
     def objective_gradient(self, x: np.ndarray) -> np.ndarray:
-        lay, sb = self.layout, self.case.s_base
+        sb = self.case.s_base
         pa, unsaturated, pg = self._demand_and_generation(x)
-        a, b, _ = self._cost
         grad = np.zeros(self.n_var)
-        grad[lay.pa] = self._sigma * np.where(unsaturated, self._gamma - self._mu * pa, 0.0) * sb
-        grad[lay.pg] = -(2.0 * a * pg + b) * sb
+        grad[self._pa] = self._sigma * np.where(unsaturated, self._gamma - self._mu * pa, 0.0) * sb
+        grad[self._pg] = -(self._two_a * pg + self._cost[1]) * sb
         return grad
 
     def objective_hessian_diag(self, x: np.ndarray) -> np.ndarray:
-        lay, sb = self.layout, self.case.s_base
-        unsaturated = x[..., lay.pa] * sb < self._gamma / self._mu
-        diag = np.zeros(self.n_var)
-        diag[lay.pa] = np.where(unsaturated, -self._sigma * self._mu * sb * sb, 0.0)
-        diag[lay.pg] = -2.0 * self._cost[0] * sb * sb
+        diag = self._diag_base.copy()
+        unsaturated = x[..., self._pa] * self.case.s_base < self._pa_kink
+        diag[self._pa] = np.where(unsaturated, self._pa_curv, 0.0)
         return diag
 
     # -- constraints (balance p.u., then inequalities <= 0) ------------------
 
     def _line_state(self, x: np.ndarray) -> np.ndarray:
         """(vi, vj, ti, tj) of every directed line row on the first axis,
-        each of shape (rows,) for x of shape (n,), or (k, rows) for (k, n)."""
-        return self._extended(x).take(self._state_cols, axis=-1).swapaxes(0, -2)
+        each of shape (2, rows) for x of shape (n,), or (k, 2, rows) for
+        (k, n): one copy for each row of the (2, rows) admittance ``_gb``,
+        so that the flow kernels broadcast no operand."""
+        return self._extended(x).take(self._state_take, axis=-1).swapaxes(0, -3)
 
     def _network_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(power balance, line limits) from one flow kernel call.
@@ -311,13 +333,17 @@ class Problem:
         flows leaving each bus: P rows, then Q rows. The line limits are
         the directed P flows less their limits."""
         lead = x.shape[:-1]
-        pq = acnetwork.flow_p(*self._line_state(x)[..., None, :], *self._gb)
+        pq = acnetwork.flow_p(*self._line_state(x), *self._gb)
         terms = self._balance_sign * np.concatenate(
             [x.take(self._inj_col, axis=-1), pq.reshape(lead + (-1,))], axis=-1)
-        # one bincount for all points, the bins of point k offset by k * n_eq,
-        # so every bus adds its terms in the same order for any stack
-        k = math.prod(lead)
-        bins = (self._balance_row + self.n_eq * np.arange(k)[:, None]).ravel()
+        # one bincount for all points, the bins of a stack's point k offset
+        # by k * n_eq, so every bus adds its terms in the same order for any
+        # stack
+        if lead:
+            k = math.prod(lead)
+            bins = (self._balance_row + self.n_eq * np.arange(k)[:, None]).ravel()
+        else:
+            k, bins = 1, self._balance_row
         balance = np.bincount(bins, weights=terms.ravel(), minlength=k * self.n_eq)
         return balance.reshape(lead + (self.n_eq,)), pq[..., 0, :] - self._smax2
 
@@ -342,15 +368,13 @@ class Problem:
         minus the P and Q flow gradients of every directed row in the rows
         of its sending bus. Parallel lines and all lines leaving a bus share
         cells, so the entries are summed, not assigned."""
-        grad = acnetwork.flow_p_grad(*self._line_state(x)[..., None, :], *self._gb)
+        grad = acnetwork.flow_p_grad(*self._line_state(x), *self._gb)
         n = self.n_var
-        weights = np.concatenate([
-            self._inj_sign, -grad.transpose(1, 2, 0)[:, self._jh_valid].ravel()])
-        je = np.bincount(self._je_flat, weights=weights,
+        pq = grad.take(self._grad_take)
+        je = np.bincount(self._je_flat, weights=np.concatenate([self._inj_sign, -pq]),
                          minlength=self.n_eq * n).reshape(self.n_eq, n)
-        jh = np.zeros((self.n_ineq, n))
-        jh.flat[self._jh_flat] = grad[:, 0].T[self._jh_valid]
-        jh[-2:] = self._adequacy
+        jh = self._jh_base.copy()
+        jh.flat[self._jh_flat] = pq[:len(self._jh_flat)]
         return je, jh
 
     def equalities(self, x: np.ndarray) -> np.ndarray:
@@ -386,10 +410,10 @@ class Problem:
         weight = -lam_eq[self._flow_row]
         weight[0] += lam_ineq[:weight.shape[1]]
         local = weight[..., None, None] * acnetwork.flow_p_hess(
-            *self._line_state(x)[..., None, :], *self._gb)
+            *self._line_state(x), *self._gb)
         local = local[0] + local[1]
         weights = np.concatenate([-self.objective_hessian_diag(x),
-                                  local[self._hess_valid]])
+                                  local.take(self._hess_take)])
         return np.bincount(self._hess_flat, weights=weights, minlength=n * n).reshape(n, n)
 
 

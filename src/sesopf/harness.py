@@ -51,7 +51,7 @@ def _agg_keys(case: CaseData) -> list[tuple[int, int]]:
 def compute_metrics(case: CaseData, solution: Solution) -> Metrics:
     weighted, sat, cost = social_objective(case, solution.p_agg, solution.p_gen)
     norm = np.array([normalized_satisfaction(a, p)
-                     for a, p in zip(case.aggregators, solution.p_agg)])
+                     for a, p in zip(case.aggregators, solution.p_agg.tolist())])
     p_n = np.array([a.p_n for a in case.aggregators])
     curt_mw = p_n - np.asarray(solution.p_agg)
     losses = acnetwork.network_losses(case, solution.v, solution.theta)

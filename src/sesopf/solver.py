@@ -31,16 +31,25 @@ Cost model. On small cases (five_bus: 43 x 43 KKT systems) an iteration
 is mostly numpy-call overhead, so the work is laid out by how often it runs:
 
 - once per process and matrix size: the ``dsytrf`` workspace query;
+- once per problem (``Problem.__post_init__``): every constant the
+  evaluators read, the objective's coefficients and its constant Hessian
+  diagonal included, and the integer gather and scatter indices of the
+  Jacobians and the Lagrangian Hessian; no evaluator rebuilds one per call;
 - once per solve: the bound index arrays, the KKT buffers (the matrix, its
   equilibrated copy and a strided view of the Hessian block's diagonal)
   and the warnings filter around the iteration loop;
 - once per iterate: ``jacobians``, the objective gradient, one residual
-  pass and, if it takes a step, the Lagrangian Hessian, the two
-  fraction-to-boundary limits and the merit at the iterate;
+  pass and, if it takes a step, the Lagrangian Hessian and the two
+  fraction-to-boundary limits;
 - once per delta_w trial: the diagonal refill and one ``_inertia``
   (one ``dsytrf``), and, when the inertia is right, the equilibration and
   one ``scipy.linalg.solve``;
-- once per line-search trial: ``values`` and the merit.
+- once per line-search trial: ``values`` and the merit terms (the
+  constraint violation and the sum of log s); the accepted trial's terms
+  are the current point's in the next iteration, whose merit only weighs
+  them with its mu and rho. They are taken afresh only after a step that
+  no trial reached: a fallback, or a step along a direction with
+  dphi >= 0.
 
 Rows for fixed variables are appended to c_E and J_E only if the problem
 has such variables.
@@ -64,9 +73,11 @@ every P or every Q column, so no grouping of all the rows has fewer groups
 than there are generators and aggregators; the network rows alone need far
 fewer. A point where a row of a block changes under a group none of whose
 columns it reads has that block differenced under the dense plan, every
-column a group of its own. Cost model of one audit point on rts24: 2 x 17
-network points in one ``_network_rows`` call (one flow-kernel call), 2 x 73
-adequacy points in one ``_adequacy_rows`` call and 2 x 73 objective points
+column a group of its own. The columns that no row of a block reads share a
+trailing group, so that a row that starts to read one of them sends the
+block there too. Cost model of one audit point on rts24: 2 x 17 network
+points in one ``_network_rows`` call (one flow-kernel call), 2 x 74
+adequacy points in one ``_adequacy_rows`` call and 2 x 74 objective points
 in one ``objective`` call, instead of 2 x 193 each; the relative error over
 the ~950 nonzero entries of [J_E; J_h], not all 126 x 193.
 """
@@ -233,7 +244,7 @@ def _inertia(kkt: np.ndarray) -> tuple[int, int, int]:
     if info < 0:
         raise ValueError(f"dsytrf: illegal value in argument {-info}")
     ev = ldu.diagonal()
-    i = np.flatnonzero(ipiv < 0)
+    i = (ipiv < 0).nonzero()[0]
     if i.size:
         i = i[::2]
         ev = ev.copy()
@@ -287,6 +298,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     nu = np.maximum(mu / s, 1e-8)
     lam = np.zeros(me)
     rho = 10.0
+    terms = None  # _merit_terms at (x, s), carried from the accepted trial
     log = []
     # how the current iterate was reached; the start point was not
     came_by = {"alpha_p": 0.0, "alpha_d": 0.0, "delta_w": 0.0, "backtracks": 0, "fallback": False}
@@ -375,8 +387,10 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             lam_t, nu_t = lam + alpha_d * dlam, nu + alpha_d * dnu
             rho = max(rho, 1.2 * (np.abs(lam_t).max(initial=0.0) + np.abs(nu_t).max(initial=0.0)))
 
-            phi0, theta0 = _merit(f, ce, h, s, mu, rho)
-            dphi = grad @ dx - mu * (ds / s).sum() - rho * theta0
+            if terms is None:
+                terms = _merit_terms(ce, h, s)
+            phi0 = _merit(f, *terms, mu, rho)
+            dphi = grad @ dx - mu * (ds / s).sum() - rho * terms[0]
             alpha = alpha_p
             backtracks, fallback = 0, False
             trial = None  # (f, c_E, h) at the accepted x_t
@@ -385,7 +399,8 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
                     x_t, s_t = x + alpha * dx, s + alpha * ds
                     if (s_t > 0).all():
                         trial = nlp.values(x_t)
-                        phi_t, _ = _merit(*trial, s_t, mu, rho)
+                        terms = _merit_terms(*trial[1:], s_t)
+                        phi_t = _merit(trial[0], *terms, mu, rho)
                         bound = phi0 + 1e-4 * alpha * dphi + 1e-10 * abs(phi0)
                         if np.isfinite(phi_t) and phi_t <= bound:
                             break
@@ -397,11 +412,11 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
                     trial = None
                     backtracks, fallback = 30, True
             if trial is None:
-                x_t = x + alpha * dx
+                # the merit terms are taken afresh at the next iterate
+                x_t, s_t, terms = x + alpha * dx, s + alpha * ds, None
                 trial = nlp.values(x_t)
-            x, (f, ce, h) = x_t, trial
+            x, s, (f, ce, h) = x_t, s_t, trial
             grad = nlp.grad(x)
-            s = s + alpha * ds
             lam = lam_t
             nu = np.maximum(nu_t, 1e-14)
             # keep inequality duals within a band of mu/s (degenerate or weakly
@@ -417,17 +432,23 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
 def _max_step(vals, deltas):
     """Largest step in (0, 1] that keeps vals + step * deltas at least
     (1 - TAU) * vals; NaN deltas are ignored."""
-    neg = deltas < 0
-    if not neg.any():
+    neg = (deltas < 0).nonzero()[0]
+    if not neg.size:
         return 1.0
-    return float(min(1.0, (-TAU * vals[neg] / deltas[neg]).min()))
+    return float(min(1.0, (-TAU * vals.take(neg) / deltas.take(neg)).min()))
 
 
-def _merit(f, ce, h, s, mu, rho):
-    """Barrier merit value and constraint violation at (x, s) from the
-    values f, c_E and h at x."""
-    theta = np.abs(ce).sum() + np.abs(h + s).sum()
-    return f - mu * np.log(s).sum() + rho * theta, theta
+def _merit_terms(ce, h, s):
+    """(constraint violation theta, sum of log s) at (x, s), from the
+    values c_E and h at x: the terms of the merit that do not depend on
+    mu or rho."""
+    return np.abs(ce).sum() + np.abs(h + s).sum(), np.log(s).sum()
+
+
+def _merit(f, theta, log_s, mu, rho):
+    """Barrier merit value from the objective f at x and the merit terms
+    of ``_merit_terms`` at (x, s)."""
+    return f - mu * log_s + rho * theta
 
 
 def _finish(nlp, x, f, ce, h, lam, nu, iterations, log, status, reason=None) -> Solution:
@@ -593,8 +614,14 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
     differenced apart, each under the column groups of its own read set,
     which give the per-column differences bit for bit; the two constraint
     blocks are stacked in row order. A block with a row that changes under
-    a group it does not read is differenced one column at a time at that
-    point."""
+    a group it does not read, the trailing group of the columns it does not
+    read at all included, is differenced one column at a time at that
+    point.
+
+    One fault stays hidden from the grouped plans: each adequacy group holds
+    one P column and one Q column, both rows read every group, so an
+    adequacy row that also reads the other row's column of a group has that
+    change charged to its own column of the group."""
     _check_count("n_points", n_points, 1)
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -667,7 +694,7 @@ def _entry_name(index, n_eq: int) -> str:
 _OBJ_FD_STEP = 0.02
 _CON_FD_STEP = 1e-6
 # Groups per call of ``_central_diff``. The audit's grouped plans fit in one
-# call (rts24: 17 network groups; the 73 adequacy and 73 objective groups
+# call (rts24: 17 network groups; the 74 adequacy and 74 objective groups
 # are planned with block=n_var), so this splits the dense fallback plans,
 # one column per group. rts24's network fallback took 2.30 ms per point in
 # 11 calls of 2 * 19 points, against 2.63-4.66 ms in stacks of 10, 13, 25,
@@ -687,7 +714,7 @@ def _interior_point(problem: Problem, rng) -> np.ndarray:
     # keep demands away from the satisfaction kink where the second
     # derivative jumps (central differences straddle it otherwise); the
     # margin must exceed the widest finite-difference step in use
-    sat = problem._gamma / problem._mu / problem.case.s_base
+    sat = problem._pa_kink / problem.case.s_base
     margin = 2.0 * _OBJ_FD_STEP * np.maximum(1.0, sat)
     pa, lb_a, ub_a = x[lay.pa], lb[lay.pa], ub[lay.pa]
     below = sat - margin
@@ -701,7 +728,12 @@ def _column_groups(reads: np.ndarray) -> np.ndarray:
     that no row reads two columns of one group: each column, in natural
     order, joins the lowest group that none of its rows reads yet (Curtis,
     Powell & Reid 1974; Coleman & More 1983). Each row keeps the groups it
-    reads as the bits of an int."""
+    reads as the bits of an int.
+
+    The columns that no row reads share one trailing group of their own,
+    which no row reads either: a row that does change under one of them is
+    a fault that ``_central_diff`` sees, not a change charged to a column
+    of group 0 that the row reads."""
     cols, rows = np.nonzero(reads.T)
     bounds = np.searchsorted(cols, np.arange(reads.shape[1] + 1)).tolist()
     rows = rows.tolist()
@@ -715,8 +747,10 @@ def _column_groups(reads: np.ndarray) -> np.ndarray:
         g = (~busy & (busy + 1)).bit_length() - 1  # the lowest clear bit
         for i in rows_j:
             taken[i] |= 1 << g
-        group.append(g)
-    return np.array(group, dtype=int)
+        group.append(g if rows_j else -1)
+    group = np.array(group, dtype=int)
+    group[group < 0] = group.max(initial=-1) + 1
+    return group
 
 
 class _GroupStack(NamedTuple):

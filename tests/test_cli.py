@@ -10,6 +10,7 @@ import os
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from sesopf import cli, formulation, harness
@@ -181,6 +182,40 @@ def test_an_option_not_read_exits_2(command, tmp_path, capsys):
         assert cli_main([command, "builtin:five_bus", option, values.get(option, "1")]) == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
         assert not out.exists()
+
+
+# every subcommand, bare and with each of its options
+_ARGVS = (
+    ["solve", "builtin:five_bus"],
+    ["solve", "case.json", "--tol", "1e-7", "--max-iter", "50", "--output", "out.json",
+     "--format", "csv", "--trace", "trace.jsonl"],
+    ["sweep", "builtin:five_bus"],
+    ["sweep", "case.json", "--from", "20", "--to", "40", "--step", "5", "--tol", "1e-5",
+     "--max-iter", "9", "--output", "sweep.csv", "--format", "json", "--trace", "t.jsonl"],
+    ["check", "builtin:rts24"],
+    ["check", "builtin:rts24", "--seed", "7"],
+    ["oracle", "builtin:five_bus"],
+    ["oracle", "case.json", "--tol", "1e-8", "--max-iter", "30", "--output", "o.csv",
+     "--format", "csv"],
+)
+
+
+def test_one_parser_parses_like_fresh_ones_in_any_order(capsys):
+    """The parser is built once per process. Parsing leaves no state in it:
+    in any order, and after a rejected command line, each command line
+    parses to the namespace a parser built for it alone gives."""
+    parser = cli._parser()
+    assert cli._parser() is parser
+    expected = [vars(cli._parser.__wrapped__().parse_args(argv)) for argv in _ARGVS]
+    rng = np.random.default_rng(19)
+    orders = [list(range(len(_ARGVS))), list(range(len(_ARGVS)))[::-1],
+              *(rng.permutation(len(_ARGVS)).tolist() for _ in range(4))]
+    for order in orders:
+        for k in order:
+            assert vars(parser.parse_args(_ARGVS[k])) == expected[k]
+        with pytest.raises(SystemExit):
+            parser.parse_args(["check", "builtin:rts24", "--tol", "1e-6"])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["check", "sweep", "oracle"])

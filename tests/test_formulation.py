@@ -1,11 +1,14 @@
 """NLP assembly: layout, bounds, constraint evaluators, and derivatives."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from sesopf.acnetwork import build_admittance, bus_injections, line_flows
+from sesopf.acnetwork import (
+    build_admittance, bus_injections, flow_p, flow_p_hess, line_flows,
+)
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator
 from sesopf.formulation import build_problem
 from sesopf.harness import compute_metrics
@@ -197,6 +200,146 @@ def test_constraints_are_the_network_rows_then_the_adequacy_rows(network_problem
                                (balance, np.concatenate([limits, adequacy], axis=-1))):
             assert np.array_equal(whole, part)
             assert np.array_equal(np.signbit(whole), np.signbit(part))
+
+
+# ---------------------------------------------------------------------------
+# evaluators against their per-call forms
+#
+# The forms below rebuild on every call what Problem.__post_init__ builds
+# once: the objective's constants from the case, and the boolean-mask
+# gathers of the Jacobians and the Lagrangian Hessian. The flow kernels get
+# each line state once, shaped (1, rows), and broadcast it against the
+# (2, rows) admittance; the flow gradient forms -vi vj d and vi vj d apart.
+
+
+def _objective_constants(p):
+    case = p.case
+    sigma, gamma, mu = np.array([(a.sigma, a.gamma, a.mu) for a in case.aggregators],
+                                dtype=float).reshape(-1, 3).T
+    a, b, c = np.array([(g.a, g.b, g.c) for g in case.generators],
+                       dtype=float).reshape(-1, 3).T
+    return sigma, gamma, mu, a, b, c
+
+
+def _per_call_objective(p, x):
+    lay, sb = p.layout, p.case.s_base
+    sigma, gamma, mu, a, b, c = _objective_constants(p)
+    pa, pg = x[..., lay.pa] * sb, x[..., lay.pg] * sb
+    sat = np.where(pa < gamma / mu, gamma * pa - 0.5 * mu * pa * pa, 0.5 * gamma ** 2 / mu)
+    value = (sigma * sat).sum(axis=-1) - (a * pg * pg + b * pg + c).sum(axis=-1)
+    return value if value.ndim else float(value)
+
+
+def _per_call_gradient(p, x):
+    lay, sb = p.layout, p.case.s_base
+    sigma, gamma, mu, a, b, _ = _objective_constants(p)
+    pa, pg = x[..., lay.pa] * sb, x[..., lay.pg] * sb
+    grad = np.zeros(p.n_var)
+    grad[lay.pa] = sigma * np.where(pa < gamma / mu, gamma - mu * pa, 0.0) * sb
+    grad[lay.pg] = -(2.0 * a * pg + b) * sb
+    return grad
+
+
+def _per_call_hessian_diag(p, x):
+    lay, sb = p.layout, p.case.s_base
+    sigma, gamma, mu, a, _, _ = _objective_constants(p)
+    diag = np.zeros(p.n_var)
+    diag[lay.pa] = np.where(x[..., lay.pa] * sb < gamma / mu, -sigma * mu * sb * sb, 0.0)
+    diag[lay.pg] = -2.0 * a * sb * sb
+    return diag
+
+
+def _broadcast_state(p, x):
+    """(vi, vj, ti, tj), each of shape (1, rows), or (k, 1, rows) for (k, n)."""
+    state = p._extended(x).take(p._state_cols, axis=-1).swapaxes(0, -2)
+    return state[..., None, :]
+
+
+def _per_call_constraints(p, x):
+    lead = x.shape[:-1]
+    pq = flow_p(*_broadcast_state(p, x), *p._gb)
+    terms = p._balance_sign * np.concatenate(
+        [x.take(p._inj_col, axis=-1), pq.reshape(lead + (-1,))], axis=-1)
+    k = math.prod(lead)
+    bins = (p._balance_row + p.n_eq * np.arange(k)[:, None]).ravel()
+    balance = np.bincount(bins, weights=terms.ravel(), minlength=k * p.n_eq)
+    adequacy = (p._adequacy * x[..., None, :]).sum(axis=-1)
+    return (balance.reshape(lead + (p.n_eq,)),
+            np.concatenate([pq[..., 0, :] - p._smax2, adequacy], axis=-1))
+
+
+def _masks(p):
+    """The valid (row, column) pairs of the directed rows' local states and
+    of their 4x4 Hessian blocks, and the flat positions they scatter to."""
+    n, cols = p.n_var, p._state_cols.T
+    valid = cols >= 0
+    hess_valid = valid[:, :, None] & valid[:, None, :]
+    jh_flat = (np.arange(len(cols))[:, None] * n + cols)[valid]
+    je_flat = np.concatenate([p._inj_row * n + p._inj_col,
+                              (p._flow_row[:, :, None] * n + cols)[:, valid].ravel()])
+    hess_flat = np.concatenate([np.arange(n) * (n + 1),
+                                (cols[:, :, None] * n + cols[:, None, :])[hess_valid]])
+    return valid, hess_valid, jh_flat, je_flat, hess_flat
+
+
+def _per_call_jacobians(p, x):
+    n = p.n_var
+    valid, _, jh_flat, je_flat, _ = _masks(p)
+    vi, vj, ti, tj = _broadcast_state(p, x)
+    g, b = p._gb
+    ct, st = np.cos(ti - tj), np.sin(ti - tj)
+    a = g * ct + b * st
+    d = -g * st + b * ct
+    grad = np.array([2 * vi * g - vj * a, -vi * a, -vi * vj * d, vi * vj * d])
+    weights = np.concatenate([p._inj_sign, -grad.transpose(1, 2, 0)[:, valid].ravel()])
+    je = np.bincount(je_flat, weights=weights, minlength=p.n_eq * n).reshape(p.n_eq, n)
+    jh = np.zeros((p.n_ineq, n))
+    jh.flat[jh_flat] = grad[:, 0].T[valid]
+    jh[-2:] = p._adequacy
+    return je, jh
+
+
+def _per_call_lagrangian_hessian(p, x, lam_eq, lam_ineq):
+    n = p.n_var
+    _, hess_valid, _, _, hess_flat = _masks(p)
+    weight = -lam_eq[p._flow_row]
+    weight[0] += lam_ineq[:weight.shape[1]]
+    local = weight[..., None, None] * flow_p_hess(*_broadcast_state(p, x), *p._gb)
+    local = local[0] + local[1]
+    weights = np.concatenate([-_per_call_hessian_diag(p, x), local[hess_valid]])
+    return np.bincount(hess_flat, weights=weights, minlength=n * n).reshape(n, n)
+
+
+def _assert_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def test_evaluators_equal_their_per_call_forms_bit_for_bit(network_problem):
+    """Values, sign bits and shapes, at single points and in stacks of 1, 7
+    and 64 interior points. The first two points put every demand exactly
+    at and then beyond the satisfaction kink gamma/mu."""
+    p = network_problem
+    lay, sb = p.layout, p.case.s_base
+    rng = np.random.default_rng(41)
+    xs = np.stack([random_interior_state(p, rng) for _ in range(64)])
+    kink = np.array([a.gamma / a.mu for a in p.case.aggregators]) / sb
+    xs[0, lay.pa], xs[1, lay.pa] = kink, 1.5 * kink
+    for x in (xs[0], xs[1], xs[2], xs[:1], xs[:7], xs):
+        assert type(p.objective(x)) is type(_per_call_objective(p, x))
+        _assert_bits(p.objective(x), _per_call_objective(p, x))
+        for actual, expected in zip(p.constraints(x), _per_call_constraints(p, x)):
+            _assert_bits(actual, expected)
+    for x in xs[:7]:
+        _assert_bits(p.objective_gradient(x), _per_call_gradient(p, x))
+        _assert_bits(p.objective_hessian_diag(x), _per_call_hessian_diag(p, x))
+        for actual, expected in zip(p.jacobians(x), _per_call_jacobians(p, x)):
+            _assert_bits(actual, expected)
+        lam_eq, lam_ineq = rng.normal(size=p.n_eq), rng.uniform(0, 2, size=p.n_ineq)
+        _assert_bits(p.lagrangian_hessian(x, lam_eq, lam_ineq),
+                     _per_call_lagrangian_hessian(p, x, lam_eq, lam_ineq))
 
 
 def test_fused_evaluators_equal_the_separate_ones(network_problem):
