@@ -11,9 +11,14 @@ dozen buses.
 
 The per-line flow primitives and their derivatives take scalars or arrays
 that broadcast against each other, so the formulation evaluates all lines
-in one call. There is one kernel per derivative order, for the active
-sending flow: the reactive sending flow is the active one with the series
-admittance rotated by 90 degrees, q(g, b) = p(-b, g), bit for bit.
+in one call. They read a line's state as (vi, vj, cos(ti - tj),
+sin(ti - tj)), formed by ``flow_state``, so that the value, gradient and
+Hessian at one point share one cos and one sin. There is one kernel per
+derivative order, for the active sending flow: the reactive sending flow
+is the active one with the series admittance rotated by 90 degrees,
+q(g, b) = p(-b, g), bit for bit.
+The Hessian kernel returns its 9 distinct entries, not the 4x4 matrix;
+``HESS_ENTRIES`` places them.
 """
 
 from __future__ import annotations
@@ -92,15 +97,19 @@ def injection_residuals(adm: Admittance, v, theta, p_net, q_net):
 # small cases a broadcast operand costs more than the second cos and sin.
 
 
-def flow_p(vi, vj, ti, tj, g, b):
+def flow_state(vi, vj, ti, tj):
+    """(vi, vj, cos(ti - tj), sin(ti - tj)): the line state that the flow
+    kernels read."""
     dth = ti - tj
-    return vi * vi * g - vi * vj * (g * np.cos(dth) + b * np.sin(dth))
+    return vi, vj, np.cos(dth), np.sin(dth)
 
 
-def flow_p_grad(vi, vj, ti, tj, g, b):
+def flow_p(vi, vj, ct, st, g, b):
+    return vi * vi * g - vi * vj * (g * ct + b * st)
+
+
+def flow_p_grad(vi, vj, ct, st, g, b):
     """Gradient of flow_p w.r.t. (vi, vj, ti, tj) on the first axis."""
-    dth = ti - tj
-    ct, st = np.cos(dth), np.sin(dth)
     a = g * ct + b * st
     d = -g * st + b * ct  # da/dti
     # -(vi vj d) is (-vi) vj d bit for bit: negation is exact and IEEE
@@ -109,33 +118,33 @@ def flow_p_grad(vi, vj, ti, tj, g, b):
     return np.array([2 * vi * g - vj * a, -vi * a, -vvd, vvd])
 
 
-def flow_p_hess(vi, vj, ti, tj, g, b):
-    """Hessian of flow_p w.r.t. (vi, vj, ti, tj) on the last two axes:
-    shape (4, 4) for scalar arguments, their broadcast shape + (4, 4) for
-    arrays."""
-    dth = ti - tj
-    ct, st = np.cos(dth), np.sin(dth)
+# HESS_ENTRIES[r, c] is the index, on the first axis of flow_p_hess, of the
+# Hessian entry in row r and column c of (vi, vj, ti, tj)
+HESS_ENTRIES = np.array([[0, 1, 2, 3],
+                         [1, 8, 4, 5],
+                         [2, 4, 6, 7],
+                         [3, 5, 7, 6]])
+
+
+def flow_p_hess(vi, vj, ct, st, g, b):
+    """The 9 distinct entries of the Hessian of flow_p w.r.t. (vi, vj, ti,
+    tj) on the first axis: 2g, -a, -vj d, vj d, -vi d, vi d, vi vj a,
+    -vi vj a and 0, for a = g cos + b sin and d = da/dti. ``HESS_ENTRIES``
+    places them in the symmetric 4x4 matrix."""
     a = g * ct + b * st
     d = -g * st + b * ct  # da/dti
     vjd, vid, vva = vj * d, vi * d, vi * vj * a
-    # the entries are filled along the leading axes, one contiguous block
-    # each, and returned as a view with those axes moved to the end
-    h = np.zeros((4, 4) + np.shape(vva))
-    h[0, 0] = 2 * g
-    h[0, 1] = h[1, 0] = -a
-    h[0, 2] = h[2, 0] = -vjd
-    h[0, 3] = h[3, 0] = vjd
-    h[1, 2] = h[2, 1] = -vid
-    h[1, 3] = h[3, 1] = vid
-    h[2, 2] = h[3, 3] = vva
-    h[2, 3] = h[3, 2] = -vva
-    return h.transpose(*range(2, h.ndim), 0, 1)
+    # 2g is written in the shape of the other entries, which a state of
+    # more dimensions than the admittance gives them
+    two_g = np.multiply(2, g, out=np.empty_like(vva))
+    return np.array([two_g, -a, -vjd, vjd, -vid, vid, vva, -vva, np.zeros_like(vva)])
 
 
-def flow_q_hess(vi, vj, ti, tj, g, b):
-    """Hessian of the reactive sending q. Nothing in the package calls it;
-    it stays as a site that the benchmark's per-layer tracer patches."""
-    return flow_p_hess(vi, vj, ti, tj, -b, g)
+def flow_q_hess(vi, vj, ct, st, g, b):
+    """Hessian entries of the reactive sending q. Nothing in the package
+    calls it; it stays as a site that the benchmark's per-layer tracer
+    patches."""
+    return flow_p_hess(vi, vj, ct, st, -b, g)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +166,8 @@ def line_flows(case: CaseData, v, theta) -> tuple[np.ndarray, np.ndarray]:
     i, j, g, b = line_arrays(case)
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    p_ft = flow_p(v[i], v[j], theta[i], theta[j], g, b)
-    p_tf = flow_p(v[j], v[i], theta[j], theta[i], g, b)
+    p_ft = flow_p(*flow_state(v[i], v[j], theta[i], theta[j]), g, b)
+    p_tf = flow_p(*flow_state(v[j], v[i], theta[j], theta[i]), g, b)
     return p_ft * case.s_base, p_tf * case.s_base
 
 

@@ -22,7 +22,18 @@ scattered (MATPOWER Tech. Note 2, Zimmerman 2010, in real coordinates).
 The valid entries of those gradients and blocks are gathered by integer
 ``take`` indices built once too, not by boolean masks, and the objective's
 coefficients (gamma/mu, mu/2, gamma^2/(2 mu), 2a and the constant Hessian
-diagonal) are computed once per problem, not on every call.
+diagonal) are computed once per problem, not on every call. The 4x4 blocks
+are never formed: ``acnetwork.flow_p_hess`` returns the 9 distinct entries
+of each, and ``_hess_take`` gathers every valid block entry from them.
+
+Each evaluator reads its point through a ``PointState``: the directed rows'
+(vi, vj, cos(ti - tj), sin(ti - tj)), which every flow kernel reads, and the
+demand split (P_a s_b, P_a s_b < gamma/mu, P_g s_b), which every objective
+evaluator reads. Given x alone, an evaluator forms the part it reads; given
+the state too, it forms nothing. The solver forms one state per point, at
+the line-search trial, and takes the Jacobians, the objective gradient and
+the Lagrangian Hessian at the accepted iterate from that trial's state, so
+each point's gather, cos, sin and demand split are done once.
 
 Power balance takes the network injection at each bus as the sum of the
 directed flows leaving it over its lines, and its Jacobian and Hessian as
@@ -51,6 +62,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +109,13 @@ class VariableLayout:
     def th(self) -> slice:
         k = 2 * self.n_gen + 2 * self.n_agg + self.n_bus
         return slice(k, k + self.n_bus - 1)
+
+
+class PointState(NamedTuple):
+    """The kernel state of a point that the evaluators read, formed once
+    per point by ``Problem.point_state``."""
+    line: tuple  # every directed row's (vi, vj, cos(ti - tj), sin(ti - tj))
+    demand: tuple  # (P_a s_b, P_a s_b < gamma/mu, P_g s_b)
 
 
 @dataclass
@@ -195,7 +214,10 @@ class Problem:
             self._inj_row * n + self._inj_col,
             (self._flow_row[:, :, None] * n + cols)[:, valid].ravel()])
         hess_valid = valid[:, :, None] & valid[:, None, :]
-        self._hess_take = np.flatnonzero(hess_valid)
+        # the position, in the (9, rows) distinct Hessian entries of the
+        # directed rows, of every valid (row, column, column) entry
+        hess_r, hess_a, hess_b = np.nonzero(hess_valid)
+        self._hess_take = acnetwork.HESS_ENTRIES[hess_a, hess_b] * n_rows + hess_r
         # the objective's diagonal, then every valid (row, column) pair of
         # each directed row's 4x4 block
         self._hess_flat = np.concatenate([
@@ -286,54 +308,70 @@ class Problem:
         x[lay.v] = 1.0
         return x
 
-    # -- objective ----------------------------------------------------------
-    # The same quantities as welfare.social_objective, marginal_satisfaction
-    # and marginal_cost, over all aggregators and generators at once.
+    # -- kernel state (see the module docstring) -----------------------------
+
+    def point_state(self, x: np.ndarray) -> PointState:
+        """The PointState of x, one point of shape (n,) or a stack (k, n)."""
+        return PointState(self._line_state(x), self._demand_and_generation(x))
+
+    def _line_state(self, x: np.ndarray) -> tuple:
+        """(vi, vj, cos(ti - tj), sin(ti - tj)) of every directed line row,
+        each of shape (2, rows) for x of shape (n,), or (k, 2, rows) for
+        (k, n): one copy for each row of the (2, rows) admittance ``_gb``,
+        so that the flow kernels broadcast no operand."""
+        return acnetwork.flow_state(
+            *self._extended(x).take(self._state_take, axis=-1).swapaxes(0, -3))
 
     def _demand_and_generation(self, x):
+        """(P_a s_b, P_a s_b < gamma/mu, P_g s_b): the demands, which of them
+        are below the satisfaction kink, and the generation, in MW."""
         sb = self.case.s_base
         pa = x[..., self._pa] * sb
         return pa, pa < self._pa_kink, x[..., self._pg] * sb
 
-    def objective(self, x: np.ndarray):
+    def _line(self, x, state):
+        return self._line_state(x) if state is None else state.line
+
+    def _demand(self, x, state):
+        return self._demand_and_generation(x) if state is None else state.demand
+
+    # -- objective ----------------------------------------------------------
+    # The same quantities as welfare.social_objective, marginal_satisfaction
+    # and marginal_cost, over all aggregators and generators at once.
+
+    def objective(self, x: np.ndarray, state: PointState | None = None):
         """A float for one point, an array of k values for (k, n) points."""
-        pa, unsaturated, pg = self._demand_and_generation(x)
+        pa, unsaturated, pg = self._demand(x, state)
         sat = np.where(unsaturated, self._gamma * pa - self._half_mu * pa * pa, self._sat_cap)
         a, b, c = self._cost
         value = (self._sigma * sat).sum(axis=-1) - (a * pg * pg + b * pg + c).sum(axis=-1)
         return value if value.ndim else float(value)
 
-    def objective_gradient(self, x: np.ndarray) -> np.ndarray:
+    def objective_gradient(self, x: np.ndarray, state: PointState | None = None) -> np.ndarray:
         sb = self.case.s_base
-        pa, unsaturated, pg = self._demand_and_generation(x)
+        pa, unsaturated, pg = self._demand(x, state)
         grad = np.zeros(self.n_var)
         grad[self._pa] = self._sigma * np.where(unsaturated, self._gamma - self._mu * pa, 0.0) * sb
         grad[self._pg] = -(self._two_a * pg + self._cost[1]) * sb
         return grad
 
-    def objective_hessian_diag(self, x: np.ndarray) -> np.ndarray:
+    def objective_hessian_diag(self, x: np.ndarray,
+                               state: PointState | None = None) -> np.ndarray:
         diag = self._diag_base.copy()
-        unsaturated = x[..., self._pa] * self.case.s_base < self._pa_kink
-        diag[self._pa] = np.where(unsaturated, self._pa_curv, 0.0)
+        diag[self._pa] = np.where(self._demand(x, state)[1], self._pa_curv, 0.0)
         return diag
 
     # -- constraints (balance p.u., then inequalities <= 0) ------------------
 
-    def _line_state(self, x: np.ndarray) -> np.ndarray:
-        """(vi, vj, ti, tj) of every directed line row on the first axis,
-        each of shape (2, rows) for x of shape (n,), or (k, 2, rows) for
-        (k, n): one copy for each row of the (2, rows) admittance ``_gb``,
-        so that the flow kernels broadcast no operand."""
-        return self._extended(x).take(self._state_take, axis=-1).swapaxes(0, -3)
-
-    def _network_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _network_rows(self, x: np.ndarray,
+                      state: PointState | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(power balance, line limits) from one flow kernel call.
 
         Power balance, p.u., is generation minus demand minus the P and Q
         flows leaving each bus: P rows, then Q rows. The line limits are
         the directed P flows less their limits."""
         lead = x.shape[:-1]
-        pq = acnetwork.flow_p(*self._line_state(x), *self._gb)
+        pq = acnetwork.flow_p(*self._line(x, state), *self._gb)
         terms = self._balance_sign * np.concatenate(
             [x.take(self._inj_col, axis=-1), pq.reshape(lead + (-1,))], axis=-1)
         # one bincount for all points, the bins of a stack's point k offset
@@ -351,16 +389,18 @@ class Problem:
         """The two adequacy rows, sum(P_a) - sum(P_g) and sum(Q_a) - sum(Q_g)."""
         return (self._adequacy * x[..., None, :]).sum(axis=-1)
 
-    def constraints(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def constraints(self, x: np.ndarray,
+                    state: PointState | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(power balance, inequalities): the rows of ``_network_rows``,
         then those of ``_adequacy_rows`` after the line limits, each
         inequality <= 0 when satisfied. The derivative audit differences
         the two blocks apart, each under the column groups of its own rows
         of ``constraint_read_sets``."""
-        balance, limits = self._network_rows(x)
+        balance, limits = self._network_rows(x, state)
         return balance, np.concatenate([limits, self._adequacy_rows(x)], axis=-1)
 
-    def jacobians(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def jacobians(self, x: np.ndarray,
+                  state: PointState | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(equality Jacobian, inequality Jacobian) at one point from one
         flow-gradient kernel call.
 
@@ -368,7 +408,7 @@ class Problem:
         minus the P and Q flow gradients of every directed row in the rows
         of its sending bus. Parallel lines and all lines leaving a bus share
         cells, so the entries are summed, not assigned."""
-        grad = acnetwork.flow_p_grad(*self._line_state(x), *self._gb)
+        grad = acnetwork.flow_p_grad(*self._line(x, state), *self._gb)
         n = self.n_var
         pq = grad.take(self._grad_take)
         je = np.bincount(self._je_flat, weights=np.concatenate([self._inj_sign, -pq]),
@@ -399,21 +439,23 @@ class Problem:
 
     # -- Lagrangian Hessian --------------------------------------------------
 
-    def lagrangian_hessian(self, x, lam_eq, lam_ineq) -> np.ndarray:
+    def lagrangian_hessian(self, x, lam_eq, lam_ineq,
+                           state: PointState | None = None) -> np.ndarray:
         """Hessian of f_min + lam_eq . c_E + lam_ineq . h, where
         f_min = -objective (minimization sense).
 
         A directed row's P and Q flows enter the balance residuals of its
         sending bus with weight -1, and its P flow its own limit row with
-        weight +1."""
+        weight +1. Each weighted distinct entry of the flow Hessians is the
+        product a weighted 4x4 block would hold; the P and Q halves are
+        summed, and the valid entries of every block gathered by
+        ``_hess_take``."""
         n = self.n_var
         weight = -lam_eq[self._flow_row]
         weight[0] += lam_ineq[:weight.shape[1]]
-        local = weight[..., None, None] * acnetwork.flow_p_hess(
-            *self._line_state(x), *self._gb)
-        local = local[0] + local[1]
-        weights = np.concatenate([-self.objective_hessian_diag(x),
-                                  local.take(self._hess_take)])
+        entries = weight * acnetwork.flow_p_hess(*self._line(x, state), *self._gb)
+        weights = np.concatenate([-self.objective_hessian_diag(x, state),
+                                  (entries[:, 0] + entries[:, 1]).take(self._hess_take)])
         return np.bincount(self._hess_flat, weights=weights, minlength=n * n).reshape(n, n)
 
 

@@ -90,11 +90,13 @@ MAX_SWEEP_POINTS = 100_000
 def sweep_points(from_pct: float, to_pct: float, step_pct: float) -> list[float]:
     """The scale percentages of a sweep: from_pct + k * step_pct, rounded to
     9 decimals, for k = 0, 1, ... while they stay within to_pct + 1e-9.
-    Raises ValueError for a range that is empty, not finite, or longer than
-    MAX_SWEEP_POINTS points, which includes a step too small to move a point
-    past the float spacing at from_pct."""
+    Raises ValueError, before listing any point, for a range that is empty,
+    not finite, or longer than MAX_SWEEP_POINTS points, and for a step too
+    small to move from_pct past its float spacing."""
     if not (0 < from_pct <= to_pct < np.inf and 0 < step_pct < np.inf):
         raise ValueError("invalid sweep range")
+    if from_pct + step_pct == from_pct:
+        raise ValueError(f"sweep step {step_pct!r} does not move the start {from_pct!r}")
     if (to_pct - from_pct) / step_pct >= MAX_SWEEP_POINTS:
         raise ValueError(f"sweep range has more than {MAX_SWEEP_POINTS} points")
     pcts = []

@@ -19,13 +19,15 @@ safeguarded by the fraction-to-boundary rule and a merit-function
 backtracking line search. Everything is deterministic.
 
 Each iterate is evaluated once: its objective and constraint values come
-from the accepted line-search trial, and its gradient, Jacobians and
-Lagrangian Hessian are computed once and shared by the convergence test,
-the KKT system and the merit function. Each of those takes one flow-kernel
-call per derivative order (``Problem.constraints`` at every trial,
-``Problem.jacobians`` and ``Problem.lagrangian_hessian`` at every iterate),
-and the scaled residuals are computed once per iteration. Bound rows, one
-+-1 entry each, are applied by index instead of as Jacobian rows.
+from the accepted line-search trial, and so does its ``PointState`` (the
+directed rows' line state with its cos and sin, and the demand split),
+from which its gradient, Jacobians and Lagrangian Hessian are computed,
+once each, and shared by the convergence test, the KKT system and the
+merit function. Each of those takes one flow-kernel call per derivative
+order (``Problem.constraints`` at every trial, ``Problem.jacobians`` and
+``Problem.lagrangian_hessian`` at every iterate), and the scaled residuals
+are computed once per iteration. Bound rows, one +-1 entry each, are
+applied by index instead of as Jacobian rows.
 
 Cost model. On small cases (five_bus: 43 x 43 KKT systems) an iteration
 is mostly numpy-call overhead, so the work is laid out by how often it runs:
@@ -40,16 +42,20 @@ is mostly numpy-call overhead, so the work is laid out by how often it runs:
   and the warnings filter around the iteration loop;
 - once per iterate: ``jacobians``, the objective gradient, one residual
   pass and, if it takes a step, the Lagrangian Hessian and the two
-  fraction-to-boundary limits;
+  fraction-to-boundary limits; the derivatives read the accepted trial's
+  state and form no gather, cos, sin or demand split of their own;
 - once per delta_w trial: the diagonal refill and one ``_inertia``
   (one ``dsytrf``), and, when the inertia is right, the equilibration and
   one ``scipy.linalg.solve``;
-- once per line-search trial: ``values`` and the merit terms (the
-  constraint violation and the sum of log s); the accepted trial's terms
-  are the current point's in the next iteration, whose merit only weighs
-  them with its mu and rho. They are taken afresh only after a step that
-  no trial reached: a fallback, or a step along a direction with
-  dphi >= 0.
+- once per line-search trial: ``values``, which forms the point's
+  ``PointState`` (one gather of the directed rows' line state, one cos and
+  one sin per angle difference, one demand split), and the merit terms
+  (the constraint violation and the sum of log s); the accepted trial's
+  state and terms are the current point's in the next iteration, whose
+  merit only weighs the terms with its mu and rho. The terms are taken
+  afresh only after a step that no trial reached: a fallback, or a step
+  along a direction with dphi >= 0; such a step's ``values`` call forms
+  the new iterate's state, so no point has its state formed twice.
 
 Rows for fixed variables are appended to c_E and J_E only if the problem
 has such variables.
@@ -179,21 +185,23 @@ class _InternalNLP:
         self.fixed_rows[np.arange(len(self.fixed_idx)), self.fixed_idx] = 1.0
 
     def values(self, x):
-        """(f, c_E, h) at x."""
+        """(f, c_E, h) at x and the ``PointState`` of x, from which every
+        derivative at x is taken."""
         p = self.problem
-        ce, ineq = p.constraints(x)
+        state = p.point_state(x)
+        ce, ineq = p.constraints(x, state)
         if len(self.fixed_idx):
             ce = np.concatenate([ce, x[self.fixed_idx] - p.lb[self.fixed_idx]])
         h = np.concatenate([ineq, self.bound_sign * (x[self.bound_idx] - self.bound_val)])
-        return -p.objective(x), ce, h
+        return -p.objective(x, state), ce, h, state
 
-    def grad(self, x):
-        return -self.problem.objective_gradient(x)
+    def grad(self, x, state):
+        return -self.problem.objective_gradient(x, state)
 
-    def jacobians(self, x):
+    def jacobians(self, x, state):
         """(J_E, jh) at x: the problem's equality Jacobian with the fixed
         rows below it, and the problem rows of the inequality Jacobian."""
-        je, jh = self.problem.jacobians(x)
+        je, jh = self.problem.jacobians(x, state)
         if len(self.fixed_idx):
             je = np.vstack([je, self.fixed_rows])
         return je, jh
@@ -208,10 +216,10 @@ class _InternalNLP:
         """Full inequality Jacobian times dx."""
         return np.concatenate([jh @ dx, self.bound_sign * dx[self.bound_idx]])
 
-    def condensed(self, x, lam, nu, jh, d_sigma):
+    def condensed(self, x, state, lam, nu, jh, d_sigma):
         """Lagrangian Hessian plus jh' diag(d_sigma) jh over all rows."""
         mi = len(jh)
-        m = self.problem.lagrangian_hessian(x, lam[:self.problem.n_eq], nu[:mi])
+        m = self.problem.lagrangian_hessian(x, lam[:self.problem.n_eq], nu[:mi], state)
         m += (jh.T * d_sigma[:mi]) @ jh
         m.reshape(-1)[::self.n + 1] += np.bincount(self.bound_idx, weights=d_sigma[mi:],
                                                    minlength=self.n)
@@ -286,13 +294,13 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     nlp = _InternalNLP(problem)
     n, me = nlp.n, nlp.m_eq
     x = problem.initial_point()
-    f, ce, h = nlp.values(x)
+    f, ce, h, state = nlp.values(x)
     reason = _screen_infeasible(problem)
     if reason is not None:
         return _finish(nlp, x, f, ce, h, np.zeros(me), np.zeros(len(h)),
                        0, [], "infeasible_detected", reason)
 
-    grad = nlp.grad(x)
+    grad = nlp.grad(x, state)
     s = np.maximum(1e-2, -h)
     mu = MU0 * max(1.0, np.abs(grad).max() / 100.0)
     nu = np.maximum(mu / s, 1e-8)
@@ -315,7 +323,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         # guarded by the residual tests instead
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         for it in range(1, opts.max_iter + 1):
-            je, jh = nlp.jacobians(x)
+            je, jh = nlp.jacobians(x, state)
             r_d = grad + je.T @ lam + nlp.jh_t(jh, nu)
             r_h = h + s
             inf_pr, inf_du, inf_comp0, inf_comp_mu = _scaled_residuals(
@@ -330,7 +338,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
 
             d_sigma = nu / s
             centring = mu / s - nu  # in the right-hand side and the dual step
-            m_base = nlp.condensed(x, lam, nu, jh, d_sigma)
+            m_base = nlp.condensed(x, state, lam, nu, jh, d_sigma)
             rhs = np.concatenate([
                 -(r_d + nlp.jh_t(jh, centring + d_sigma * r_h)),
                 -ce,
@@ -393,13 +401,13 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             dphi = grad @ dx - mu * (ds / s).sum() - rho * terms[0]
             alpha = alpha_p
             backtracks, fallback = 0, False
-            trial = None  # (f, c_E, h) at the accepted x_t
+            trial = None  # (f, c_E, h, state) at the accepted x_t
             if dphi < 0.0:
                 for backtracks in range(30):
                     x_t, s_t = x + alpha * dx, s + alpha * ds
                     if (s_t > 0).all():
                         trial = nlp.values(x_t)
-                        terms = _merit_terms(*trial[1:], s_t)
+                        terms = _merit_terms(trial[1], trial[2], s_t)
                         phi_t = _merit(trial[0], *terms, mu, rho)
                         bound = phi0 + 1e-4 * alpha * dphi + 1e-10 * abs(phi0)
                         if np.isfinite(phi_t) and phi_t <= bound:
@@ -415,14 +423,15 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
                 # the merit terms are taken afresh at the next iterate
                 x_t, s_t, terms = x + alpha * dx, s + alpha * ds, None
                 trial = nlp.values(x_t)
-            x, s, (f, ce, h) = x_t, s_t, trial
-            grad = nlp.grad(x)
+            x, s, (f, ce, h, state) = x_t, s_t, trial
+            grad = nlp.grad(x, state)
             lam = lam_t
             nu = np.maximum(nu_t, 1e-14)
             # keep inequality duals within a band of mu/s (degenerate or weakly
             # active rows otherwise distort the equality duals)
             kappa = 1e10
-            nu = np.clip(nu, mu / (kappa * s), kappa * mu / s)
+            # np.clip's values, without the 1-2 us of its Python wrapper
+            nu = np.minimum(np.maximum(nu, mu / (kappa * s)), kappa * mu / s)
             came_by = {"alpha_p": alpha, "alpha_d": alpha_d, "delta_w": delta_w,
                        "backtracks": backtracks, "fallback": fallback}
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from sesopf.casemodel import Bus, CaseData, Line
 from sesopf.acnetwork import (
-    Admittance, build_admittance, bus_injections, flow_p, flow_p_grad,
-    flow_p_hess, injection_residuals, line_flows, network_losses,
+    HESS_ENTRIES, Admittance, build_admittance, bus_injections, flow_p, flow_p_grad,
+    flow_p_hess, flow_state, injection_residuals, line_flows, network_losses,
     series_admittance,
 )
 
@@ -180,8 +180,8 @@ def _line_flow(case, v, theta, k):
     line = case.lines[k]
     g, b = series_admittance(line)
     i, j = case.bus_index(line.from_bus), case.bus_index(line.to_bus)
-    p_ft = flow_p(v[i], v[j], theta[i], theta[j], g, b)
-    p_tf = flow_p(v[j], v[i], theta[j], theta[i], g, b)
+    p_ft = flow_p(*flow_state(v[i], v[j], theta[i], theta[j]), g, b)
+    p_tf = flow_p(*flow_state(v[j], v[i], theta[j], theta[i]), g, b)
     return float(p_ft * case.s_base), float(p_tf * case.s_base)
 
 
@@ -253,28 +253,41 @@ def _flow_q(vi, vj, ti, tj, g, b):
     return -vi * vi * b - vi * vj * (g * np.sin(dth) - b * np.cos(dth))
 
 
+def _at_angles(kernel):
+    """A flow kernel taking (vi, vj, ti, tj, g, b): the state of flow_state."""
+    return lambda vi, vj, ti, tj, g, b: kernel(*flow_state(vi, vj, ti, tj), g, b)
+
+
 def _rotated(kernel):
     """A flow_p kernel evaluated at the rotated admittance (-b, g)."""
     return lambda vi, vj, ti, tj, g, b: kernel(vi, vj, ti, tj, -b, g)
+
+
+def _matrix(entries):
+    """The distinct entries of flow_p_hess, placed by HESS_ENTRIES, as
+    the (..., 4, 4) Hessian."""
+    return np.moveaxis(entries[HESS_ENTRIES], (0, 1), (-2, -1))
 
 
 @settings(deadline=None)
 @given(data=st.data())
 def test_flow_primitives_match_finite_differences(data):
     """flow_p at the rotated admittance is the reactive flow bit for bit,
-    and the rotated gradient and Hessian are its derivatives."""
+    and the rotated gradient and Hessian are its derivatives in (vi, vj,
+    ti, tj)."""
     g = data.draw(st.floats(0.0, 5.0))
     b = data.draw(st.floats(-20.0, -0.5))
     state = np.array([data.draw(st.floats(0.9, 1.1)),
                       data.draw(st.floats(0.9, 1.1)),
                       data.draw(st.floats(-0.4, 0.4)),
                       data.draw(st.floats(-0.4, 0.4))])
-    assert flow_p(*state, -b, g) == _flow_q(*state, g, b)
+    value, grad_p, hess_p = map(_at_angles, (flow_p, flow_p_grad, flow_p_hess))
+    assert value(*state, -b, g) == _flow_q(*state, g, b)
 
-    for fun, grad_fun, hess_fun in ((flow_p, flow_p_grad, flow_p_hess),
-                                    (_flow_q, _rotated(flow_p_grad), _rotated(flow_p_hess))):
+    for fun, grad_fun, hess_fun in ((value, grad_p, hess_p),
+                                    (_flow_q, _rotated(grad_p), _rotated(hess_p))):
         grad = grad_fun(*state, g, b)
-        hess = hess_fun(*state, g, b)
+        hess = _matrix(hess_fun(*state, g, b))
         h = 1e-6
         for i in range(4):
             up, dn = state.copy(), state.copy()
@@ -306,11 +319,12 @@ def _flow_p_hess_by_entries(vi, vj, ti, tj, g, b):
 
 
 @pytest.mark.parametrize("shape, expected", [
-    ((), (4, 4)), ((7,), (7, 4, 4)), ((2, 7), (2, 7, 4, 4))])
+    ((), (9,)), ((7,), (9, 7)), ((2, 7), (9, 2, 7))])
 def test_flow_p_hess_keeps_its_shapes_and_entries(shape, expected):
-    """Scalar, (rows,) and (2, rows) arguments, and the formulation's mix of
-    (1, rows) states with a (2, rows) admittance: the same shape, bits and
-    zero signs as the entry-by-entry form, and symmetric."""
+    """Scalar, (rows,) and (2, rows) arguments, and a mix of (1, rows)
+    states with a (2, rows) admittance: 9 distinct entries on the first
+    axis, which HESS_ENTRIES places into a symmetric matrix with the shape,
+    bits and zero signs of the entry-by-entry form."""
     rng = np.random.default_rng(3)
     state = [rng.uniform(0.9, 1.1, shape), rng.uniform(0.9, 1.1, shape),
              rng.uniform(-0.4, 0.4, shape), rng.uniform(-0.4, 0.4, shape)]
@@ -318,12 +332,12 @@ def test_flow_p_hess_keeps_its_shapes_and_entries(shape, expected):
     if shape == ():
         state = [float(v) for v in state]
         admittance = [float(v) for v in admittance]
+    assert flow_p_hess(*flow_state(*state), *admittance).shape == expected
     mixed = [np.atleast_1d(v)[None] for v in state], [np.stack([u, u]) for u in admittance]
-    for args in (state + admittance, mixed[0] + mixed[1]):
-        hess = flow_p_hess(*args)
-        reference = _flow_p_hess_by_entries(*args)
+    for angles, adm in ((state, admittance), mixed):
+        hess = _matrix(flow_p_hess(*flow_state(*angles), *adm))
+        reference = _flow_p_hess_by_entries(*angles, *adm)
         assert hess.shape == reference.shape
         assert np.array_equal(hess, reference)
         assert np.array_equal(np.signbit(hess), np.signbit(reference))
         assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
-    assert flow_p_hess(*state, *admittance).shape == expected

@@ -6,9 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sesopf.acnetwork import (
-    build_admittance, bus_injections, flow_p, flow_p_hess, line_flows,
-)
+from sesopf.acnetwork import build_admittance, bus_injections, flow_p, flow_state, line_flows
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator
 from sesopf.formulation import build_problem
 from sesopf.harness import compute_metrics
@@ -16,6 +14,7 @@ from sesopf.solver import finite_difference_audit
 from sesopf.welfare import marginal_cost, marginal_satisfaction, social_objective
 
 from conftest import random_interior_state, single_bus_case
+from test_acnetwork import _flow_p_hess_by_entries
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +256,7 @@ def _broadcast_state(p, x):
 
 def _per_call_constraints(p, x):
     lead = x.shape[:-1]
-    pq = flow_p(*_broadcast_state(p, x), *p._gb)
+    pq = flow_p(*flow_state(*_broadcast_state(p, x)), *p._gb)
     terms = p._balance_sign * np.concatenate(
         [x.take(p._inj_col, axis=-1), pq.reshape(lead + (-1,))], axis=-1)
     k = math.prod(lead)
@@ -304,7 +303,7 @@ def _per_call_lagrangian_hessian(p, x, lam_eq, lam_ineq):
     _, hess_valid, _, _, hess_flat = _masks(p)
     weight = -lam_eq[p._flow_row]
     weight[0] += lam_ineq[:weight.shape[1]]
-    local = weight[..., None, None] * flow_p_hess(*_broadcast_state(p, x), *p._gb)
+    local = weight[..., None, None] * _flow_p_hess_by_entries(*_broadcast_state(p, x), *p._gb)
     local = local[0] + local[1]
     weights = np.concatenate([-_per_call_hessian_diag(p, x), local[hess_valid]])
     return np.bincount(hess_flat, weights=weights, minlength=n * n).reshape(n, n)

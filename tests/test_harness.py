@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sesopf import harness
 from sesopf.harness import (
-    compute_metrics, emit, run_solve, ses_sweep, solve_document, sweep_rows,
+    compute_metrics, emit, run_solve, ses_sweep, solve_document, sweep_points, sweep_rows,
 )
 from sesopf.solver import SolverOptions
 from sesopf.welfare import normalized_satisfaction, social_objective
@@ -89,6 +90,25 @@ def test_sweep_invalid_range(five_bus):
     for options in ({"max_iter": -3}, {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}):
         with pytest.raises(ValueError):
             ses_sweep(five_bus, 100.0, 100.0, 2.0, SolverOptions(**options))
+
+
+@pytest.mark.parametrize("from_pct, to_pct, step_pct", [
+    (1e300, 1e300, 1.0), (10.0, 150.0, 1e-300), (10.0, 10.0, 1e-16)])
+def test_a_step_that_does_not_move_the_start_is_rejected_before_any_point(
+        monkeypatch, from_pct, to_pct, step_pct):
+    """The rejection names the step and rounds no point, where listing the
+    100,001 points of (1e300, 1e300, 1) took seconds."""
+    rounded = []
+
+    def counted(*args):
+        rounded.append(args)
+        return round(*args)
+    monkeypatch.setattr(harness, "round", counted, raising=False)
+    with pytest.raises(ValueError, match=f"sweep step {step_pct!r} does not move"):
+        sweep_points(from_pct, to_pct, step_pct)
+    assert rounded == []
+    assert sweep_points(10.0, 14.0, 2.0) == [10.0, 12.0, 14.0]
+    assert len(rounded) == 3
 
 
 @pytest.mark.parametrize("start", [10.1, 10.5, 10.7])

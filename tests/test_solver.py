@@ -175,9 +175,9 @@ def test_reactive_shortfall_is_screened(monkeypatch):
     problem = build_problem(single_bus_case(gen, agg))
     calls = []
 
-    def counted(self, x, _constraints=Problem.constraints):
+    def counted(self, x, state=None, _constraints=Problem.constraints):
         calls.append(x)
-        return _constraints(self, x)
+        return _constraints(self, x, state)
     monkeypatch.setattr(Problem, "constraints", counted)
     solution = solve(problem)
     assert solution.status == "infeasible_detected"
@@ -347,7 +347,7 @@ class _NaNEqJacobian(Problem):
 
 
 class _NaNHessian(Problem):
-    def lagrangian_hessian(self, x, lam_eq, lam_ineq):
+    def lagrangian_hessian(self, x, lam_eq, lam_ineq, state=None):
         return np.full((self.n_var, self.n_var), np.nan)
 
 
@@ -1116,14 +1116,37 @@ def test_each_iterate_is_evaluated_once(five_bus, monkeypatch):
     """Each trig-bearing flow kernel runs once per point it is needed at:
     the values at the start and at every line-search trial (_finish reuses
     those of the last iterate), the gradients at every iterate, the Hessian
-    at every iterate that takes a step. The scaled residuals are computed
-    once per iteration."""
+    at every iterate that takes a step. The line state's cos and sin and
+    the demand split are formed once per point too, with the values: the
+    Jacobians, the objective gradient and the Lagrangian Hessian read the
+    accepted trial's and form none. The scaled residuals are computed once
+    per iteration."""
     calls = dict.fromkeys(("flow_p", "flow_p_grad", "flow_p_hess"), 0)
     for name in calls:
         def counted(*args, _kernel=getattr(acnetwork, name), _name=name):
             calls[_name] += 1
             return _kernel(*args)
         monkeypatch.setattr(acnetwork, name, counted)
+    derivatives = []  # set while a derivative at an iterate is taken
+    formed = {"flow_state": [], "_demand_and_generation": []}
+
+    def flow_state(*args, _flow_state=acnetwork.flow_state):
+        formed["flow_state"].append(bool(derivatives))
+        return _flow_state(*args)
+    monkeypatch.setattr(acnetwork, "flow_state", flow_state)
+
+    def demand(self, x, _demand=Problem._demand_and_generation):
+        formed["_demand_and_generation"].append(bool(derivatives))
+        return _demand(self, x)
+    monkeypatch.setattr(Problem, "_demand_and_generation", demand)
+    for name in ("jacobians", "objective_gradient", "lagrangian_hessian"):
+        def derivative(*args, _method=getattr(Problem, name)):
+            derivatives.append(True)
+            try:
+                return _method(*args)
+            finally:
+                derivatives.pop()
+        monkeypatch.setattr(Problem, name, derivative)
     residual_calls = []
 
     def residuals(*args, _residuals=solver._scaled_residuals):
@@ -1136,7 +1159,57 @@ def test_each_iterate_is_evaluated_once(five_bus, monkeypatch):
     assert calls["flow_p_hess"] == solution.iterations - 1
     trials = sum(row["backtracks"] + 1 for row in solution.log[1:])
     assert calls["flow_p"] == 1 + trials
+    for name, inside in formed.items():
+        assert len(inside) == 1 + trials, name
+        assert not any(inside), name
     assert len(residual_calls) == solution.iterations
+
+
+def _assert_same_bits(actual, expected):
+    for a, e in zip(actual, expected, strict=True):
+        a, e = np.asarray(a), np.asarray(e)
+        assert a.shape == e.shape and a.dtype == e.dtype
+        assert np.array_equal(a, e)
+        assert np.array_equal(np.signbit(a), np.signbit(e))
+
+
+def test_derivatives_read_the_accepted_trials_state(network_problem, monkeypatch):
+    """At every iterate the solver hands the Jacobians, the objective
+    gradient and the Lagrangian Hessian the PointState it formed at the
+    accepted trial. That state equals one formed afresh at the iterate, and
+    the derivatives taken from it equal the x-taking forms, bit for bit with
+    sign bits. Twelve iterations on five_bus, rts24 and five_bus_parallel."""
+    formed, seen = [], collections.Counter()
+
+    def values(self, x, _values=solver._InternalNLP.values):
+        out = _values(self, x)
+        formed.append(out[3])
+        return out
+    monkeypatch.setattr(solver._InternalNLP, "values", values)
+
+    def checked(name, method):
+        def derivative(self, x, *args):
+            *duals, state = args
+            assert state is formed[-1]
+            fresh = self.point_state(x)
+            _assert_same_bits(state.line, fresh.line)
+            _assert_same_bits(state.demand, fresh.demand)
+            out = method(self, x, *args)
+            afresh = method(self, x, *duals)
+            if name == "jacobians":
+                _assert_same_bits(out, afresh)
+            else:
+                _assert_same_bits([out], [afresh])
+            seen[name] += 1
+            return out
+        return derivative
+    for name in ("jacobians", "objective_gradient", "lagrangian_hessian"):
+        monkeypatch.setattr(Problem, name, checked(name, getattr(Problem, name)))
+    solution = solve(network_problem, SolverOptions(max_iter=12))
+    converged = solution.status == "converged"
+    assert seen["jacobians"] == solution.iterations
+    assert seen["objective_gradient"] == 1 + solution.iterations - converged
+    assert seen["lagrangian_hessian"] == solution.iterations - converged
 
 
 def _check_merits(problem, monkeypatch, opts=SolverOptions(), reject_trials=False):
