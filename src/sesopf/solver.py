@@ -12,11 +12,23 @@ max(tol/100, min(MU_REDUCTION * mu, mu^1.5)) (IPOPT's rule, Waechter &
 Biegler 2006, Math. Prog. 106:25-57, section 2.1); and a solve converges
 only once the scaled residuals and mu itself are at most tol.
 
-The condensed KKT system is regularized on its diagonal until its inertia,
-read from the block diagonal factor D of LAPACK's Bunch-Kaufman ``dsytrf``,
-is (n, m_E, 0), and is then solved after symmetric equilibration; steps are
-safeguarded by the fraction-to-boundary rule and a merit-function
-backtracking line search. Everything is deterministic.
+Each step solves the KKT system, regularized on its Hessian diagonal by
+delta_w = 0, 1e-4, 1e-3, ... until its inertia, read from the block diagonal
+factor D of LAPACK's Bunch-Kaufman ``dsytrf``, is right, and then solved
+after symmetric equilibration; steps are safeguarded by the
+fraction-to-boundary rule and a merit-function backtracking line search.
+Everything is deterministic. A solve picks one of two forms of the system
+from its size n + m_E, once:
+
+- below ``_REDUCE_FROM``, ``_CondensedKKT``: every inequality row condensed
+  into the Hessian, an (n + m_E) matrix of inertia (n, m_E, 0);
+- from ``_REDUCE_FROM`` on, ``_ReducedKKT``: the two adequacy rows kept as
+  rows, only the line-limit and bound rows condensed, and every injection
+  column that is not fixed and passes the Bunch-Kaufman 1x1 pivot test
+  eliminated, its step back-substituted elementwise. By Haynsworth's
+  additivity the reduced matrix, the kept columns and the m_E + 2 rows, has
+  inertia (kept columns, m_E + 2, 0) exactly when the condensed one has
+  (n, m_E, 0), and both give the same step.
 
 Each iterate is evaluated once: its objective and constraint values come
 from the accepted line-search trial, and so does its ``PointState`` (the
@@ -29,8 +41,11 @@ order (``Problem.constraints`` at every trial, ``Problem.jacobians`` and
 are computed once per iteration. Bound rows, one +-1 entry each, are
 applied by index instead of as Jacobian rows.
 
-Cost model. On small cases (five_bus: 43 x 43 KKT systems) an iteration
-is mostly numpy-call overhead, so the work is laid out by how often it runs:
+Cost model. On small cases (five_bus: 43 x 43 condensed systems) an
+iteration is mostly numpy-call overhead, and on rts24 mostly the two
+factorizations of each KKT matrix: 242 x 242 condensed, 99 x 99 reduced
+(47 v and theta columns, the fixed condenser, 48 balance rows, its fixed
+row and the 2 adequacy rows), so the work is laid out by how often it runs:
 
 - once per process and matrix size: the ``dsytrf`` workspace query;
 - once per problem (``Problem.__post_init__``): every constant the
@@ -38,15 +53,22 @@ is mostly numpy-call overhead, so the work is laid out by how often it runs:
   diagonal included, and the integer gather and scatter indices of the
   Jacobians and the Lagrangian Hessian; no evaluator rebuilds one per call;
 - once per solve: the bound index arrays, the KKT buffers (the matrix, its
-  equilibrated copy and a strided view of the Hessian block's diagonal)
-  and the warnings filter around the iteration loop;
+  equilibrated copy and a strided view of the Hessian block's diagonal;
+  on the reduced path one set per set of kept columns, with the gather
+  indices of the kept Hessian block) and the warnings filter around the
+  iteration loop;
 - once per iterate: ``jacobians``, the objective gradient, one residual
-  pass and, if it takes a step, the Lagrangian Hessian and the two
-  fraction-to-boundary limits; the derivatives read the accepted trial's
-  state and form no gather, cos, sin or demand split of their own;
-- once per delta_w trial: the diagonal refill and one ``_inertia``
-  (one ``dsytrf``), and, when the inertia is right, the equilibration and
-  one ``scipy.linalg.solve``;
+  pass and, if it takes a step, the Lagrangian Hessian, its condensed
+  rows (on the reduced path the line-limit rows' product over the v and
+  theta columns only) and the two fraction-to-boundary limits; the
+  derivatives read the accepted trial's state and form no gather, cos, sin
+  or demand split of their own;
+- once per delta_w trial: the diagonal refill (on the reduced path the
+  1x1 pivot test, the kept block, the borders and one ``bincount`` of the
+  eliminated columns' Schur complement terms) and one ``_inertia`` (one
+  ``dsytrf``), and, when the inertia is right, the equilibration and one
+  ``scipy.linalg.solve``, followed on the reduced path by the elementwise
+  back-substitution;
 - once per line-search trial: ``values``, which forms the point's
   ``PointState`` (one gather of the directed rows' line state, one cos and
   one sin per angle difference, one demand split), and the merit terms
@@ -111,6 +133,19 @@ _SMAX = 100.0         # residual scaling cap (dual magnitudes)
 MU0 = 0.1
 MU_REDUCTION = 0.2    # linear factor of the mu update
 TAU = 0.995           # fraction-to-boundary
+_DELTA_C = 1e-8       # dual regularization delta_c of the equality rows
+# Bunch-Kaufman's 1x1 pivot test (Math. Comp. 31, 1977): a pivot is taken
+# alone if it is at least this times its column's largest off-diagonal entry
+_BK_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
+# KKT size n + m_E from which a solve runs ``_ReducedKKT``; smaller systems
+# run ``_CondensedKKT``, whose fewer numpy calls per trial outweigh the
+# larger factorization there. Median per-solve time, reduced over condensed,
+# of 40 alternating in-process pairs (1 BLAS thread, 2-core Xeon) on five_bus
+# grown by pendant buses of 8 rows each: 1.109 at 43 rows (five_bus), 1.067
+# at 51, 1.032 at 59, 0.966 at 67, 0.925 at 75, 0.891 at 83; two tied copies
+# of five_bus (87 rows) 0.876; 20 pairs on three and four copies (131, 175)
+# 0.680 and 0.615, and on rts24 (242) 0.463. The ratio crosses 1 near 63.
+_REDUCE_FROM = 63
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -183,6 +218,8 @@ class _InternalNLP:
         self.bound_val = np.concatenate([lb[self.lower_idx], ub[self.upper_idx]])
         self.fixed_rows = np.zeros((len(self.fixed_idx), self.n))
         self.fixed_rows[np.arange(len(self.fixed_idx)), self.fixed_idx] = 1.0
+        # the v and theta columns, the last in the layout
+        self.network = slice(problem.layout.v.start, self.n)
 
     def values(self, x):
         """(f, c_E, h) at x and the ``PointState`` of x, from which every
@@ -216,11 +253,14 @@ class _InternalNLP:
         """Full inequality Jacobian times dx."""
         return np.concatenate([jh @ dx, self.bound_sign * dx[self.bound_idx]])
 
-    def condensed(self, x, state, lam, nu, jh, d_sigma):
-        """Lagrangian Hessian plus jh' diag(d_sigma) jh over all rows."""
+    def condensed(self, x, state, lam, nu, jh, d_sigma, rows=slice(None), cols=slice(None)):
+        """Lagrangian Hessian plus jh' diag(d_sigma) jh over the bound rows
+        and the problem rows ``rows`` of jh, whose product is taken over the
+        columns ``cols``: by default all of them."""
         mi = len(jh)
         m = self.problem.lagrangian_hessian(x, lam[:self.problem.n_eq], nu[:mi], state)
-        m += (jh.T * d_sigma[:mi]) @ jh
+        part, block = jh[rows, cols], m[cols, cols]  # views
+        block += (part.T * d_sigma[:mi][rows]) @ part
         m.reshape(-1)[::self.n + 1] += np.bincount(self.bound_idx, weights=d_sigma[mi:],
                                                    minlength=self.n)
         return m
@@ -261,6 +301,202 @@ def _inertia(kkt: np.ndarray) -> tuple[int, int, int]:
         ev[i], ev[i + 1] = mean - radius, mean + radius
     pos, neg = np.count_nonzero(ev > 1e-12), np.count_nonzero(ev < -1e-12)
     return pos, neg, n - pos - neg
+
+
+def _equilibrated_solve(kkt, scaled, rhs):
+    """The solution of the symmetric system kkt z = rhs, solved after
+    symmetric equilibration in the buffer ``scaled``: near convergence nu/s
+    spans many orders of magnitude, and unscaled most KKT matrices have
+    rcond < eps. scipy 1.17's solve then warns and keeps ~650 bytes per
+    call, which grows without bound over a sweep."""
+    scale = 1.0 / np.sqrt(np.abs(kkt, out=scaled).max(axis=1))
+    np.multiply(kkt, scale[:, None], out=scaled)
+    np.multiply(scaled, scale, out=scaled)
+    # LAPACK reads one triangle of the column-major transpose and may
+    # overwrite it, sparing a copy. No finiteness check: _inertia has
+    # rejected a non-finite matrix, an accepted inertia leaves no all-zero
+    # row, so scale is finite, and the solver retries a non-finite step.
+    return scale * scipy.linalg.solve(scaled.T, scale * rhs, assume_a="sym",
+                                      overwrite_a=True, check_finite=False)
+
+
+class _CondensedKKT:
+    """The condensed KKT system of every column,
+    [[W + J_h' Sigma J_h + delta_w I, J_E'], [J_E, -delta_c I]] [dx; dlam],
+    of size n + m_E, with Sigma = diag(nu/s) over all inequality rows.
+
+    ``load`` takes one iteration's system, ``inertia_ok`` refills the
+    Hessian block's diagonal for one delta_w trial and tests the inertia
+    (n, m_E, 0), and ``solve`` returns the step (dx, dlam) at that trial."""
+
+    def __init__(self, nlp: _InternalNLP):
+        n, me = nlp.n, nlp.m_eq
+        self.nlp = nlp
+        self.target = (n, me, 0)
+        self.kkt = np.zeros((n + me, n + me))
+        self.kkt[n:, n:] = -_DELTA_C * np.eye(me)
+        # strided view of the Hessian block's diagonal, where delta_w is added
+        self.kkt_diag = self.kkt.reshape(-1)[:n * (n + me + 1):n + me + 1]
+        self.scaled = np.empty_like(self.kkt)  # equilibrated copy, factored in place
+
+    def load(self, x, state, lam, nu, jh, je, d_sigma, r_d, r_h, centring, ce):
+        nlp, n = self.nlp, self.nlp.n
+        m_base = nlp.condensed(x, state, lam, nu, jh, d_sigma)
+        self.rhs = np.concatenate([-(r_d + nlp.jh_t(jh, centring + d_sigma * r_h)), -ce])
+        self.kkt[:n, :n] = m_base
+        self.kkt[:n, n:] = je.T
+        self.kkt[n:, :n] = je
+        self.m_diag = m_base.diagonal()
+
+    def inertia_ok(self, delta_w: float) -> bool:
+        np.add(self.m_diag, delta_w, out=self.kkt_diag)
+        return _inertia(self.kkt) == self.target
+
+    def solve(self) -> np.ndarray:
+        return _equilibrated_solve(self.kkt, self.scaled, self.rhs)
+
+
+class _Layout(NamedTuple):
+    """The reduced KKT matrix for one set of kept columns: ``kept`` (in
+    column order, the v and theta columns last), the flat positions of the
+    kept Hessian block in the n x n Hessian, the matrix and its equilibrated
+    copy, a strided view of its Hessian block's diagonal, and the inertia
+    target."""
+    kept: np.ndarray
+    hess_take: np.ndarray
+    matrix: np.ndarray
+    scaled: np.ndarray
+    diag: np.ndarray
+    target: tuple
+
+
+class _ReducedKKT:
+    """The KKT system with the two adequacy rows kept as rows and the
+    separable injection columns eliminated.
+
+    With the adequacy rows' dual steps dnu_a kept as unknowns, the system
+    in (dx, dlam, dnu_a) is
+    [[H + delta_w I, J_E', J_a'], [J_E, -delta_c I, 0], [J_a, 0, -1/sigma_a]],
+    where H condenses only the line-limit and bound rows and sigma_a is
+    nu/s on the adequacy rows, with no delta_c. Condensing dnu_a gives back
+    the condensed system, so both have the same step, and by Haynsworth's
+    additivity the inertia (n, m_E + 2, 0) here is (n, m_E, 0) there.
+
+    An injection column (generator or aggregator P or Q) meets only its own
+    Hessian diagonal entry D_j (objective curvature plus bound barrier), one
+    +-1 in the balance row of its bus and one +-1 in its adequacy row. Each
+    one not fixed whose pivot passes the Bunch-Kaufman 1x1 test
+    D_j + delta_w >= _BK_ALPHA is eliminated (block elimination, Nocedal &
+    Wright, Numerical Optimization, 2nd ed., section 16.2): its
+    -u u' / (D_j + delta_w) falls on the balance diagonal, the two adequacy
+    borders and the adequacy diagonal, and its step is back-substituted
+    elementwise. A linear-cost unit's pivot is only its barrier term, which
+    vanishes near the optimum; the test keeps such a column. The reduced
+    matrix holds the kept columns (v, theta, the fixed columns and the
+    injections that fail the test) and the m_E + 2 rows, and its inertia
+    target is (kept columns, m_E + 2, 0). One layout is built per kept set
+    and reused within the solve.
+
+    The interface is ``_CondensedKKT``'s; ``assign`` takes a system given by
+    its blocks."""
+
+    def __init__(self, nlp: _InternalNLP):
+        p = nlp.problem
+        self.nlp = nlp
+        self.n, self.me = n, me = nlp.n, nlp.m_eq
+        self.m = m = me + 2
+        fixed = np.zeros(n, dtype=bool)
+        fixed[nlp.fixed_idx] = True
+        free = ~fixed[p._inj_col]
+        # each injection column that is not fixed, its balance row and
+        # sign, and its adequacy row (after the m_E equality rows) and sign
+        self.free = p._inj_col[free]
+        self.row, self.sign = p._inj_row[free], p._inj_sign[free]
+        self.adequacy = p._adequacy
+        adequacy_row = (self.adequacy[1, self.free] != 0).astype(int)
+        self.at, self.coef = me + adequacy_row, self.adequacy[adequacy_row, self.free]
+        # an eliminated column's u u' in the (m, m) constraint block, and
+        # its u in the constraint rows of the right-hand side
+        self.block_flat = np.concatenate([self.row * m + self.row, self.row * m + self.at,
+                                          self.at * m + self.row, self.at * m + self.at])
+        self.block_coef = np.stack([self.sign * self.sign, self.sign * self.coef,
+                                    self.sign * self.coef, self.coef * self.coef])
+        self.rhs_rows = np.concatenate([self.row, self.at])
+        self.rhs_coef = np.stack([self.sign, self.coef])
+        self.layouts = {}
+
+    def load(self, x, state, lam, nu, jh, je, d_sigma, r_d, r_h, centring, ce):
+        nlp = self.nlp
+        mi = len(jh)
+        adequacy = slice(mi - 2, mi)
+        sigma_a = d_sigma[adequacy]
+        # J_a dx - dnu_a / sigma_a = -(centring_a / sigma_a + r_h,a)
+        rhs_a = -(centring[adequacy] / sigma_a + r_h[adequacy])
+        terms = centring + d_sigma * r_h
+        terms[adequacy] = 0.0
+        # the line-limit rows, all but the adequacy rows, read only the v
+        # and theta columns
+        hess = nlp.condensed(x, state, lam, nu, jh, d_sigma, slice(mi - 2), nlp.network)
+        self.assign(hess, je, sigma_a, np.concatenate([-(r_d + nlp.jh_t(jh, terms)), -ce, rhs_a]))
+
+    def assign(self, hess, je, sigma_a, rhs):
+        """Take the system in (dx, dlam, dnu_a) of the class docstring from
+        its blocks: ``hess`` is H (n x n, without delta_w), ``je`` is J_E,
+        ``sigma_a`` the adequacy rows' nu/s and ``rhs`` the right-hand side."""
+        self.hess = hess.reshape(-1)
+        self.pivots = hess.diagonal()[self.free]
+        self.rows = np.vstack([je, self.adequacy])  # J_E and J_a, (m, n)
+        self.block = np.diag(np.concatenate([np.full(self.me, -_DELTA_C), -1.0 / sigma_a]))
+        self.rhs = rhs
+
+    def _layout(self, eliminated) -> _Layout:
+        key = eliminated.tobytes()
+        layout = self.layouts.get(key)
+        if layout is None:
+            n = self.n
+            keep = np.ones(n, dtype=bool)
+            keep[self.free[eliminated]] = False
+            kept = np.flatnonzero(keep)
+            k = len(kept)
+            size = k + self.m
+            matrix = np.zeros((size, size))
+            layout = self.layouts[key] = _Layout(
+                kept, (kept[:, None] * n + kept).ravel(), matrix, np.empty_like(matrix),
+                matrix.reshape(-1)[:k * (size + 1):size + 1], (k, self.m, 0))
+        return layout
+
+    def inertia_ok(self, delta_w: float) -> bool:
+        pivots = self.pivots + delta_w
+        eliminated = pivots >= _BK_ALPHA
+        layout = self._layout(eliminated)
+        self.inverse = np.divide(1.0, pivots, out=np.zeros_like(pivots), where=eliminated)
+        k, m, matrix = len(layout.kept), self.m, layout.matrix
+        matrix[:k, :k] = self.hess.take(layout.hess_take).reshape(k, k)
+        layout.diag[:] += delta_w
+        border = self.rows.take(layout.kept, axis=1)
+        matrix[k:, :k] = border
+        matrix[:k, k:] = border.T
+        schur = np.bincount(self.block_flat, weights=(self.block_coef * self.inverse).ravel(),
+                            minlength=m * m)
+        np.subtract(self.block, schur.reshape(m, m), out=matrix[k:, k:])
+        self.layout = layout
+        return _inertia(matrix) == layout.target
+
+    def solve(self) -> np.ndarray:
+        layout, n, me = self.layout, self.n, self.me
+        k = len(layout.kept)
+        scaled_rhs = self.inverse * self.rhs[self.free]  # D^-1 rhs on the free columns
+        reduced = np.concatenate([
+            self.rhs.take(layout.kept),
+            self.rhs[n:] - np.bincount(self.rhs_rows, weights=(self.rhs_coef * scaled_rhs).ravel(),
+                                       minlength=self.m)])
+        z = _equilibrated_solve(layout.matrix, layout.scaled, reduced)
+        duals = z[k:]
+        dx = np.empty(n)
+        dx[self.free] = scaled_rhs - self.inverse * (self.sign * duals[self.row]
+                                                     + self.coef * duals[self.at])
+        dx[layout.kept] = z[:k]
+        return np.concatenate([dx, duals[:me]])
 
 
 def _scaled_residuals(r_d, r_e, r_h, s, lam, nu, mu):
@@ -312,11 +548,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     came_by = {"alpha_p": 0.0, "alpha_d": 0.0, "delta_w": 0.0, "backtracks": 0, "fallback": False}
     status = "iteration_limit"
     it = 0
-    kkt = np.zeros((n + me, n + me))
-    kkt[n:, n:] = -1e-8 * np.eye(me)  # fixed dual regularization delta_c
-    # strided view of the Hessian block's diagonal, where delta_w is added
-    kkt_diag = kkt.reshape(-1)[:n * (n + me + 1):n + me + 1]
-    scaled = np.empty_like(kkt)  # equilibrated copy, factored in place
+    kkt = (_ReducedKKT if n + me >= _REDUCE_FROM else _CondensedKKT)(nlp)
 
     with warnings.catch_warnings():
         # near convergence the KKT system is legitimately stiff; accuracy is
@@ -338,40 +570,15 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
 
             d_sigma = nu / s
             centring = mu / s - nu  # in the right-hand side and the dual step
-            m_base = nlp.condensed(x, state, lam, nu, jh, d_sigma)
-            rhs = np.concatenate([
-                -(r_d + nlp.jh_t(jh, centring + d_sigma * r_h)),
-                -ce,
-            ])
-            kkt[:n, :n] = m_base
-            kkt[:n, n:] = je.T
-            kkt[n:, :n] = je
-            m_diag = m_base.diagonal()
+            kkt.load(x, state, lam, nu, jh, je, d_sigma, r_d, r_h, centring, ce)
 
             # one inertia test per delta_w trial: 0, then 1e-4, 1e-3, ...
             delta_w = 0.0
             step = None
             while True:
-                np.add(m_diag, delta_w, out=kkt_diag)
                 try:
-                    pos, neg, zero = _inertia(kkt)
-                    if pos == n and neg == me and zero == 0:
-                        # Solve the symmetrically equilibrated system: near
-                        # convergence nu/s spans many orders of magnitude,
-                        # and unscaled most KKT matrices have rcond < eps.
-                        # scipy 1.17's solve then warns and keeps ~650 bytes
-                        # per call, which grows without bound over a sweep.
-                        scale = 1.0 / np.sqrt(np.abs(kkt, out=scaled).max(axis=1))
-                        np.multiply(kkt, scale[:, None], out=scaled)
-                        np.multiply(scaled, scale, out=scaled)
-                        # LAPACK reads one triangle of the column-major
-                        # transpose and may overwrite it, sparing a copy. No
-                        # finiteness check: _inertia has rejected a
-                        # non-finite matrix, an accepted inertia leaves no
-                        # all-zero row, so scale is finite, and a non-finite
-                        # step is retried below.
-                        step = scale * scipy.linalg.solve(scaled.T, scale * rhs, assume_a="sym",
-                                                          overwrite_a=True, check_finite=False)
+                    if kkt.inertia_ok(delta_w):
+                        step = kkt.solve()
                         if np.isfinite(step).all():
                             break
                         step = None

@@ -1,5 +1,6 @@
 """Shared fixtures and small hand-built cases for the test suite."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,19 @@ import pytest
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, Line, builtin_case
 from sesopf.formulation import build_problem
 from sesopf.solver import SolverOptions, solve
+
+# To report a failing @given test, hypothesis's plugin imports
+# hypothesis.extra._patching, whose libcst import raises a DeprecationWarning;
+# under filterwarnings = ["error"] that is an INTERNALERROR in the report hook,
+# which ends the session. Imported once here with the warning ignored, the
+# module is already loaded when a property fails, and the other tests run.
+# Without libcst the import fails, and the plugin skips the patch likewise.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

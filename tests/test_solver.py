@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from sesopf import acnetwork, solver
 from sesopf.casemodel import (
@@ -1012,6 +1013,154 @@ def test_iteration_counts_are_pinned(five_bus_solution, rts24_solution):
     the old and new counts in CHANGES.md."""
     assert five_bus_solution.iterations == 25
     assert rts24_solution.iterations == 31
+
+
+# ---------------------------------------------------------------------------
+# the reduced KKT system
+
+
+@pytest.mark.parametrize("name, sizes", [("five_bus", {43}), ("rts24", set(range(99, 242)))])
+def test_the_kkt_path_follows_the_system_size(name, sizes, request, monkeypatch):
+    """five_bus (43 KKT rows) runs the condensed system throughout, rts24
+    (242) the reduced one: 99 rows when every injection column is
+    eliminated, more when a pivot fails the 1x1 test, never all 242."""
+    seen = []
+
+    def recorded(kkt, _inertia=solver._inertia):
+        seen.append(len(kkt))
+        return _inertia(kkt)
+
+    monkeypatch.setattr(solver, "_inertia", recorded)
+    assert solve(build_problem(request.getfixturevalue(name))).status == "converged"
+    assert set(seen) <= sizes
+    assert collections.Counter(seen).most_common(1)[0][0] == min(sizes)
+
+
+def _kkt_systems(problem, monkeypatch):
+    """The ``load`` arguments of every KKT system of a solve of ``problem``,
+    on whichever path it runs."""
+    systems = []
+    with monkeypatch.context() as patch:
+        for cls in (solver._CondensedKKT, solver._ReducedKKT):
+            def load(self, *args, _load=cls.load):
+                systems.append(args)
+                return _load(self, *args)
+
+            patch.setattr(cls, "load", load)
+        assert solve(problem).status == "converged"
+    return systems
+
+
+def _backward_error(kkt, z, rhs):
+    """Normwise backward error of z as a solution of kkt z = rhs."""
+    return np.abs(kkt @ z - rhs).max() / (
+        np.abs(kkt).sum(axis=1).max() * np.abs(z).max() + np.abs(rhs).max())
+
+
+def _both_paths(problem, systems):
+    """Each system on both paths, at the delta_w trials the solve makes:
+    the condensed and reduced inertia verdicts agree at every trial, and at
+    the accepted one, the columns the reduced system keeps and the backward
+    errors of both steps on the condensed system."""
+    nlp = solver._InternalNLP(problem)
+    full, reduced = solver._CondensedKKT(nlp), solver._ReducedKKT(nlp)
+    out = []
+    for args in systems:
+        full.load(*args)
+        reduced.load(*args)
+        delta_w = 0.0
+        while not full.inertia_ok(delta_w):
+            assert not reduced.inertia_ok(delta_w)
+            delta_w = 1e-4 if delta_w == 0.0 else 10.0 * delta_w
+        assert reduced.inertia_ok(delta_w)
+        out.append((reduced.layout.kept, _backward_error(full.kkt, reduced.solve(), full.rhs),
+                    _backward_error(full.kkt, full.solve(), full.rhs)))
+    return out
+
+
+# the scale of the condensed steps' backward errors, 1e-35 to 1e-20: the
+# reduced step's is held within 10x of the condensed step's or of this
+_BACKWARD_FLOOR = 1e-18
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builtin_case("rts24"), lambda: builtin_case("five_bus"), toy_case,
+    _linear_marginal_case], ids=["rts24", "five_bus", "toy", "linear_marginal"])
+def test_the_reduced_step_solves_the_condensed_system(build, monkeypatch):
+    """Every KKT system of a solve, on rts24 as the solve runs it and on the
+    smaller cases through ``_ReducedKKT`` directly: the reduced inertia
+    verdict is the condensed matrix's, and the reduced step's backward error
+    on the condensed system is within 10x of the condensed step's or of
+    1e-18. (The reduced errors reach 5.3e-18 on linear_marginal; on rts24's
+    first iterations the reduced one is up to 163x the condensed one, as
+    the condensed rows weigh the adequacy row's rounding by sigma_a.)"""
+    problem = build_problem(build())
+    for _, reduced, full in _both_paths(problem, _kkt_systems(problem, monkeypatch)):
+        assert reduced <= 10.0 * max(full, _BACKWARD_FLOOR)
+
+
+def test_the_pivot_test_keeps_a_linear_cost_unit(monkeypatch):
+    """The linear-cost unit's pivot is only its barrier term, which vanishes
+    near the optimum: the 1x1 test keeps its column there, and the solve
+    forced onto the reduced path is the condensed one's. Eliminated
+    regardless (alpha = 0), the late steps lose ~7 digits of backward error
+    and the solve takes almost three times the iterations to a worse
+    dispatch."""
+    problem = build_problem(_linear_marginal_case())
+    systems = _kkt_systems(problem, monkeypatch)
+    pg = problem.layout.pg.start
+    kept = [pg in columns for columns, _, _ in _both_paths(problem, systems)]
+    assert kept[-1] and not kept[0]
+    monkeypatch.setattr(solver, "_REDUCE_FROM", 0)
+    reduced = solve(problem)
+    assert reduced.iterations == 10
+    assert reduced.p_gen[0] == pytest.approx(40.0, abs=1e-8)
+
+    monkeypatch.setattr(solver, "_BK_ALPHA", 0.0)
+    errors = _both_paths(problem, systems)
+    assert not any(pg in columns for columns, _, _ in errors)
+    assert max(reduced / max(full, _BACKWARD_FLOOR) for _, reduced, full in errors) > 10.0
+    eliminated = solve(problem)
+    assert eliminated.status == "converged"
+    assert eliminated.iterations > 20
+    assert abs(eliminated.p_gen[0] - 40.0) > 1e-6
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_reduced_inertia_adds_up_to_the_full_one(data, five_bus_problem):
+    """Haynsworth: on a random system with five_bus's +-1 injection
+    couplings, a positive injection diagonal D from 1e-10 to 1e8 and a
+    random symmetric v/theta core, the reduced matrix's inertia plus
+    (eliminated columns, 0, 0) is the eigenvalue count of the whole KKT
+    matrix [[H + delta_w I, J_E', J_a'], [J_E, -delta_c I, 0], [J_a, 0, -1/sigma_a]]."""
+    problem = five_bus_problem
+    nlp = solver._InternalNLP(problem)
+    n, me = nlp.n, nlp.m_eq
+    kkt = solver._ReducedKKT(nlp)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    net = nlp.network
+    hess = np.zeros((n, n))
+    hess[kkt.free, kkt.free] = 10.0 ** np.array(
+        data.draw(st.lists(st.floats(-10.0, 8.0), min_size=len(kkt.free), max_size=len(kkt.free))))
+    core = rng.normal(size=(n - net.start, n - net.start))
+    hess[net, net] = core + core.T
+    je = nlp.jacobians(problem.initial_point(), None)[0]
+    je[:, net] = rng.normal(size=(me, n - net.start))
+    sigma_a = 10.0 ** np.array(data.draw(st.lists(st.floats(-4.0, 6.0), min_size=2, max_size=2)))
+    delta_w = data.draw(st.sampled_from([0.0, 1e-4, 1.0]))
+
+    kkt.assign(hess, je, sigma_a, np.zeros(n + me + 2))
+    kkt.inertia_ok(delta_w)
+    full = np.block([
+        [hess + delta_w * np.eye(n), je.T, problem._adequacy.T],
+        [je, -solver._DELTA_C * np.eye(me), np.zeros((me, 2))],
+        [problem._adequacy, np.zeros((2, me)), -np.diag(1.0 / sigma_a)]])
+    ev = np.linalg.eigvalsh(full)
+    assume(np.abs(ev).min() > 1e-8 * np.abs(ev).max())
+    pos, neg, zero = _inertia(kkt.layout.matrix)
+    assert (pos + n - len(kkt.layout.kept), neg, zero) == (
+        int(np.sum(ev > 0)), int(np.sum(ev < 0)), 0)
 
 
 # ---------------------------------------------------------------------------
