@@ -192,6 +192,8 @@ def _connected(case: CaseData) -> bool:
 
 def scale_ses(case: CaseData, factor: float) -> CaseData:
     """Return a copy with every aggregator sigma multiplied by ``factor``."""
+    if not math.isfinite(factor):
+        raise ValueError(f"SES scale factor must be finite, got {factor}")
     if factor <= 0:
         raise ValueError("SES scale factor must be positive")
     aggs = tuple(replace(a, sigma=a.sigma * factor) for a in case.aggregators)

@@ -99,12 +99,13 @@ network rows (balance and line limits) of ``Problem._network_rows`` and the
 two adequacy rows of ``Problem._adequacy_rows``. Each adequacy row reads
 every P or every Q column, so no grouping of all the rows has fewer groups
 than there are generators and aggregators; the network rows alone need far
-fewer. A point where a row of a block changes under a group none of whose
-columns it reads has that block differenced under the dense plan, every
-column a group of its own. The columns that no row of a block reads share a
-trailing group, so that a row that starts to read one of them sends the
-block there too. Cost model of one audit point on rts24: 2 x 17 network
-points in one ``_network_rows`` call (one flow-kernel call), 2 x 74
+fewer. Each block moves all of its groups in one call. A point where a
+row of a block changes under a group none of whose columns it reads has
+that block differenced again under the dense plan, every column a group of
+its own, in one more call of 2 n points. The columns that no row of a block
+reads share a trailing group, so that a row that starts to read one of them
+sends the block there too. Cost model of one audit point on rts24: 2 x 17
+network points in one ``_network_rows`` call (one flow-kernel call), 2 x 74
 adequacy points in one ``_adequacy_rows`` call and 2 x 74 objective points
 in one ``objective`` call, instead of 2 x 193 each; the relative error over
 the ~950 nonzero entries of [J_E; J_h], not all 126 x 193.
@@ -827,12 +828,12 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
 
     The objective, the network rows (``Problem._network_rows``: balance and
     line limits) and the two adequacy rows (``Problem._adequacy_rows``) are
-    differenced apart, each under the column groups of its own read set,
-    which give the per-column differences bit for bit; the two constraint
-    blocks are stacked in row order. A block with a row that changes under
-    a group it does not read, the trailing group of the columns it does not
-    read at all included, is differenced one column at a time at that
-    point.
+    differenced apart, each in one call under the column groups of its own
+    read set, which give the per-column differences bit for bit; the two
+    constraint blocks are stacked in row order. A block with a row that
+    changes under a group it does not read, the trailing group of the
+    columns it does not read at all included, is differenced one column at
+    a time at that point, in one more call.
 
     One fault stays hidden from the grouped plans: each adequacy group holds
     one P column and one Q column, both rows read every group, so an
@@ -857,14 +858,14 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
     def differences(fun, x, step, plan):
         fd = _central_diff(fun, x, step, plan)
         return fd if fd is not None else _central_diff(
-            fun, x, step, dense_plan(plan[0].unread.shape[1]))
+            fun, x, step, dense_plan(plan.unread.shape[1]))
 
-    obj_plan = _group_plan(problem.objective_read_set[None], block=problem.n_var)
+    obj_plan = _group_plan(problem.objective_read_set[None])
     # the two adequacy rows, last, read every P or every Q column; the
     # network rows above them colour into far fewer groups without them
     reads = problem.constraint_read_sets
     con_blocks = ((network, _group_plan(reads[:-2])),
-                  (problem._adequacy_rows, _group_plan(reads[-2:], block=problem.n_var)))
+                  (problem._adequacy_rows, _group_plan(reads[-2:])))
     for _ in range(n_points):
         x = _interior_point(problem, rng)
         for analytic, fd in (
@@ -909,14 +910,6 @@ def _entry_name(index, n_eq: int) -> str:
 # (objective magnitudes reach 1e6) far below CHECK_TOL.
 _OBJ_FD_STEP = 0.02
 _CON_FD_STEP = 1e-6
-# Groups per call of ``_central_diff``. The audit's grouped plans fit in one
-# call (rts24: 17 network groups; the 74 adequacy and 74 objective groups
-# are planned with block=n_var), so this splits the dense fallback plans,
-# one column per group. rts24's network fallback took 2.30 ms per point in
-# 11 calls of 2 * 19 points, against 2.63-4.66 ms in stacks of 10, 13, 25,
-# 37, 49, 65, 97 or all 193 columns (timeit, min of 7 x 10, 2-core Xeon);
-# a stack of 19 traces 0.70 MB at its peak, one of 193 3.97 MB.
-_GROUP_BLOCK = 19
 
 
 def _interior_point(problem: Problem, rng) -> np.ndarray:
@@ -970,60 +963,51 @@ def _column_groups(reads: np.ndarray) -> np.ndarray:
 
 
 class _GroupStack(NamedTuple):
-    """The groups that one ``fun`` call of ``_central_diff`` moves. Column
-    ``cols[m]`` moves in the points of group ``at[m]`` (an offset in the
-    stack); ``unread[a, i]`` is set where row i reads no column of group a,
-    and ``(group, row, col)`` lists the reads."""
-    at: np.ndarray
-    cols: np.ndarray
-    unread: np.ndarray
+    """The column groups that one ``fun`` call of ``_central_diff`` moves,
+    all of them: column j moves in the points of group ``group[j]``;
+    ``unread[a, i]`` is set where row i reads no column of group a, and
+    ``(row, col)`` lists the reads."""
     group: np.ndarray
+    unread: np.ndarray
     row: np.ndarray
     col: np.ndarray
 
 
-def _group_plan(reads: np.ndarray, block: int = _GROUP_BLOCK) -> list[_GroupStack]:
-    """The column groups of ``_column_groups(reads)`` in stacks of
-    ``block``, in group order. Under an all-True ``reads`` (the dense plan)
-    every column is a group of its own."""
+def _group_plan(reads: np.ndarray) -> _GroupStack:
+    """The column groups of ``_column_groups(reads)``. Under an all-True
+    ``reads`` (the dense plan) every column is a group of its own."""
     group = _column_groups(reads)
-    cols, rows = np.nonzero(reads.T)
-    plan = []
-    n_groups = int(group.max()) + 1
-    for start in range(0, n_groups, block):
-        k = min(block, n_groups - start)
-        moved = np.flatnonzero((group >= start) & (group < start + k))
-        pair = (group[cols] >= start) & (group[cols] < start + k)
-        g, i, c = group[cols[pair]] - start, rows[pair], cols[pair]
-        read = np.zeros((k, reads.shape[0]), dtype=bool)
-        read[g, i] = True
-        plan.append(_GroupStack(group[moved] - start, moved, ~read, g, i, c))
-    return plan
+    col, row = np.nonzero(reads.T)
+    unread = np.ones((group.max() + 1, reads.shape[0]), dtype=bool)
+    unread[group[col], row] = False
+    return _GroupStack(group, unread, row, col)
 
 
 def _central_diff(fun, x, step, plan):
     """Central differences (rows, n) at x, step h_j = step * max(1, |x_j|)
     in column j, of a fun mapping (k, n) points to (k, rows), from the
-    column groups of ``plan``: each point of a stack moves all columns of
-    one group by +-h_j. A row reads at most one column j of a group, so its
-    difference over that group, divided by 2 h_j, is its derivative in j,
-    and every entry it does not read is 0. A term of a row that reads no
-    moved column is unchanged, so each row sums the same terms as under a
-    one-column move, and the result is the per-column one bit for bit.
+    column groups of ``plan`` in one ``fun`` call of 2 k points, k the
+    number of groups: each point moves all columns of one group by +-h_j.
+    A row reads at most one column j of a group, so its difference over
+    that group, divided by 2 h_j, is its derivative in j, and every entry
+    it does not read is 0. A term of a row that reads no moved column is
+    unchanged, so each row sums the same terms as under a one-column move,
+    and the result is the per-column one bit for bit.
 
     Returns None if a row changes (NaN and inf included) under a group none
     of whose columns it reads: the read sets do not describe fun at x, and
     the caller differences it under the dense plan."""
+    group, unread, row, col = plan
     h = step * np.maximum(1.0, np.abs(x))
-    jac = np.zeros((plan[0].unread.shape[1], len(x)))
-    for at, cols, unread, g, i, c in plan:
-        k = len(unread)
-        points = np.repeat(x[None], 2 * k, axis=0)
-        points[at, cols] += h[cols]
-        points[k + at, cols] -= h[cols]
-        values = fun(points)
-        diff = values[:k] - values[k:]
-        if diff[unread].any():
-            return None
-        jac[i, c] = diff[g, i] / (2 * h[c])
+    k = len(unread)
+    cols = np.arange(len(x))
+    points = np.repeat(x[None], 2 * k, axis=0)
+    points[group, cols] += h
+    points[k + group, cols] -= h
+    values = fun(points)
+    diff = values[:k] - values[k:]
+    if diff[unread].any():
+        return None
+    jac = np.zeros((unread.shape[1], len(x)))
+    jac[row, col] = diff[group[col], row] / (2 * h[col])
     return jac

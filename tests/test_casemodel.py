@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -222,10 +223,14 @@ def test_scale_ses_reference_value(five_bus):
 
 
 def test_scale_ses_rejects_nonpositive(five_bus):
-    with pytest.raises(ValueError):
-        scale_ses(five_bus, 0.0)
-    with pytest.raises(ValueError):
-        scale_ses(five_bus, -1.0)
+    """A NaN or infinite factor is named as such, before any sigma is
+    scaled to a non-finite value."""
+    for factor in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^SES scale factor must be positive$"):
+            scale_ses(five_bus, factor)
+    for factor in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^SES scale factor must be finite, got {factor}$"):
+            scale_ses(five_bus, factor)
 
 
 def test_scale_ses_leaves_input_unmodified(five_bus):

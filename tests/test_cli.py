@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import sys
 
@@ -400,17 +401,38 @@ def test_check_negative_seed_is_an_input_error(capsys):
     assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
 
 
+CHECK_LINES = pathlib.Path(__file__).parent / "data" / "check_lines.txt"
+
+
 @pytest.mark.parametrize("seed, worst", [
     (0, "1.639e-08 at gradient[24]"), (15, "2.059e-08 at eq_jacobian[41, 186]"),
     (28, "1.761e-08 at eq_jacobian[44, 186]"), (93, "1.678e-08 at eq_jacobian[41, 186]")])
 def test_check_rts24_lines_are_pinned(seed, worst, capsys):
     """The audit's printed error and worst entry on rts24 for seeds whose
-    worst entry is a gradient or an equality Jacobian entry. A change to
-    any evaluator bit, to the audit's points or to its tie order moves
-    these lines."""
+    worst entry is a gradient or an equality Jacobian entry, as written
+    here and as data/check_lines.txt holds them. A change to any evaluator
+    bit, to the audit's points or to its tie order moves these lines."""
+    line = f"derivative audit: max relative error {worst} (pass)"
+    assert f"rts24 {seed} {line}" in CHECK_LINES.read_text().splitlines()
     assert cli_main(["check", "builtin:rts24", "--seed", str(seed)]) == 0
-    assert capsys.readouterr().out == (
-        f"validation: ok\nderivative audit: max relative error {worst} (pass)\n")
+    assert capsys.readouterr().out == f"validation: ok\n{line}\n"
+
+
+def test_check_lines_are_pinned(capsys):
+    """The audit line that ``sesopf check builtin:<case> --seed <s>`` prints
+    for seeds 0-99 on five_bus and rts24, one ``<case> <seed> <line>`` per
+    line of data/check_lines.txt. A change to any evaluator bit, to the
+    audit's points, to its differencing or to its tie order moves these
+    lines."""
+    pinned = CHECK_LINES.read_text()
+    printed = []
+    for case, seed, _ in (line.split(" ", 2) for line in pinned.splitlines()):
+        assert cli_main(["check", f"builtin:{case}", "--seed", seed]) == 0
+        head, line = capsys.readouterr().out.splitlines()
+        assert head == "validation: ok"
+        printed.append(f"{case} {seed} {line}")
+    assert len(printed) == 200
+    assert printed == pinned.splitlines()
 
 
 def test_oracle_subcommand(tmp_path):

@@ -500,25 +500,22 @@ def _per_column_diff(fun, x, step):
 def test_grouped_differences_equal_per_column_ones(network_problem):
     """Differencing by the column groups of a read set gives the per-column
     central differences bit for bit, the signs of zeros included, for all
-    constraint rows, for the audit's network and adequacy blocks apart and
-    for the objective as a one-row function, in stacks of _GROUP_BLOCK
-    groups and in the audit's one stack of all its groups."""
+    constraint rows, for the audit's network and adequacy blocks apart, for
+    the objective as a one-row function and under the dense plan of all
+    constraint rows, every column a group of its own (rts24: 193 groups in
+    one call)."""
     p = network_problem
-    reads, objective_reads = p.constraint_read_sets, p.objective_read_set[None]
-    network_plan = solver._group_plan(reads[:-2])
-    adequacy_plan = solver._group_plan(reads[-2:], block=p.n_var)
-    one_stack = solver._group_plan(objective_reads, block=p.n_var)
-    assert len(network_plan) == len(adequacy_plan) == len(one_stack) == 1
+    reads = p.constraint_read_sets
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = solver._interior_point(p, rng)
         for fun, plan, step in (
                 (_stacked_constraints(p), solver._group_plan(reads), 1e-6),
-                (_stacked_network(p), network_plan, 1e-6),
-                (p._adequacy_rows, adequacy_plan, 1e-6),
-                (_stacked_objective(p), solver._group_plan(objective_reads),
+                (_stacked_network(p), solver._group_plan(reads[:-2]), 1e-6),
+                (p._adequacy_rows, solver._group_plan(reads[-2:]), 1e-6),
+                (_stacked_objective(p), solver._group_plan(p.objective_read_set[None]),
                  solver._OBJ_FD_STEP),
-                (_stacked_objective(p), one_stack, solver._OBJ_FD_STEP)):
+                (_stacked_constraints(p), solver._group_plan(np.ones_like(reads)), 1e-6)):
             grouped = solver._central_diff(fun, x, step, plan)
             per_column = _per_column_diff(fun, x, step)
             assert grouped is not None
@@ -558,15 +555,11 @@ class _CountedBlocks(Problem):
 
 
 def test_audit_differences_each_constraint_block_in_one_call_per_point(network_problem):
-    """The network rows in one stack of 2 x 17 points on rts24 and the
-    adequacy rows in one of 2 x 73, and never ``constraints`` itself."""
+    """The network rows in one call of 2 x 17 points on rts24 and the
+    adequacy rows in one of 2 x 74, and never ``constraints`` itself."""
     problem = _rebuilt(_CountedBlocks, network_problem)
     finite_difference_audit(problem, n_points=3, seed=2)
     assert problem.calls == {"_network_rows": 3, "_adequacy_rows": 3}
-
-
-def _dense_plan_calls(problem, rows):
-    return len(solver._group_plan(np.ones((rows, problem.n_var), dtype=bool)))
 
 
 def _dense_max_rel_error(analytic, fd):
@@ -749,8 +742,7 @@ def test_audit_falls_back_to_per_column_differences(five_bus_problem):
 
     problem.calls.clear()
     report = finite_difference_audit(problem, n_points=3, seed=1)
-    assert problem.calls == {"_network_rows": 3 * (1 + _dense_plan_calls(problem, len(reads))),
-                             "_adequacy_rows": 3}
+    assert problem.calls == {"_network_rows": 3 * 2, "_adequacy_rows": 3}
     assert report == finite_difference_audit(_rebuilt(_DenseUnreadColumn, five_bus_problem),
                                              n_points=3, seed=1)
     assert not report.passed
@@ -817,8 +809,7 @@ class _DenseAdequacyReadsVoltage(_DenseReadSets, _AdequacyReadsVoltage):
 def test_a_fault_in_the_adequacy_rows_sends_only_them_to_the_dense_plan(five_bus_problem):
     problem = _rebuilt(_AdequacyReadsVoltage, five_bus_problem)
     report = finite_difference_audit(problem, n_points=3, seed=1)
-    assert problem.calls == {"_network_rows": 3,
-                             "_adequacy_rows": 3 * (1 + _dense_plan_calls(problem, 2))}
+    assert problem.calls == {"_network_rows": 3, "_adequacy_rows": 3 * 2}
     assert report == finite_difference_audit(
         _rebuilt(_DenseAdequacyReadsVoltage, five_bus_problem), n_points=3, seed=1)
     assert not report.passed
@@ -848,8 +839,7 @@ def test_a_column_no_adequacy_row_reads_is_named_when_one_does(five_bus_problem)
     groups = solver._column_groups(problem.constraint_read_sets[-2:])
     assert groups[v0] == groups.max() > groups[0] == 0
     report = finite_difference_audit(problem, n_points=3, seed=1)
-    assert problem.calls == {"_network_rows": 3,
-                             "_adequacy_rows": 3 * (1 + _dense_plan_calls(problem, 2))}
+    assert problem.calls == {"_network_rows": 3, "_adequacy_rows": 3 * 2}
     assert report == finite_difference_audit(
         _rebuilt(_DenseAdequacyReadsAnUnreadColumn, five_bus_problem), n_points=3, seed=1)
     assert not report.passed
