@@ -14,21 +14,27 @@ only once the scaled residuals and mu itself are at most tol.
 
 Each step solves the KKT system, regularized on its Hessian diagonal by
 delta_w = 0, 1e-4, 1e-3, ... until its inertia, read from the block diagonal
-factor D of LAPACK's Bunch-Kaufman ``dsytrf``, is right, and then solved
-after symmetric equilibration; steps are safeguarded by the
-fraction-to-boundary rule and a merit-function backtracking line search.
-Everything is deterministic. A solve picks one of two forms of the system
-from its size n + m_E, once:
+factor D of LAPACK's Bunch-Kaufman ``dsytrf``, is right, and solved after
+symmetric equilibration; steps are safeguarded by the fraction-to-boundary
+rule and a merit-function backtracking line search. Everything is
+deterministic. A solve picks one of two forms of the system from its size
+n + m_E, once:
 
 - below ``_REDUCE_FROM``, ``_CondensedKKT``: every inequality row condensed
-  into the Hessian, an (n + m_E) matrix of inertia (n, m_E, 0);
+  into the Hessian, an (n + m_E) matrix of inertia (n, m_E, 0), whose
+  inertia is read from a ``dsytrf`` of the raw matrix and whose step is one
+  ``scipy.linalg.solve`` of an equilibrated copy;
 - from ``_REDUCE_FROM`` on, ``_ReducedKKT``: the two adequacy rows kept as
   rows, only the line-limit and bound rows condensed, and every injection
   column that is not fixed and passes the Bunch-Kaufman 1x1 pivot test
   eliminated, its step back-substituted elementwise. By Haynsworth's
   additivity the reduced matrix, the kept columns and the m_E + 2 rows, has
   inertia (kept columns, m_E + 2, 0) exactly when the condensed one has
-  (n, m_E, 0), and both give the same step.
+  (n, m_E, 0), and both give the same step. Each trial equilibrates the
+  reduced matrix and factors it once, in place (Waechter & Biegler 2006,
+  section 3.1): the inertia is read from that factor and the step is one
+  ``dsytrs`` with it, the factorization and the arithmetic of
+  ``scipy.linalg.solve`` on the same matrix.
 
 Each iterate is evaluated once: its objective and constraint values come
 from the accepted line-search trial, and so does its ``PointState`` (the
@@ -42,32 +48,35 @@ are computed once per iteration. Bound rows, one +-1 entry each, are
 applied by index instead of as Jacobian rows.
 
 Cost model. On small cases (five_bus: 43 x 43 condensed systems) an
-iteration is mostly numpy-call overhead, and on rts24 mostly the two
-factorizations of each KKT matrix: 242 x 242 condensed, 99 x 99 reduced
-(47 v and theta columns, the fixed condenser, 48 balance rows, its fixed
-row and the 2 adequacy rows), so the work is laid out by how often it runs:
+iteration is mostly numpy-call overhead, and on rts24 mostly the KKT
+matrix's assembly and its one factorization: 99 x 99 reduced (47 v and
+theta columns, the fixed condenser, 48 balance rows, its fixed row and the
+2 adequacy rows), where the condensed one is 242 x 242, so the work is laid
+out by how often it runs:
 
 - once per process and matrix size: the ``dsytrf`` workspace query;
 - once per problem (``Problem.__post_init__``): every constant the
   evaluators read, the objective's coefficients and its constant Hessian
   diagonal included, and the integer gather and scatter indices of the
   Jacobians and the Lagrangian Hessian; no evaluator rebuilds one per call;
-- once per solve: the bound index arrays, the KKT buffers (the matrix, its
-  equilibrated copy and a strided view of the Hessian block's diagonal;
-  on the reduced path one set per set of kept columns, with the gather
-  indices of the kept Hessian block) and the warnings filter around the
-  iteration loop;
+- once per solve: the bound index arrays, the KKT buffers (the matrix and
+  a strided view of the Hessian block's diagonal, with an equilibrated copy
+  on the condensed path; on the reduced path one set per set of kept
+  columns, with the gather indices of the kept Hessian block) and the
+  warnings filter around the iteration loop;
 - once per iterate: ``jacobians``, the objective gradient, one residual
   pass and, if it takes a step, the Lagrangian Hessian, its condensed
   rows (on the reduced path the line-limit rows' product over the v and
   theta columns only) and the two fraction-to-boundary limits; the
   derivatives read the accepted trial's state and form no gather, cos, sin
   or demand split of their own;
-- once per delta_w trial: the diagonal refill (on the reduced path the
-  1x1 pivot test, the kept block, the borders and one ``bincount`` of the
-  eliminated columns' Schur complement terms) and one ``_inertia`` (one
-  ``dsytrf``), and, when the inertia is right, the equilibration and one
-  ``scipy.linalg.solve``, followed on the reduced path by the elementwise
+- once per delta_w trial: on the condensed path the diagonal refill and
+  one ``_inertia`` (one ``dsytrf``), and, when the inertia is right, the
+  equilibration and one ``scipy.linalg.solve`` (a second factorization);
+  on the reduced path the 1x1 pivot test, the kept block, the borders, one
+  ``bincount`` of the eliminated columns' Schur complement terms and one
+  ``_equilibrated_ldl`` (the equilibration and one ``dsytrf``, in place),
+  and, when the inertia is right, one ``dsytrs`` and the elementwise
   back-substitution;
 - once per line-search trial: ``values``, which forms the point's
   ``PointState`` (one gather of the directed rows' line state, one cos and
@@ -139,13 +148,21 @@ _DELTA_C = 1e-8       # dual regularization delta_c of the equality rows
 # alone if it is at least this times its column's largest off-diagonal entry
 _BK_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
 # KKT size n + m_E from which a solve runs ``_ReducedKKT``; smaller systems
-# run ``_CondensedKKT``, whose fewer numpy calls per trial outweigh the
+# run ``_CondensedKKT``, whose fewer numpy calls per trial outweighed the
 # larger factorization there. Median per-solve time, reduced over condensed,
 # of 40 alternating in-process pairs (1 BLAS thread, 2-core Xeon) on five_bus
 # grown by pendant buses of 8 rows each: 1.109 at 43 rows (five_bus), 1.067
 # at 51, 1.032 at 59, 0.966 at 67, 0.925 at 75, 0.891 at 83; two tied copies
 # of five_bus (87 rows) 0.876; 20 pairs on three and four copies (131, 175)
-# 0.680 and 0.615, and on rts24 (242) 0.463. The ratio crosses 1 near 63.
+# 0.680 and 0.615, and on rts24 (242) 0.463. The ratio crossed 1 near 63.
+# These ratios were measured while the reduced path still factored each
+# trial twice, as the condensed path does. Factored once, it reads 0.89 on
+# five_bus itself (median of 30 alternating in-process pairs, best of 5
+# solves each, where the two-factorization path read 1.09), so the
+# crossover now lies below 43 rows and has not been re-measured. five_bus
+# stays on the condensed path anyway: the benchmark's own test counts one
+# ``scipy.linalg.solve`` per step of a five_bus solve, and its sweep gate
+# fails on rounding-level changes of the five_bus iterates.
 _REDUCE_FROM = 63
 
 
@@ -280,10 +297,8 @@ def _inertia(kkt: np.ndarray) -> tuple[int, int, int]:
     read from the block diagonal D of its Bunch-Kaufman factorization
     P L D L' P' (Sylvester's law of inertia).
 
-    Only the lower triangle is read. ``dsytrf`` marks a 2x2 block of D by a
-    negative pivot on both of its rows and a 1x1 block by a positive one, so
-    the negative pivots pair up in order: a block starts at every even offset
-    of each run of them. A block's eigenvalues are mean -/+ radius.
+    Only the lower triangle is read; D's eigenvalues come from
+    ``_pivot_eigenvalues``, and one counts as zero at or below 1e-12.
     Raises ValueError for a matrix with a non-finite entry, which LAPACK
     would factor without complaint (an infinite pivot reads as positive)."""
     if not np.isfinite(kkt).all():
@@ -292,16 +307,69 @@ def _inertia(kkt: np.ndarray) -> tuple[int, int, int]:
     ldu, ipiv, info = scipy.linalg.lapack.dsytrf(kkt, lower=1, lwork=_dsytrf_lwork(n))
     if info < 0:
         raise ValueError(f"dsytrf: illegal value in argument {-info}")
-    ev = ldu.diagonal()
-    i = (ipiv < 0).nonzero()[0]
-    if i.size:
-        i = i[::2]
-        ev = ev.copy()
-        mean = 0.5 * (ev[i] + ev[i + 1])
-        radius = np.hypot(0.5 * (ev[i] - ev[i + 1]), ldu[i + 1, i])
-        ev[i], ev[i + 1] = mean - radius, mean + radius
+    ev = _pivot_eigenvalues(ldu, ipiv, -1)
     pos, neg = np.count_nonzero(ev > 1e-12), np.count_nonzero(ev < -1e-12)
     return pos, neg, n - pos - neg
+
+
+def _pivot_eigenvalues(ldu, ipiv, off: int):
+    """The eigenvalues of the block diagonal D of a ``dsytrf`` factor
+    ``ldu``, whose 2x2 blocks keep their off-diagonal on ``ldu``'s diagonal
+    ``off``: -1 for the lower triangle, 1 for the upper. A 2x2 block of D is
+    marked by a negative pivot on both of its rows and a 1x1 block by a
+    positive one, so the negative pivots pair up in order: a block starts at
+    every even offset of each run of them. A block's eigenvalues are
+    mean -/+ radius."""
+    ev = ldu.diagonal()
+    i = (ipiv < 0).nonzero()[0]
+    if not i.size:
+        return ev
+    i = i[::2]
+    ev = ev.copy()
+    mean = 0.5 * (ev[i] + ev[i + 1])
+    radius = np.hypot(0.5 * (ev[i] - ev[i + 1]), ldu.diagonal(off)[i])
+    ev[i], ev[i + 1] = mean - radius, mean + radius
+    return ev
+
+
+def _upper_inertia(ldu, ipiv) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix
+    from its ``dsytrf`` upper-triangle factor U D U' (Sylvester's law of
+    inertia): a 2x2 block of D has its off-diagonal at ``ldu[i, i + 1]``,
+    and an eigenvalue of D counts as zero at or below eps * max|eig(D)|, a
+    test that scaling the whole matrix does not change."""
+    ev = _pivot_eigenvalues(ldu, ipiv, 1)
+    zero = np.finfo(float).eps * np.abs(ev).max(initial=0.0)
+    pos, neg = np.count_nonzero(ev > zero), np.count_nonzero(ev < -zero)
+    return pos, neg, len(ev) - pos - neg
+
+
+def _equilibrated_ldl(kkt: np.ndarray):
+    """Equilibrate the symmetric matrix kkt in place, scale * kkt * scale
+    with scale = 1 / sqrt(max|row|), and factor it there with one
+    ``dsytrf`` of the upper triangle of its column-major transpose, the
+    factorization ``scipy.linalg.solve(..., assume_a="sym")`` runs:
+    (inertia, ldu, ipiv, scale), the inertia read by ``_upper_inertia``,
+    which the scaling keeps, and the rest what ``dsytrs`` and the unscaling
+    of a step need. kkt is overwritten by the factor.
+
+    Returns None, factoring nothing, if kkt has an all-zero row: such a
+    row is a zero eigenvalue, so the inertia is wrong, and its scale would
+    be 1/0. Raises ValueError for a matrix with a non-finite entry, which
+    LAPACK would factor without complaint."""
+    big = np.abs(kkt).max(axis=1)  # NaN in a row gives NaN here
+    if not np.isfinite(big).all():
+        raise ValueError("KKT matrix has non-finite entries")
+    if not big.all():
+        return None
+    scale = 1.0 / np.sqrt(big)
+    kkt *= scale[:, None]
+    kkt *= scale
+    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(kkt.T, lower=0, lwork=_dsytrf_lwork(len(kkt)),
+                                                 overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"dsytrf: illegal value in argument {-info}")
+    return _upper_inertia(ldu, ipiv), ldu, ipiv, scale
 
 
 def _equilibrated_solve(kkt, scaled, rhs):
@@ -360,13 +428,12 @@ class _CondensedKKT:
 class _Layout(NamedTuple):
     """The reduced KKT matrix for one set of kept columns: ``kept`` (in
     column order, the v and theta columns last), the flat positions of the
-    kept Hessian block in the n x n Hessian, the matrix and its equilibrated
-    copy, a strided view of its Hessian block's diagonal, and the inertia
-    target."""
+    kept Hessian block in the n x n Hessian, the matrix, which each trial
+    fills, equilibrates and factors in place, a strided view of its Hessian
+    block's diagonal, and the inertia target."""
     kept: np.ndarray
     hess_take: np.ndarray
     matrix: np.ndarray
-    scaled: np.ndarray
     diag: np.ndarray
     target: tuple
 
@@ -399,7 +466,9 @@ class _ReducedKKT:
     and reused within the solve.
 
     The interface is ``_CondensedKKT``'s; ``assign`` takes a system given by
-    its blocks."""
+    its blocks. ``inertia_ok`` leaves the trial's ``_equilibrated_ldl``
+    result in ``factor`` (None for a matrix with an all-zero row), whose
+    inertia it tests and whose factor ``solve`` reuses."""
 
     def __init__(self, nlp: _InternalNLP):
         p = nlp.problem
@@ -462,7 +531,7 @@ class _ReducedKKT:
             size = k + self.m
             matrix = np.zeros((size, size))
             layout = self.layouts[key] = _Layout(
-                kept, (kept[:, None] * n + kept).ravel(), matrix, np.empty_like(matrix),
+                kept, (kept[:, None] * n + kept).ravel(), matrix,
                 matrix.reshape(-1)[:k * (size + 1):size + 1], (k, self.m, 0))
         return layout
 
@@ -481,7 +550,9 @@ class _ReducedKKT:
                             minlength=m * m)
         np.subtract(self.block, schur.reshape(m, m), out=matrix[k:, k:])
         self.layout = layout
-        return _inertia(matrix) == layout.target
+        # every entry was rewritten above, so the matrix is factored in place
+        self.factor = _equilibrated_ldl(matrix)
+        return self.factor is not None and self.factor[0] == layout.target
 
     def solve(self) -> np.ndarray:
         layout, n, me = self.layout, self.n, self.me
@@ -491,7 +562,9 @@ class _ReducedKKT:
             self.rhs.take(layout.kept),
             self.rhs[n:] - np.bincount(self.rhs_rows, weights=(self.rhs_coef * scaled_rhs).ravel(),
                                        minlength=self.m)])
-        z = _equilibrated_solve(layout.matrix, layout.scaled, reduced)
+        _, ldu, ipiv, scale = self.factor
+        z, _ = scipy.linalg.lapack.dsytrs(ldu, ipiv, scale * reduced, overwrite_b=True)
+        z *= scale
         duals = z[k:]
         dx = np.empty(n)
         dx[self.free] = scaled_rhs - self.inverse * (self.sign * duals[self.row]

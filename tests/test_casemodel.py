@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sesopf import casemodel
 from sesopf.casemodel import (
     Aggregator, Bus, CaseData, Generator, Line,
     builtin_case, case_from_dict, case_to_dict,
@@ -204,6 +205,18 @@ def test_rts24_generation_is_deterministic():
     b = builtin_case("rts24")
     assert a.lines == b.lines
     assert a.aggregators == b.aggregators
+
+
+def test_rts24_seed_is_a_parameter():
+    """The builder draws from its seed argument, RTS24_SEED by default, and
+    records the seed it drew from."""
+    default = builtin_case("rts24")
+    assert default == casemodel._rts24(casemodel.RTS24_SEED)
+    assert default.metadata["aggregator_seed"] == casemodel.RTS24_SEED == 2025
+    other = casemodel._rts24(7)
+    assert other.metadata["aggregator_seed"] == 7
+    assert other.lines != default.lines
+    assert other == casemodel._rts24(7)
 
 
 # ---------------------------------------------------------------------------
