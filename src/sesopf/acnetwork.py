@@ -1,13 +1,12 @@
-"""Bus admittance construction and AC power-flow quantities.
+"""AC power-flow quantities of the series-only line model.
 
-Series-only line model: charging susceptance is ignored everywhere so that
-the Y-bus, the injection equations, and the directed line-flow expression
-stay mutually consistent. The formulation takes power balance, its Jacobian
-and its Hessian from the directed line flows below and their derivatives,
-so no solve builds the Y-bus. It is the input of ``bus_injections``, the
-engine of ``injection_residuals``, and the reference the tests hold the
-flow sums to. Dense matrices are used; target systems have at most a few
-dozen buses.
+Charging susceptance is ignored everywhere, so the directed line-flow
+expression below and the Y-bus injection stay mutually consistent. The
+formulation takes power balance, its Jacobian and its Hessian from the
+directed line flows and their derivatives; no solve, report or CLI path
+builds a Y-bus. The tests build one line by line, as the reference they
+hold the flow sums to. Dense arrays are used; target systems have at most
+a few dozen buses.
 
 The per-line flow primitives and their derivatives take scalars or arrays
 that broadcast against each other, so the formulation evaluates all lines
@@ -23,17 +22,9 @@ The Hessian kernel returns its 9 distinct entries, not the 4x4 matrix;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .casemodel import CaseData, Line
-
-
-@dataclass(frozen=True)
-class Admittance:
-    g: np.ndarray  # conductance matrix, p.u.
-    b: np.ndarray  # susceptance matrix, p.u.
 
 
 def series_admittance(line: Line) -> tuple[float, float]:
@@ -44,46 +35,20 @@ def series_admittance(line: Line) -> tuple[float, float]:
     return line.r / d, -line.x / d
 
 
-def build_admittance(case: CaseData) -> Admittance:
-    """Y-bus of the series line admittances. Each line adds its entries
-    (ii, jj, ij, ji) in line order; ``np.add.at`` is unbuffered, so parallel
-    lines sum into shared cells in that order too."""
-    i, j, g, b = line_arrays(case)
-    n = len(case.buses)
-    rows = np.stack([i, j, i, j], axis=-1).ravel()
-    cols = np.stack([i, j, j, i], axis=-1).ravel()
-    entries = np.stack([g, b])[:, :, None] * np.array([1.0, 1.0, -1.0, -1.0])
-    ybus = np.zeros((2, n, n))
-    np.add.at(ybus, (np.arange(2)[:, None], rows, cols), entries.reshape(2, -1))
-    return Admittance(ybus[0], ybus[1])
-
-
-def bus_injections(adm: Admittance, v, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Active/reactive power injected into the network at each bus (p.u.).
-    v and theta have the buses on their last axis; leading axes broadcast."""
+def bus_injections(g, b, v, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Active/reactive power injected into the network at each bus (p.u.)
+    by the Y-bus g + jb. v and theta have the buses on their last axis;
+    leading axes broadcast. Nothing in the package calls it: the tests hold
+    the flow sums to it, and it stays as a site that the benchmark's
+    per-layer tracer patches."""
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta, dtype=float)
     dth = theta[..., :, None] - theta[..., None, :]
     ct, st = np.cos(dth), np.sin(dth)
     vv = v[..., :, None] * v[..., None, :]
-    p = np.sum(vv * (adm.g * ct + adm.b * st), axis=-1)
-    q = np.sum(vv * (adm.g * st - adm.b * ct), axis=-1)
+    p = np.sum(vv * (g * ct + b * st), axis=-1)
+    q = np.sum(vv * (g * st - b * ct), axis=-1)
     return p, q
-
-
-def injection_residuals(adm: Admittance, v, theta, p_net, q_net):
-    """Power-balance residuals: net injection minus network injection.
-
-    Zero residual at a bus means the balance equation holds there.
-    """
-    p_net = np.asarray(p_net, dtype=float)
-    q_net = np.asarray(q_net, dtype=float)
-    n = adm.g.shape[0]
-    for arr in (np.asarray(v), np.asarray(theta), p_net, q_net):
-        if arr.shape != (n,):
-            raise ValueError("state/injection vectors must have one entry per bus")
-    p, q = bus_injections(adm, v, theta)
-    return p_net - p, q_net - q
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,10 @@ each point's gather, cos, sin and demand split are done once.
 
 Power balance takes the network injection at each bus as the sum of the
 directed flows leaving it over its lines, and its Jacobian and Hessian as
-the sums of those flows' derivatives, so all three come from one form.
-Under the series-only line model the sum equals the Y-bus injection of
-``acnetwork.bus_injections``. Each directed row carries a P flow and a Q
+the sums of those flows' derivatives, so all three come from one form, the
+package's one network model. Under the series-only line model the sum
+equals the Y-bus injection; the tests hold it to a Y-bus that they build
+line by line. Each directed row carries a P flow and a Q
 flow from one (2, rows) admittance of (g, b) and the rotated (-b, g), so
 each evaluator makes one ``acnetwork`` kernel call. The line-limit rows
 are the P half of those flows, so ``_network_rows`` and ``jacobians``

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sesopf.acnetwork import series_admittance
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, Line, builtin_case
 from sesopf.formulation import build_problem
 from sesopf.solver import SolverOptions, solve
@@ -104,6 +105,28 @@ def with_parallel_lines(case):
     extra = (Line(first.to_bus, first.from_bus, 2 * first.r, 1.5 * first.x, first.s_max),
              Line(last.from_bus, last.to_bus, last.r, last.x, last.s_max))
     return replace(case, name=case.name + "_parallel", lines=case.lines + extra)
+
+
+def admittance_by_lines(case):
+    """The Y-bus (g, b) of the series line admittances, built one line and
+    two bus-id lookups at a time: the tests' one Y-bus, the reference that
+    the directed flow sums are held to."""
+    n = len(case.buses)
+    g = np.zeros((n, n))
+    b = np.zeros((n, n))
+    for line in case.lines:
+        i = case.bus_index(line.from_bus)
+        j = case.bus_index(line.to_bus)
+        gs, bs = series_admittance(line)
+        g[i, i] += gs
+        g[j, j] += gs
+        g[i, j] -= gs
+        g[j, i] -= gs
+        b[i, i] += bs
+        b[j, j] += bs
+        b[i, j] -= bs
+        b[j, i] -= bs
+    return g, b
 
 
 def copperize(case):

@@ -1,4 +1,5 @@
-"""Admittance construction and AC power-flow quantities."""
+"""AC power-flow quantities, and the tests' line-by-line Y-bus that the
+flow sums are held to."""
 
 import dataclasses
 import math
@@ -9,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from sesopf.casemodel import Bus, CaseData, Line
 from sesopf.acnetwork import (
-    HESS_ENTRIES, Admittance, build_admittance, bus_injections, flow_p, flow_p_grad,
-    flow_p_hess, flow_state, injection_residuals, line_flows, network_losses,
-    series_admittance,
+    HESS_ENTRIES, bus_injections, flow_p, flow_p_grad, flow_p_hess, flow_state,
+    line_flows, network_losses, series_admittance,
 )
 
-from conftest import with_parallel_lines
+from conftest import admittance_by_lines
 
 
 def _two_bus(r, x, s_max=1e6):
@@ -43,58 +43,25 @@ def test_series_admittance_reference_values():
 
 
 def test_build_admittance_pure_reactance():
-    adm = build_admittance(_two_bus(0.0, 0.1))
-    assert np.allclose(adm.b, [[-10.0, 10.0], [10.0, -10.0]])
-    assert np.allclose(adm.g, 0.0)
+    g, b = admittance_by_lines(_two_bus(0.0, 0.1))
+    assert np.allclose(b, [[-10.0, 10.0], [10.0, -10.0]])
+    assert np.allclose(g, 0.0)
 
 
 def test_build_admittance_reference_entries():
-    adm = build_admittance(_two_bus(0.01, 0.1))
-    assert adm.g[0, 0] == pytest.approx(0.9901, abs=5e-5)
-    assert adm.g[0, 1] == pytest.approx(-0.9901, abs=5e-5)
+    g, _ = admittance_by_lines(_two_bus(0.01, 0.1))
+    assert g[0, 0] == pytest.approx(0.9901, abs=5e-5)
+    assert g[0, 1] == pytest.approx(-0.9901, abs=5e-5)
 
 
 def test_admittance_symmetric_with_zero_row_sums(five_bus, rts24):
     for case in (five_bus, rts24):
-        adm = build_admittance(case)
-        assert np.allclose(adm.g, adm.g.T)
-        assert np.allclose(adm.b, adm.b.T)
+        g, b = admittance_by_lines(case)
+        assert np.allclose(g, g.T)
+        assert np.allclose(b, b.T)
         # series-only model: no shunts, so every row sums to zero
-        assert np.allclose(adm.g.sum(axis=1), 0.0, atol=1e-10)
-        assert np.allclose(adm.b.sum(axis=1), 0.0, atol=1e-10)
-
-
-def _build_admittance_by_lines(case):
-    """Y-bus one line and two bus-id lookups at a time: the reference for
-    ``build_admittance``."""
-    n = len(case.buses)
-    g = np.zeros((n, n))
-    b = np.zeros((n, n))
-    for line in case.lines:
-        i = case.bus_index(line.from_bus)
-        j = case.bus_index(line.to_bus)
-        gs, bs = series_admittance(line)
-        g[i, i] += gs
-        g[j, j] += gs
-        g[i, j] -= gs
-        g[j, i] -= gs
-        b[i, i] += bs
-        b[j, j] += bs
-        b[i, j] -= bs
-        b[j, i] -= bs
-    return Admittance(g, b)
-
-
-@pytest.mark.parametrize("name", ["five_bus", "rts24", "five_bus_parallel"])
-def test_build_admittance_matches_line_by_line(name, request):
-    """Bit for bit, parallel lines included (rts24 has four pairs)."""
-    if name == "five_bus_parallel":
-        case = with_parallel_lines(request.getfixturevalue("five_bus"))
-    else:
-        case = request.getfixturevalue(name)
-    adm, ref = build_admittance(case), _build_admittance_by_lines(case)
-    assert np.array_equal(adm.g, ref.g)
-    assert np.array_equal(adm.b, ref.b)
+        assert np.allclose(g.sum(axis=1), 0.0, atol=1e-10)
+        assert np.allclose(b.sum(axis=1), 0.0, atol=1e-10)
 
 
 def test_admittance_is_sum_of_line_contributions(five_bus):
@@ -102,43 +69,38 @@ def test_admittance_is_sum_of_line_contributions(five_bus):
     total_b = np.zeros((5, 5))
     for k in range(len(five_bus.lines)):
         single = dataclasses.replace(five_bus, lines=(five_bus.lines[k],))
-        adm = build_admittance(single)
-        total_g += adm.g
-        total_b += adm.b
-    adm = build_admittance(five_bus)
-    assert np.allclose(adm.g, total_g)
-    assert np.allclose(adm.b, total_b)
+        g, b = admittance_by_lines(single)
+        total_g += g
+        total_b += b
+    g, b = admittance_by_lines(five_bus)
+    assert np.allclose(g, total_g)
+    assert np.allclose(b, total_b)
 
 
 # ---------------------------------------------------------------------------
-# injection residuals
+# balance residuals: net injection minus the Y-bus injection
 
 
 def test_residuals_vanish_at_flat_start(five_bus):
-    adm = build_admittance(five_bus)
-    rp, rq = injection_residuals(adm, np.ones(5), np.zeros(5),
-                                 np.zeros(5), np.zeros(5))
-    assert np.allclose(rp, 0.0, atol=1e-12)
-    assert np.allclose(rq, 0.0, atol=1e-12)
+    p, q = bus_injections(*admittance_by_lines(five_bus), np.ones(5), np.zeros(5))
+    assert np.allclose(np.zeros(5) - p, 0.0, atol=1e-12)
+    assert np.allclose(np.zeros(5) - q, 0.0, atol=1e-12)
 
 
 def test_residuals_two_bus_reference_transfer():
-    adm = build_admittance(_two_bus(0.0, 0.1))
-    p = 10.0 * math.sin(0.1)  # 0.99833 p.u.
-    rp, _ = injection_residuals(adm, [1.0, 1.0], [0.0, -0.1], [p, -p],
-                                [10 * (1 - math.cos(0.1))] * 2)
-    assert np.max(np.abs(rp)) < 1e-9
+    p_net = 10.0 * math.sin(0.1)  # 0.99833 p.u.
+    p, _ = bus_injections(*admittance_by_lines(_two_bus(0.0, 0.1)), [1.0, 1.0], [0.0, -0.1])
+    assert np.max(np.abs(np.array([p_net, -p_net]) - p)) < 1e-9
 
 
 def test_residual_locality_of_angle_perturbation():
-    case = _three_bus_chain()
-    adm = build_admittance(case)
+    ybus = admittance_by_lines(_three_bus_chain())
     v = np.array([1.0, 1.01, 0.99])
     theta = np.array([0.0, 0.05, -0.02])
-    base_p, base_q = injection_residuals(adm, v, theta, np.zeros(3), np.zeros(3))
+    base_p, base_q = bus_injections(*ybus, v, theta)
     bumped = theta.copy()
     bumped[2] += 0.01
-    new_p, new_q = injection_residuals(adm, v, bumped, np.zeros(3), np.zeros(3))
+    new_p, new_q = bus_injections(*ybus, v, bumped)
     # bus 3 only touches bus 2, so bus 1 residuals are unchanged
     assert new_p[0] == base_p[0]
     assert new_q[0] == base_q[0]
@@ -146,14 +108,7 @@ def test_residual_locality_of_angle_perturbation():
     assert new_p[2] != base_p[2]
 
 
-def test_residual_dimension_checks():
-    adm = build_admittance(_two_bus(0.0, 0.1))
-    with pytest.raises(ValueError):
-        injection_residuals(adm, [1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
-
-
 def test_residuals_small_at_converged_state(five_bus, five_bus_solution):
-    adm = build_admittance(five_bus)
     sol = five_bus_solution
     sb = five_bus.s_base
     p_net = np.zeros(5)
@@ -166,8 +121,8 @@ def test_residuals_small_at_converged_state(five_bus, five_bus_solution):
         i = five_bus.bus_index(a.bus)
         p_net[i] -= p / sb
         q_net[i] -= q / sb
-    rp, rq = injection_residuals(adm, sol.v, sol.theta, p_net, q_net)
-    assert max(np.max(np.abs(rp)), np.max(np.abs(rq))) < 1e-6
+    p, q = bus_injections(*admittance_by_lines(five_bus), sol.v, sol.theta)
+    assert max(np.max(np.abs(p_net - p)), np.max(np.abs(q_net - q))) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +190,8 @@ def test_line_flows_match_line_flow(name, request):
 
 def test_generation_demand_loss_identity(five_bus, five_bus_solution):
     """Summed net injections equal the resistive losses exactly."""
-    adm = build_admittance(five_bus)
     sol = five_bus_solution
-    p_inj, _ = bus_injections(adm, sol.v, sol.theta)
+    p_inj, _ = bus_injections(*admittance_by_lines(five_bus), sol.v, sol.theta)
     total = float(np.sum(p_inj)) * five_bus.s_base
     assert total == pytest.approx(network_losses(five_bus, sol.v, sol.theta),
                                   abs=1e-8 * five_bus.s_base)

@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from sesopf.acnetwork import build_admittance, bus_injections, flow_p, flow_state, line_flows
+from sesopf.acnetwork import bus_injections, flow_p, flow_state, line_flows
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator
 from sesopf.formulation import build_problem
 from sesopf.harness import compute_metrics
 from sesopf.solver import finite_difference_audit
 from sesopf.welfare import marginal_cost, marginal_satisfaction, social_objective
 
-from conftest import random_interior_state, single_bus_case
+from conftest import admittance_by_lines, random_interior_state, single_bus_case
 from test_acnetwork import _flow_p_hess_by_entries
 
 
@@ -387,12 +387,12 @@ def test_balance_from_line_flows_matches_the_y_bus(network_problem):
     p = network_problem
     rng = np.random.default_rng(23)
     xs = np.stack([random_interior_state(p, rng) for _ in range(10)])
-    adm = build_admittance(p.case)
-    pn, qn = bus_injections(adm, xs[:, p.layout.v], p.full_theta(xs))
-    single = bus_injections(adm, xs[0, p.layout.v], p.full_theta(xs[0]))
+    ybus = admittance_by_lines(p.case)
+    pn, qn = bus_injections(*ybus, xs[:, p.layout.v], p.full_theta(xs))
+    single = bus_injections(*ybus, xs[0, p.layout.v], p.full_theta(xs[0]))
     assert np.array_equal(pn[0], single[0]) and np.array_equal(qn[0], single[1])
-    ybus = _net_injection(p, xs) - np.concatenate([pn, qn], axis=-1)
-    err = np.abs(p.constraints(xs)[0] - ybus) / np.maximum(1.0, np.abs(ybus))
+    balance = _net_injection(p, xs) - np.concatenate([pn, qn], axis=-1)
+    err = np.abs(p.constraints(xs)[0] - balance) / np.maximum(1.0, np.abs(balance))
     assert np.max(err) < 1e-12
 
 
