@@ -470,8 +470,7 @@ def _check_type(tag: str, name: str, value, kind: str) -> None:
 
 def save_case(case: CaseData, path) -> None:
     with open(path, "w") as fh:
-        json.dump(case_to_dict(case), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(case_to_dict(case), indent=2) + "\n")
 
 
 def load_case(path) -> CaseData:

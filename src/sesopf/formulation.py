@@ -16,11 +16,13 @@ the solver negates internally.
 Every evaluator is a fixed sequence of array operations over incidence
 arrays that each Problem builds once: the bus of every generator and
 aggregator, the variable columns of every directed line's local state, and
-the flat positions those columns take in the two Jacobians and the
-Lagrangian Hessian, where the per-line gradients and 4x4 blocks are
-scattered (MATPOWER Tech. Note 2, Zimmerman 2010, in real coordinates).
-The valid entries of those gradients and blocks are gathered by integer
-``take`` indices built once too, not by boolean masks, and the objective's
+the flat positions those columns take in the two Jacobians and in the
+Lagrangian Hessian's v/theta block, where the per-line gradients and 4x4
+blocks are scattered (MATPOWER Tech. Note 2, Zimmerman 2010, in real
+coordinates). The Hessian is returned as that block and its diagonal, the
+two blocks that can be nonzero; no n x n Hessian is formed. The valid
+entries of those gradients and blocks are gathered by integer ``take``
+indices built once too, not by boolean masks, and the objective's
 coefficients (gamma/mu, mu/2, gamma^2/(2 mu), 2a and the constant Hessian
 diagonal) are computed once per problem, not on every call. The 4x4 blocks
 are never formed: ``acnetwork.flow_p_hess`` returns the 9 distinct entries
@@ -134,9 +136,9 @@ class Problem:
     admittance ``_gb`` of (g, b) and the rotated (-b, g); ``_state_take``
     repeats each state column for both, so that no kernel operand is
     broadcast. The balance Jacobian, the inequality Jacobian and the
-    Lagrangian Hessian are each one scatter of these rows' derivatives,
-    gathered by the flat ``take`` indices ``_grad_take`` and
-    ``_hess_take``."""
+    Lagrangian Hessian's v/theta block are each one scatter of these rows'
+    derivatives, gathered by the flat ``take`` indices ``_grad_take`` and
+    ``_hess_take``; the block's positions are ``_block_flat``."""
 
     case: CaseData
 
@@ -219,11 +221,9 @@ class Problem:
         # directed rows, of every valid (row, column, column) entry
         hess_r, hess_a, hess_b = np.nonzero(hess_valid)
         self._hess_take = acnetwork.HESS_ENTRIES[hess_a, hess_b] * n_rows + hess_r
-        # the objective's diagonal, then every valid (row, column) pair of
-        # each directed row's 4x4 block
-        self._hess_flat = np.concatenate([
-            np.arange(n) * (n + 1),
-            (cols[:, :, None] * n + cols[:, None, :])[hess_valid]])
+        # the flat position of each of those entries in the v/theta block
+        local, n_net = cols - lay.v.start, n - lay.v.start
+        self._block_flat = (local[:, :, None] * n_net + local[:, None, :])[hess_valid]
         # adequacy rows: sum(P_a) - sum(P_g) and sum(Q_a) - sum(Q_g)
         self._adequacy = np.zeros((2, n))
         self._adequacy[0, lay.pa], self._adequacy[0, lay.pg] = 1.0, -1.0
@@ -418,46 +418,46 @@ class Problem:
         jh.flat[self._jh_flat] = pq[:len(self._jh_flat)]
         return je, jh
 
+    # The four one-block forms below: nothing in the package calls them; they
+    # stay as sites that the benchmark's per-layer tracer patches.
+
     def equalities(self, x: np.ndarray) -> np.ndarray:
-        """Power balance alone. Nothing in the package calls it; it stays as
-        a site that the benchmark's per-layer tracer patches."""
         return self.constraints(x)[0]
 
     def inequalities(self, x: np.ndarray) -> np.ndarray:
-        """The inequality rows alone. Nothing in the package calls it; it
-        stays as a site that the benchmark's per-layer tracer patches."""
         return self.constraints(x)[1]
 
     def equality_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """The equality Jacobian alone. Nothing in the package calls it; it
-        stays as a site that the benchmark's per-layer tracer patches."""
         return self.jacobians(x)[0]
 
     def inequality_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """The inequality Jacobian alone. Nothing in the package calls it; it
-        stays as a site that the benchmark's per-layer tracer patches."""
         return self.jacobians(x)[1]
 
     # -- Lagrangian Hessian --------------------------------------------------
 
     def lagrangian_hessian(self, x, lam_eq, lam_ineq,
-                           state: PointState | None = None) -> np.ndarray:
-        """Hessian of f_min + lam_eq . c_E + lam_ineq . h, where
-        f_min = -objective (minimization sense).
+                           state: PointState | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Hessian of f_min + lam_eq . c_E + lam_ineq . h, f_min = -objective
+        (minimization sense), as (diag, block), its two blocks that can be
+        nonzero: diag(diag) plus ``block`` on the v and theta columns, of
+        shapes (n,) and (n_net, n_net), n_net = n - layout.v.start. An
+        injection column meets nothing but its own diagonal entry.
 
         A directed row's P and Q flows enter the balance residuals of its
         sending bus with weight -1, and its P flow its own limit row with
         weight +1. Each weighted distinct entry of the flow Hessians is the
         product a weighted 4x4 block would hold; the P and Q halves are
-        summed, and the valid entries of every block gathered by
-        ``_hess_take``."""
-        n = self.n_var
+        summed, the valid entries of every block gathered by ``_hess_take``
+        and summed into ``block`` by one bincount over ``_block_flat``."""
+        n_net = self.n_var - self.layout.v.start
         weight = -lam_eq[self._flow_row]
         weight[0] += lam_ineq[:weight.shape[1]]
         entries = weight * acnetwork.flow_p_hess(*self._line(x, state), *self._gb)
-        weights = np.concatenate([-self.objective_hessian_diag(x, state),
-                                  (entries[:, 0] + entries[:, 1]).take(self._hess_take)])
-        return np.bincount(self._hess_flat, weights=weights, minlength=n * n).reshape(n, n)
+        block = np.bincount(self._block_flat,
+                            weights=(entries[:, 0] + entries[:, 1]).take(self._hess_take),
+                            minlength=n_net * n_net).reshape(n_net, n_net)
+        # bincount of no entries (a case without lines) is an integer array
+        return -self.objective_hessian_diag(x, state), block.astype(float, copy=False)
 
 
 def build_problem(case: CaseData) -> Problem:

@@ -206,8 +206,8 @@ def write_result(result, fmt: str, fh, lineterminator: str = "\r\n") -> None:
     elif not isinstance(result, dict):
         raise TypeError("expected a SweepResult or a solve document dict")
     if fmt == "json":
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+        # one string, one write: json.dump writes chunk by chunk
+        fh.write(json.dumps(result, indent=2) + "\n")
     else:
         csv.writer(fh, lineterminator=lineterminator).writerows(_flatten(result))
 

@@ -59,25 +59,27 @@ out by how often it runs:
   evaluators read, the objective's coefficients and its constant Hessian
   diagonal included, and the integer gather and scatter indices of the
   Jacobians and the Lagrangian Hessian; no evaluator rebuilds one per call;
-- once per solve: the bound index arrays, the KKT buffers (the matrix and
-  a strided view of the Hessian block's diagonal, with an equilibrated copy
-  on the condensed path; on the reduced path one set per set of kept
-  columns, with the gather indices of the kept Hessian block) and the
-  warnings filter around the iteration loop;
+- once per solve: the bound index arrays, the KKT buffers (the condensed
+  matrix, a strided view of its Hessian diagonal and an equilibrated copy;
+  or the reduced path's borders J_E and J_a and constraint diagonal, and
+  per set of kept columns a matrix and a strided view of its diagonal) and
+  the warnings filter around the iteration loop;
 - once per iterate: ``jacobians``, the objective gradient, one residual
-  pass and, if it takes a step, the Lagrangian Hessian, its condensed
-  rows (on the reduced path the line-limit rows' product over the v and
-  theta columns only) and the two fraction-to-boundary limits; the
+  pass and, if it takes a step, the Lagrangian Hessian as its two blocks
+  (the injection diagonal and the v/theta block; no n x n Hessian), its
+  condensed rows (on the reduced path the line-limit rows' product over the
+  v and theta columns only) and the two fraction-to-boundary limits; the
   derivatives read the accepted trial's state and form no gather, cos, sin
   or demand split of their own;
 - once per delta_w trial: on the condensed path the diagonal refill and
   one ``_inertia`` (one ``dsytrf``), and, when the inertia is right, the
   equilibration and one ``scipy.linalg.solve`` (a second factorization);
-  on the reduced path the 1x1 pivot test, the kept block, the borders, one
-  ``bincount`` of the eliminated columns' Schur complement terms and one
-  ``_equilibrated_ldl`` (the equilibration and one ``dsytrf``, in place),
-  and, when the inertia is right, one ``dsytrs`` and the elementwise
-  back-substitution;
+  on the reduced path the 1x1 pivot test, the kept matrix from zeros (the
+  kept diagonal, the v/theta block, the borders, the constraint block less
+  one ``bincount`` of the eliminated columns' Schur complement terms) and
+  one ``_equilibrated_ldl`` (the equilibration and one ``dsytrf``, in
+  place), and, when the inertia is right, one ``dsytrs`` and the
+  elementwise back-substitution;
 - once per line-search trial: ``values``, which forms the point's
   ``PointState`` (one gather of the directed rows' line state, one cos and
   one sin per angle difference, one demand split), and the merit terms
@@ -148,23 +150,15 @@ _DELTA_C = 1e-8       # dual regularization delta_c of the equality rows
 # alone if it is at least this times its column's largest off-diagonal entry
 _BK_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
 # KKT size n + m_E from which a solve runs ``_ReducedKKT``; smaller systems
-# run ``_CondensedKKT``, whose fewer numpy calls per trial outweighed the
-# larger factorization there. Median per-solve time, reduced over condensed,
-# of 40 alternating in-process pairs (1 BLAS thread, 2-core Xeon) on five_bus
-# grown by pendant buses of 8 rows each: 1.109 at 43 rows (five_bus), 1.067
-# at 51, 1.032 at 59, 0.966 at 67, 0.925 at 75, 0.891 at 83; two tied copies
-# of five_bus (87 rows) 0.876; 20 pairs on three and four copies (131, 175)
-# 0.680 and 0.615, and on rts24 (242) 0.463. The ratio crossed 1 near 63.
-# These ratios were measured while the reduced path still factored each
-# trial twice, as the condensed path does. Factored once, it reads 0.89 on
-# five_bus itself (median of 30 alternating in-process pairs, best of 5
-# solves each, where the two-factorization path read 1.09), so the
-# crossover now lies below 43 rows and has not been re-measured. five_bus
-# stays on the condensed path anyway: the benchmark's own test counts one
-# ``scipy.linalg.solve`` per step of a five_bus solve, and its sweep gate
-# fails on rounding-level changes of the five_bus iterates. At tol=1e-9 the
-# condensed path ends iteration_limit at three points of the five_bus sweep
-# from 10.7 % that the reduced path brings to convergence (CHANGES.md FOUND).
+# run ``_CondensedKKT``. The crossover was measured near 63 rows while the
+# reduced path factored each trial twice (the ratios per size are in
+# CHANGES.md). Factored once, the reduced path is faster on five_bus too
+# (0.89 of the condensed path's time), but five_bus stays on the condensed
+# path: the benchmark's own test counts one ``scipy.linalg.solve`` per step
+# of a five_bus solve, and its sweep gate fails on rounding-level changes of
+# the five_bus iterates. At tol=1e-9 the condensed path ends iteration_limit
+# at three points of the five_bus sweep from 10.7 % that the reduced path
+# brings to convergence (CHANGES.md FOUND).
 _REDUCE_FROM = 63
 
 
@@ -273,17 +267,12 @@ class _InternalNLP:
         """Full inequality Jacobian times dx."""
         return np.concatenate([jh @ dx, self.bound_sign * dx[self.bound_idx]])
 
-    def condensed(self, x, state, lam, nu, jh, d_sigma, rows=slice(None), cols=slice(None)):
-        """Lagrangian Hessian plus jh' diag(d_sigma) jh over the bound rows
-        and the problem rows ``rows`` of jh, whose product is taken over the
-        columns ``cols``: by default all of them."""
+    def hessian_blocks(self, x, state, lam, nu, jh, d_sigma):
+        """(diag, block, barrier): ``Problem.lagrangian_hessian``'s two blocks
+        and the bound rows' diagonal jh' diag(d_sigma) jh over those rows."""
         mi = len(jh)
-        m = self.problem.lagrangian_hessian(x, lam[:self.problem.n_eq], nu[:mi], state)
-        part, block = jh[rows, cols], m[cols, cols]  # views
-        block += (part.T * d_sigma[:mi][rows]) @ part
-        m.reshape(-1)[::self.n + 1] += np.bincount(self.bound_idx, weights=d_sigma[mi:],
-                                                   minlength=self.n)
-        return m
+        diag, block = self.problem.lagrangian_hessian(x, lam[:self.problem.n_eq], nu[:mi], state)
+        return diag, block, np.bincount(self.bound_idx, weights=d_sigma[mi:], minlength=self.n)
 
 
 @functools.cache
@@ -411,13 +400,17 @@ class _CondensedKKT:
         self.scaled = np.empty_like(self.kkt)  # equilibrated copy, factored in place
 
     def load(self, x, state, lam, nu, jh, je, d_sigma, r_d, r_h, centring, ce):
-        nlp, n = self.nlp, self.nlp.n
-        m_base = nlp.condensed(x, state, lam, nu, jh, d_sigma)
+        nlp, n, kkt = self.nlp, self.nlp.n, self.kkt
+        diag, block, barrier = nlp.hessian_blocks(x, state, lam, nu, jh, d_sigma)
         self.rhs = np.concatenate([-(r_d + nlp.jh_t(jh, centring + d_sigma * r_h)), -ce])
-        self.kkt[:n, :n] = m_base
-        self.kkt[:n, n:] = je.T
-        self.kkt[n:, :n] = je
-        self.m_diag = m_base.diagonal()
+        # every problem row's product, then the v/theta block, diagonal, barrier
+        np.matmul(jh.T * d_sigma[:len(jh)], jh, out=kkt[:n, :n])
+        kkt[nlp.network, nlp.network] += block
+        self.kkt_diag += diag
+        self.kkt_diag += barrier
+        kkt[:n, n:] = je.T
+        kkt[n:, :n] = je
+        self.m_diag = self.kkt_diag.copy()
 
     def inertia_ok(self, delta_w: float) -> bool:
         np.add(self.m_diag, delta_w, out=self.kkt_diag)
@@ -429,12 +422,10 @@ class _CondensedKKT:
 
 class _Layout(NamedTuple):
     """The reduced KKT matrix for one set of kept columns: ``kept`` (in
-    column order, the v and theta columns last), the flat positions of the
-    kept Hessian block in the n x n Hessian, the matrix, which each trial
-    fills, equilibrates and factors in place, a strided view of its Hessian
-    block's diagonal, and the inertia target."""
+    column order, the v and theta columns last), the matrix, which each
+    trial fills from zeros, equilibrates and factors in place, a strided
+    view of its diagonal, and the inertia target."""
     kept: np.ndarray
-    hess_take: np.ndarray
     matrix: np.ndarray
     diag: np.ndarray
     target: tuple
@@ -495,6 +486,8 @@ class _ReducedKKT:
                                     self.sign * self.coef, self.coef * self.coef])
         self.rhs_rows = np.concatenate([self.row, self.at])
         self.rhs_coef = np.stack([self.sign, self.coef])
+        self.rows = np.vstack([np.zeros((me, n)), self.adequacy])  # borders J_E, J_a
+        self.corner = np.full(m, -_DELTA_C)  # -delta_c, then -1/sigma_a on the diagonal
         self.layouts = {}
 
     def load(self, x, state, lam, nu, jh, je, d_sigma, r_d, r_h, centring, ce):
@@ -506,19 +499,24 @@ class _ReducedKKT:
         rhs_a = -(centring[adequacy] / sigma_a + r_h[adequacy])
         terms = centring + d_sigma * r_h
         terms[adequacy] = 0.0
+        diag, block, barrier = nlp.hessian_blocks(x, state, lam, nu, jh, d_sigma)
         # the line-limit rows, all but the adequacy rows, read only the v
         # and theta columns
-        hess = nlp.condensed(x, state, lam, nu, jh, d_sigma, slice(mi - 2), nlp.network)
-        self.assign(hess, je, sigma_a, np.concatenate([-(r_d + nlp.jh_t(jh, terms)), -ce, rhs_a]))
+        lines = jh[:mi - 2, nlp.network]
+        block += (lines.T * d_sigma[:mi - 2]) @ lines
+        diag += barrier
+        self.assign(diag, block, je, sigma_a,
+                    np.concatenate([-(r_d + nlp.jh_t(jh, terms)), -ce, rhs_a]))
 
-    def assign(self, hess, je, sigma_a, rhs):
+    def assign(self, diag, block, je, sigma_a, rhs):
         """Take the system in (dx, dlam, dnu_a) of the class docstring from
-        its blocks: ``hess`` is H (n x n, without delta_w), ``je`` is J_E,
-        ``sigma_a`` the adequacy rows' nu/s and ``rhs`` the right-hand side."""
-        self.hess = hess.reshape(-1)
-        self.pivots = hess.diagonal()[self.free]
-        self.rows = np.vstack([je, self.adequacy])  # J_E and J_a, (m, n)
-        self.block = np.diag(np.concatenate([np.full(self.me, -_DELTA_C), -1.0 / sigma_a]))
+        its blocks: H (without delta_w) in the two blocks of
+        ``Problem.lagrangian_hessian``, J_E, the adequacy rows' nu/s and
+        the right-hand side."""
+        self.diag, self.block = diag, block
+        self.pivots = diag[self.free]
+        self.rows[:self.me] = je
+        self.corner[self.me:] = -1.0 / sigma_a
         self.rhs = rhs
 
     def _layout(self, eliminated) -> _Layout:
@@ -532,9 +530,8 @@ class _ReducedKKT:
             k = len(kept)
             size = k + self.m
             matrix = np.zeros((size, size))
-            layout = self.layouts[key] = _Layout(
-                kept, (kept[:, None] * n + kept).ravel(), matrix,
-                matrix.reshape(-1)[:k * (size + 1):size + 1], (k, self.m, 0))
+            layout = self.layouts[key] = _Layout(kept, matrix, matrix.reshape(-1)[::size + 1],
+                                                 (k, self.m, 0))
         return layout
 
     def inertia_ok(self, delta_w: float) -> bool:
@@ -542,15 +539,19 @@ class _ReducedKKT:
         eliminated = pivots >= _BK_ALPHA
         layout = self._layout(eliminated)
         self.inverse = np.divide(1.0, pivots, out=np.zeros_like(pivots), where=eliminated)
-        k, m, matrix = len(layout.kept), self.m, layout.matrix
-        matrix[:k, :k] = self.hess.take(layout.hess_take).reshape(k, k)
-        layout.diag[:] += delta_w
+        k, m, matrix, diag = len(layout.kept), self.m, layout.matrix, layout.diag
+        # H: the kept injection columns' diagonal, then the v/theta block
+        matrix.fill(0.0)
+        matrix[k - len(self.block):k, k - len(self.block):k] = self.block
+        diag[:k] += self.diag.take(layout.kept)
+        diag[:k] += delta_w
         border = self.rows.take(layout.kept, axis=1)
         matrix[k:, :k] = border
         matrix[:k, k:] = border.T
+        diag[k:] = self.corner
         schur = np.bincount(self.block_flat, weights=(self.block_coef * self.inverse).ravel(),
                             minlength=m * m)
-        np.subtract(self.block, schur.reshape(m, m), out=matrix[k:, k:])
+        matrix[k:, k:] -= schur.reshape(m, m)
         self.layout = layout
         # every entry was rewritten above, so the matrix is factored in place
         self.factor = _equilibrated_ldl(matrix)

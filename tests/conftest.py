@@ -138,6 +138,19 @@ def copperize(case):
     return replace(case, name=case.name + "_copper", lines=lines)
 
 
+def assembled_hessian(problem, diag, block):
+    """The n x n Lagrangian Hessian from the two blocks that
+    ``Problem.lagrangian_hessian`` returns: zeros, the diagonal added, then
+    the v/theta block added on its columns. Bit for bit the n x n scatter of
+    the per-call form: each entry is 0.0 plus its terms in the same order."""
+    n = problem.n_var
+    hess = np.zeros((n, n))
+    hess[np.diag_indices(n)] += diag
+    net = slice(problem.layout.v.start, n)
+    hess[net, net] += block
+    return hess
+
+
 def random_interior_state(problem, rng):
     """A strictly interior decision vector for derivative sampling."""
     lb, ub = problem.lb, problem.ub

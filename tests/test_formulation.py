@@ -13,7 +13,7 @@ from sesopf.harness import compute_metrics
 from sesopf.solver import finite_difference_audit
 from sesopf.welfare import marginal_cost, marginal_satisfaction, social_objective
 
-from conftest import admittance_by_lines, random_interior_state, single_bus_case
+from conftest import admittance_by_lines, assembled_hessian, random_interior_state, single_bus_case
 from test_acnetwork import _flow_p_hess_by_entries
 
 
@@ -337,8 +337,29 @@ def test_evaluators_equal_their_per_call_forms_bit_for_bit(network_problem):
         for actual, expected in zip(p.jacobians(x), _per_call_jacobians(p, x)):
             _assert_bits(actual, expected)
         lam_eq, lam_ineq = rng.normal(size=p.n_eq), rng.uniform(0, 2, size=p.n_ineq)
-        _assert_bits(p.lagrangian_hessian(x, lam_eq, lam_ineq),
+        diag, block = p.lagrangian_hessian(x, lam_eq, lam_ineq)
+        n_net = p.n_var - lay.v.start
+        assert diag.shape == (p.n_var,) and block.shape == (n_net, n_net)
+        _assert_bits(assembled_hessian(p, diag, block),
                      _per_call_lagrangian_hessian(p, x, lam_eq, lam_ineq))
+
+
+def test_the_lagrangian_hessian_has_only_its_two_blocks(network_problem):
+    """The premise of the block form: at random interior points and
+    multipliers, the per-call n x n Hessian is exactly zero outside the
+    diagonal and the v/theta block, so an injection column meets nothing but
+    its own diagonal entry."""
+    p = network_problem
+    n, net = p.n_var, slice(p.layout.v.start, p.n_var)
+    outside = ~np.eye(n, dtype=bool)
+    outside[net, net] = False
+    rng = np.random.default_rng(43)
+    for _ in range(8):
+        x = random_interior_state(p, rng)
+        lam_eq, lam_ineq = rng.normal(size=p.n_eq), rng.uniform(0, 2, size=p.n_ineq)
+        hess = _per_call_lagrangian_hessian(p, x, lam_eq, lam_ineq)
+        assert not hess[outside].any()
+        assert hess[net, net].any()
 
 
 def test_fused_evaluators_equal_the_separate_ones(network_problem):
@@ -415,7 +436,7 @@ def _check_second_derivatives(problem):
         je, jh = problem.jacobians(y)
         return -problem.objective_gradient(y) + je.T @ lam + jh.T @ nu
 
-    hess = problem.lagrangian_hessian(x, lam, nu)
+    hess = assembled_hessian(problem, *problem.lagrangian_hessian(x, lam, nu))
     assert np.allclose(hess, hess.T, atol=1e-12)
     fd = np.empty_like(hess)
     h = 1e-6

@@ -1,6 +1,8 @@
 """Metrics, SES sweep, and file emission."""
 
 import csv
+import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from sesopf import harness
+from sesopf.casemodel import case_to_dict, save_case
 from sesopf.harness import (
     compute_metrics, emit, run_solve, ses_sweep, solve_document, sweep_points, sweep_rows,
 )
@@ -218,6 +221,44 @@ def test_solve_document_json_round_trip(tmp_path, five_bus, five_bus_run):
     assert again["objective"] == doc["objective"]
     assert again["metrics"] == doc["metrics"]
     assert again["buses"] == doc["buses"]
+
+
+def _json_dump_bytes(obj):
+    """What ``json.dump`` writes chunk by chunk, with the trailing newline."""
+    buf = io.StringIO()
+    json.dump(obj, buf, indent=2)
+    return (buf.getvalue() + "\n").encode()
+
+
+class _CountingWriter(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_json_outputs_keep_their_bytes(tmp_path, five_bus, five_bus_run, small_sweep):
+    """A solve document, a sweep and a saved case are written as one string
+    whose bytes are what ``json.dump`` writes chunk by chunk; the saved
+    five_bus case's bytes are pinned."""
+    solution, metrics = five_bus_run
+    doc = solve_document(five_bus, solution, metrics)
+    header, rows = sweep_rows(small_sweep)
+    sweep = {"case": small_sweep.case_name, "records": [dict(zip(header, r)) for r in rows]}
+    for result, expected in ((doc, doc), (small_sweep, sweep)):
+        path = tmp_path / "out.json"
+        emit(result, "json", path)
+        assert path.read_bytes() == _json_dump_bytes(expected)
+        fh = _CountingWriter()
+        harness.write_result(result, "json", fh)
+        assert fh.writes == 1
+    path = tmp_path / "five_bus.json"
+    save_case(five_bus, path)
+    data = path.read_bytes()
+    assert data == _json_dump_bytes(case_to_dict(five_bus))
+    assert hashlib.sha256(data).hexdigest() == (
+        "6dda9a7aaf57abdceddd4f9dea2abe274ebbc303fa05bbb470dd9281afabf4b3")
 
 
 def test_emit_rejects_bad_inputs(tmp_path, small_sweep):

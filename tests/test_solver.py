@@ -22,8 +22,8 @@ from sesopf.solver import (
 )
 
 from conftest import (
-    copperize, random_interior_state, single_bus_case, three_bus_copper_case,
-    toy_case, two_bus_copper_case,
+    assembled_hessian, copperize, random_interior_state, single_bus_case,
+    three_bus_copper_case, toy_case, two_bus_copper_case,
 )
 
 
@@ -349,7 +349,8 @@ class _NaNEqJacobian(Problem):
 
 class _NaNHessian(Problem):
     def lagrangian_hessian(self, x, lam_eq, lam_ineq, state=None):
-        return np.full((self.n_var, self.n_var), np.nan)
+        n_net = self.n_var - self.layout.v.start
+        return np.full(self.n_var, np.nan), np.full((n_net, n_net), np.nan)
 
 
 def _rebuilt(cls, p):
@@ -1007,11 +1008,12 @@ def _hand_built_reduced(five_bus_problem):
     nlp = solver._InternalNLP(five_bus_problem)
     n, me = nlp.n, nlp.m_eq
     kkt = solver._ReducedKKT(nlp)
-    hess = np.zeros((n, n))
-    hess[kkt.free, kkt.free] = 10.0
+    diag = np.zeros(n)
+    diag[kkt.free] = 10.0
+    n_net = n - nlp.network.start
     je = nlp.jacobians(five_bus_problem.initial_point(), None)[0]
     je[:, nlp.network.start] = 0.0
-    return kkt, hess, je, np.ones(2), np.zeros(n + me + 2)
+    return kkt, diag, np.zeros((n_net, n_net)), je, np.ones(2), np.zeros(n + me + 2)
 
 
 def test_a_zero_row_of_the_reduced_matrix_is_a_wrong_inertia(five_bus_problem, monkeypatch):
@@ -1034,10 +1036,9 @@ def test_a_zero_row_of_the_reduced_matrix_is_a_wrong_inertia(five_bus_problem, m
 def test_a_non_finite_reduced_matrix_raises(value, five_bus_problem):
     """As ``_inertia`` on the condensed path: a non-finite entry raises
     ValueError, which the solver's retry loop catches, before any scaling."""
-    kkt, hess, *blocks = _hand_built_reduced(five_bus_problem)
-    v = kkt.nlp.network.start
-    hess[v, v] = value
-    kkt.assign(hess, *blocks)
+    kkt, diag, block, *blocks = _hand_built_reduced(five_bus_problem)
+    block[0, 0] = value  # the first v column's diagonal entry
+    kkt.assign(diag, block, *blocks)
     with pytest.raises(ValueError, match="non-finite"):
         kkt.inertia_ok(1e-4)
 
@@ -1184,6 +1185,73 @@ def _both_paths(problem, systems):
     return out
 
 
+def _scattered_hessian(nlp, x, state, lam, nu, jh, d_sigma, rows, cols):
+    """The n x n Hessian as the solver built it from an n x n Lagrangian
+    Hessian: that Hessian scattered, then jh' diag(d_sigma) jh over the
+    problem rows ``rows`` and the columns ``cols`` added, then the bound
+    rows' barrier added on the diagonal."""
+    p, mi = nlp.problem, len(jh)
+    m = assembled_hessian(p, *p.lagrangian_hessian(x, lam[:p.n_eq], nu[:mi], state))
+    part, block = jh[rows, cols], m[cols, cols]  # views
+    block += (part.T * d_sigma[:mi][rows]) @ part
+    m.reshape(-1)[::nlp.n + 1] += np.bincount(nlp.bound_idx, weights=d_sigma[mi:],
+                                              minlength=nlp.n)
+    return m
+
+
+@pytest.mark.parametrize("name", ["five_bus", "rts24"])
+def test_both_kkt_paths_build_the_scattered_matrices_bit_for_bit(name, request, monkeypatch):
+    """Every KKT system of a solve, on both paths, from the two Hessian
+    blocks equals its build from the scattered n x n Hessian, values and
+    sign bits: the condensed matrix after ``load`` (the product of every
+    problem row over every column, then the barrier, J_E beside it), and
+    the reduced matrix as ``_equilibrated_ldl`` receives it at each delta_w
+    trial (the line-limit rows' product over the v and theta columns and
+    the barrier, the kept block taken, delta_w added on its diagonal, the
+    borders J_E and J_a, and the constraint block less the eliminated
+    columns' Schur complement)."""
+    problem = build_problem(request.getfixturevalue(name))
+    systems = _kkt_systems(problem, monkeypatch)
+    nlp = solver._InternalNLP(problem)
+    n, me, m = nlp.n, nlp.m_eq, nlp.m_eq + 2
+    full, reduced = solver._CondensedKKT(nlp), solver._ReducedKKT(nlp)
+    received = []
+    ldl = solver._equilibrated_ldl
+    monkeypatch.setattr(solver, "_equilibrated_ldl",
+                        lambda kkt: received.append(kkt.copy()) or ldl(kkt))
+    borders = np.vstack([np.zeros((me, n)), problem._adequacy])
+    for args in systems:
+        x, state, lam, nu, jh, je, d_sigma = args[:7]
+        mi = len(jh)
+        full.load(*args)
+        hess = _scattered_hessian(nlp, x, state, lam, nu, jh, d_sigma, slice(None), slice(None))
+        _assert_same_bits([full.kkt], [np.block([[hess, je.T],
+                                                  [je, -solver._DELTA_C * np.eye(me)]])])
+
+        reduced.load(*args)
+        hess = _scattered_hessian(nlp, x, state, lam, nu, jh, d_sigma, slice(mi - 2), nlp.network)
+        borders[:me] = je
+        constraint = np.diag(np.concatenate([np.full(me, -solver._DELTA_C),
+                                             -1.0 / d_sigma[mi - 2:mi]]))
+        delta_w = 0.0
+        while True:
+            ok = full.inertia_ok(delta_w)
+            reduced.inertia_ok(delta_w)
+            kept = reduced.layout.kept
+            k = len(kept)
+            top = hess.take((kept[:, None] * n + kept).ravel()).reshape(k, k)
+            top.reshape(-1)[::k + 1] += delta_w
+            border = borders.take(kept, axis=1)
+            schur = np.bincount(reduced.block_flat,
+                                weights=(reduced.block_coef * reduced.inverse).ravel(),
+                                minlength=m * m).reshape(m, m)
+            _assert_same_bits([received[-1]],
+                              [np.block([[top, border.T], [border, constraint - schur]])])
+            if ok:
+                break
+            delta_w = 1e-4 if delta_w == 0.0 else 10.0 * delta_w
+
+
 # the scale of the condensed steps' backward errors, 1e-35 to 1e-20: the
 # reduced step's is held within 10x of the condensed step's or of this
 _BACKWARD_FLOOR = 1e-18
@@ -1246,20 +1314,21 @@ def test_reduced_inertia_adds_up_to_the_full_one(data, five_bus_problem):
     kkt = solver._ReducedKKT(nlp)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     net = nlp.network
-    hess = np.zeros((n, n))
-    hess[kkt.free, kkt.free] = 10.0 ** np.array(
+    diag = np.zeros(n)
+    diag[kkt.free] = 10.0 ** np.array(
         data.draw(st.lists(st.floats(-10.0, 8.0), min_size=len(kkt.free), max_size=len(kkt.free))))
     core = rng.normal(size=(n - net.start, n - net.start))
-    hess[net, net] = core + core.T
+    block = core + core.T
     je = nlp.jacobians(problem.initial_point(), None)[0]
     je[:, net] = rng.normal(size=(me, n - net.start))
     sigma_a = 10.0 ** np.array(data.draw(st.lists(st.floats(-4.0, 6.0), min_size=2, max_size=2)))
     delta_w = data.draw(st.sampled_from([0.0, 1e-4, 1.0]))
 
-    kkt.assign(hess, je, sigma_a, np.zeros(n + me + 2))
+    kkt.assign(diag, block, je, sigma_a, np.zeros(n + me + 2))
     kkt.inertia_ok(delta_w)  # factors the reduced matrix in place
     full = np.block([
-        [hess + delta_w * np.eye(n), je.T, problem._adequacy.T],
+        [assembled_hessian(problem, diag, block) + delta_w * np.eye(n), je.T,
+         problem._adequacy.T],
         [je, -solver._DELTA_C * np.eye(me), np.zeros((me, 2))],
         [problem._adequacy, np.zeros((2, me)), -np.diag(1.0 / sigma_a)]])
     ev = np.linalg.eigvalsh(full)
@@ -1544,7 +1613,7 @@ def test_derivatives_read_the_accepted_trials_state(network_problem, monkeypatch
             _assert_same_bits(state.demand, fresh.demand)
             out = method(self, x, *args)
             afresh = method(self, x, *duals)
-            if name == "jacobians":
+            if name in ("jacobians", "lagrangian_hessian"):  # each returns a pair
                 _assert_same_bits(out, afresh)
             else:
                 _assert_same_bits([out], [afresh])
