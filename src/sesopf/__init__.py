@@ -5,8 +5,8 @@ from .casemodel import (
     builtin_case, load_case, save_case, scale_ses, validate_case,
 )
 from .welfare import (
-    SatisfactionParams, gen_cost, inverse_demand, normalized_satisfaction,
-    satisfaction, social_objective,
+    WelfareCoefficients, gen_cost, marginal_cost, marginal_satisfaction,
+    normalized_satisfaction, satisfaction, social_objective, welfare_coefficients,
 )
 from .acnetwork import network_losses
 from .formulation import Problem, build_problem

@@ -23,10 +23,11 @@ coordinates). The Hessian is returned as that block and its diagonal, the
 two blocks that can be nonzero; no n x n Hessian is formed. The valid
 entries of those gradients and blocks are gathered by integer ``take``
 indices built once too, not by boolean masks, and the objective's
-coefficients (gamma/mu, mu/2, gamma^2/(2 mu), 2a and the constant Hessian
-diagonal) are computed once per problem, not on every call. The 4x4 blocks
-are never formed: ``acnetwork.flow_p_hess`` returns the 9 distinct entries
-of each, and ``_hess_take`` gathers every valid block entry from them.
+coefficients (``welfare.WelfareCoefficients``, with which the objective and
+its gradient call the welfare module's U, C, U' and C') and the constant
+Hessian diagonal are computed once per problem, not on every call. The 4x4
+blocks are never formed: ``acnetwork.flow_p_hess`` returns the 9 distinct
+entries of each, and ``_hess_take`` gathers every valid block entry from them.
 
 Each evaluator reads its point through a ``PointState``: the directed rows'
 (vi, vj, cos(ti - tj), sin(ti - tj)), which every flow kernel reads, and the
@@ -71,9 +72,12 @@ import numpy as np
 
 from . import acnetwork
 from .casemodel import CaseData, validate_case
+from .welfare import (
+    gen_cost, marginal_cost, marginal_satisfaction, satisfaction, welfare_coefficients,
+)
 # Imported for the per-layer tracer in bench/layertrace.py, which patches
-# these names on this module; the evaluators below use array forms of them.
-from .welfare import marginal_cost, marginal_satisfaction, social_objective  # noqa: F401
+# this name on this module; nothing here calls it.
+from .welfare import social_objective  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,8 @@ class Problem:
     broadcast. The balance Jacobian, the inequality Jacobian and the
     Lagrangian Hessian's v/theta block are each one scatter of these rows'
     derivatives, gathered by the flat ``take`` indices ``_grad_take`` and
-    ``_hess_take``; the block's positions are ``_block_flat``."""
+    ``_hess_take``; the block's positions are ``_block_flat``. ``welfare``
+    holds the case's ``WelfareCoefficients``."""
 
     case: CaseData
 
@@ -158,20 +163,13 @@ class Problem:
                             *(b.v_max for b in case.buses), *[np.inf] * (nb - 1)], dtype=float)
 
         self._pa, self._pg = lay.pa, lay.pg
-        self._sigma = np.array([a.sigma for a in aggs], dtype=float)
-        self._gamma = np.array([a.gamma for a in aggs], dtype=float)
-        self._mu = np.array([a.mu for a in aggs], dtype=float)
-        self._cost = tuple(np.array([(g.a, g.b, g.c) for g in gens], dtype=float).reshape(ng, 3).T)
-        # the objective's per-problem constants: the demand (MW) where
-        # satisfaction saturates, its curvature and its saturated value, the
-        # cost slope factor 2a, and the constant Hessian diagonal entries
-        self._pa_kink = self._gamma / self._mu
-        self._half_mu = 0.5 * self._mu
-        self._sat_cap = 0.5 * self._gamma ** 2 / self._mu
-        self._two_a = 2.0 * self._cost[0]
-        self._pa_curv = -self._sigma * self._mu * sb * sb
+        # the objective's per-problem constants: the welfare coefficients
+        # with their derived constants, the demand curvature below the
+        # saturation point and the constant Hessian diagonal entries
+        self.welfare = coef = welfare_coefficients(case)
+        self._pa_curv = -coef.sigma * coef.mu * sb * sb
         self._diag_base = np.zeros(n)
-        self._diag_base[lay.pg] = -2.0 * self._cost[0] * sb * sb
+        self._diag_base[lay.pg] = -coef.two_a * sb * sb
 
         # power balance: each generator and aggregator enters one P and one
         # Q row with a fixed sign; these are also the constant entries of
@@ -328,7 +326,7 @@ class Problem:
         are below the satisfaction kink, and the generation, in MW."""
         sb = self.case.s_base
         pa = x[..., self._pa] * sb
-        return pa, pa < self._pa_kink, x[..., self._pg] * sb
+        return pa, pa < self.welfare.kink, x[..., self._pg] * sb
 
     def _line(self, x, state):
         return self._line_state(x) if state is None else state.line
@@ -337,23 +335,25 @@ class Problem:
         return self._demand_and_generation(x) if state is None else state.demand
 
     # -- objective ----------------------------------------------------------
-    # The same quantities as welfare.social_objective, marginal_satisfaction
-    # and marginal_cost, over all aggregators and generators at once.
+    # The welfare terms of the welfare module at the point's demands and
+    # outputs in MW, with the demand split of its state.
 
     def objective(self, x: np.ndarray, state: PointState | None = None):
-        """A float for one point, an array of k values for (k, n) points."""
+        """A float for one point, an array of k values for (k, n) points:
+        sum(sigma * U) - sum(C), summed as ``welfare.social_objective``
+        sums it."""
+        coef = self.welfare
         pa, unsaturated, pg = self._demand(x, state)
-        sat = np.where(unsaturated, self._gamma * pa - self._half_mu * pa * pa, self._sat_cap)
-        a, b, c = self._cost
-        value = (self._sigma * sat).sum(axis=-1) - (a * pg * pg + b * pg + c).sum(axis=-1)
+        value = ((coef.sigma * satisfaction(coef, pa, unsaturated)).sum(axis=-1)
+                 - gen_cost(coef, pg).sum(axis=-1))
         return value if value.ndim else float(value)
 
     def objective_gradient(self, x: np.ndarray, state: PointState | None = None) -> np.ndarray:
-        sb = self.case.s_base
+        sb, coef = self.case.s_base, self.welfare
         pa, unsaturated, pg = self._demand(x, state)
         grad = np.zeros(self.n_var)
-        grad[self._pa] = self._sigma * np.where(unsaturated, self._gamma - self._mu * pa, 0.0) * sb
-        grad[self._pg] = -(self._two_a * pg + self._cost[1]) * sb
+        grad[self._pa] = coef.sigma * marginal_satisfaction(coef, pa, unsaturated) * sb
+        grad[self._pg] = -marginal_cost(coef, pg) * sb
         return grad
 
     def objective_hessian_diag(self, x: np.ndarray,

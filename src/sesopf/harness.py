@@ -18,7 +18,7 @@ from . import acnetwork
 from .casemodel import CaseData, scale_ses
 from .formulation import build_problem
 from .solver import Solution, SolverOptions, solve
-from .welfare import normalized_satisfaction, social_objective
+from .welfare import normalized_satisfaction, social_objective, welfare_coefficients
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,12 @@ def _agg_keys(case: CaseData) -> list[tuple[int, int]]:
 
 
 def compute_metrics(case: CaseData, solution: Solution) -> Metrics:
-    weighted, sat, cost = social_objective(case, solution.p_agg, solution.p_gen)
-    norm = np.array([normalized_satisfaction(a, p)
-                     for a, p in zip(case.aggregators, solution.p_agg.tolist())])
-    p_n = np.array([a.p_n for a in case.aggregators])
-    curt_mw = p_n - np.asarray(solution.p_agg)
+    """The run metrics of a solution; its weighted_objective is the
+    solution's objective bit for bit."""
+    coef = welfare_coefficients(case)
+    weighted, sat, cost = social_objective(coef, solution.p_agg, solution.p_gen)
+    norm = normalized_satisfaction(coef, solution.p_agg)
+    curt_mw = coef.p_n - solution.p_agg
     losses = acnetwork.network_losses(case, solution.v, solution.theta)
     return Metrics(sat, weighted, cost, sat - cost, float(curt_mw.sum()), losses,
                    norm, curt_mw)

@@ -10,7 +10,9 @@ is not negligible next to the objective; whenever the barrier problem is
 solved to within 10 mu it falls superlinearly, to
 max(tol/100, min(MU_REDUCTION * mu, mu^1.5)) (IPOPT's rule, Waechter &
 Biegler 2006, Math. Prog. 106:25-57, section 2.1); and a solve converges
-only once the scaled residuals and mu itself are at most tol.
+only once the scaled residuals, mu itself and ``kkt_check``'s four residuals
+are at most tol. The last are taken from the iterate's own dual residual,
+values and duals, not from a new evaluation; mu follows the scaled ones.
 
 Each step solves the KKT system, regularized on its Hessian diagonal by
 delta_w = 0, 1e-4, 1e-3, ... until its inertia, read from the block diagonal
@@ -47,12 +49,8 @@ order (``Problem.constraints`` at every trial, ``Problem.jacobians`` and
 are computed once per iteration. Bound rows, one +-1 entry each, are
 applied by index instead of as Jacobian rows.
 
-Cost model. On small cases (five_bus: 43 x 43 condensed systems) an
-iteration is mostly numpy-call overhead, and on rts24 mostly the KKT
-matrix's assembly and its one factorization: 99 x 99 reduced (47 v and
-theta columns, the fixed condenser, 48 balance rows, its fixed row and the
-2 adequacy rows), where the condensed one is 242 x 242, so the work is laid
-out by how often it runs:
+Cost model: the work is laid out by how often it runs (the measured costs
+per case are in CHANGES.md):
 
 - once per process and matrix size: the ``dsytrf`` workspace query;
 - once per problem (``Problem.__post_init__``): every constant the
@@ -97,7 +95,7 @@ has such variables.
 the audit holds the same ``Problem.jacobians`` to central differences of the
 two row blocks that make up the ``Problem.constraints`` the solver runs. The
 copper-plate oracle's dispatch is exact: it interpolates between the two
-bracketing prices.
+bracketing prices; its objective is ``welfare.social_objective``.
 
 One routine, ``_central_diff``, differences the objective and the
 constraint rows by column groups (Curtis, Powell & Reid 1974; Coleman & More
@@ -115,11 +113,8 @@ row of a block changes under a group none of whose columns it reads has
 that block differenced again under the dense plan, every column a group of
 its own, in one more call of 2 n points. The columns that no row of a block
 reads share a trailing group, so that a row that starts to read one of them
-sends the block there too. Cost model of one audit point on rts24: 2 x 17
-network points in one ``_network_rows`` call (one flow-kernel call), 2 x 74
-adequacy points in one ``_adequacy_rows`` call and 2 x 74 objective points
-in one ``objective`` call, instead of 2 x 193 each; the relative error over
-the ~950 nonzero entries of [J_E; J_h], not all 126 x 193.
+sends the block there too. The relative error is taken over the nonzero
+entries of [J_E; J_h] only.
 """
 
 from __future__ import annotations
@@ -135,7 +130,7 @@ import scipy.linalg
 
 from .casemodel import CaseData
 from .formulation import Problem
-from .welfare import social_objective
+from .welfare import social_objective, welfare_coefficients
 
 _FIXED_TOL = 1e-9     # bound pairs tighter than this are treated as fixed
 _SMAX = 100.0         # residual scaling cap (dual magnitudes)
@@ -150,15 +145,10 @@ _DELTA_C = 1e-8       # dual regularization delta_c of the equality rows
 # alone if it is at least this times its column's largest off-diagonal entry
 _BK_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
 # KKT size n + m_E from which a solve runs ``_ReducedKKT``; smaller systems
-# run ``_CondensedKKT``. The crossover was measured near 63 rows while the
-# reduced path factored each trial twice (the ratios per size are in
-# CHANGES.md). Factored once, the reduced path is faster on five_bus too
-# (0.89 of the condensed path's time), but five_bus stays on the condensed
-# path: the benchmark's own test counts one ``scipy.linalg.solve`` per step
-# of a five_bus solve, and its sweep gate fails on rounding-level changes of
-# the five_bus iterates. At tol=1e-9 the condensed path ends iteration_limit
-# at three points of the five_bus sweep from 10.7 % that the reduced path
-# brings to convergence (CHANGES.md FOUND).
+# run ``_CondensedKKT`` (the crossover measurements are in CHANGES.md).
+# five_bus stays on the condensed path although the reduced one is faster
+# there: the benchmark's own test counts one ``scipy.linalg.solve`` per step
+# of a five_bus solve, and its sweep gate fails on rounding-level changes.
 _REDUCE_FROM = 63
 
 
@@ -640,8 +630,12 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             log.append({"iter": it, "mu": mu, "inf_pr": inf_pr, "inf_du": inf_du,
                         "inf_comp": inf_comp0, "f": f, **came_by})
             if max(inf_pr, inf_du, inf_comp0, mu) <= opts.tol:
-                status = "converged"
-                break
+                # kkt_check's residuals, from the iterate's own r_d (its
+                # stationarity vector up to rounding), values and duals
+                done = _finish(nlp, x, f, ce, h, lam, nu, it, log, "converged")
+                if _kkt_report(problem, done, r_d, ce[:problem.n_eq],
+                               h[:problem.n_ineq]).largest <= opts.tol:
+                    return done
             if max(inf_pr, inf_du, inf_comp_mu) <= 10.0 * mu:
                 mu = max(opts.tol / 100.0, min(MU_REDUCTION * mu, mu ** 1.5))
 
@@ -790,9 +784,13 @@ class KKTReport:
     complementarity: float
 
     @property
-    def passed(self) -> bool:
+    def largest(self) -> float:
         return max(self.stationarity, self.primal_feasibility,
-                   self.dual_feasibility, self.complementarity) < CHECK_TOL
+                   self.dual_feasibility, self.complementarity)
+
+    @property
+    def passed(self) -> bool:
+        return self.largest < CHECK_TOL
 
 
 def kkt_check(problem: Problem, solution: Solution) -> KKTReport:
@@ -808,6 +806,13 @@ def kkt_check(problem: Problem, solution: Solution) -> KKTReport:
 
     stat = (grad + je.T @ solution.lam_eq + jh.T @ solution.nu_ineq
             - solution.z_lower + solution.z_upper)
+    return _kkt_report(problem, solution, stat, eq, ineq)
+
+
+def _kkt_report(problem: Problem, solution: Solution, stat, eq, ineq) -> KKTReport:
+    """The KKTReport of a solution from its stationarity vector and its
+    balance and inequality values."""
+    x = solution.x
     duals = (solution.lam_eq, solution.nu_ineq, solution.z_lower, solution.z_upper)
     m = max(1, problem.n_eq + problem.n_ineq + 2 * problem.n_var)
     # the scale of the stationarity and complementarity residuals
@@ -840,10 +845,11 @@ def copper_plate_oracle(case: CaseData):
     linear-cost unit setting the price. Returns (p_agg MW, p_gen MW,
     weighted objective $/h).
     """
-    sigma, gamma, mu, p_c, p_n = np.array(
-        [(r.sigma, r.gamma, r.mu, r.p_c, r.p_n) for r in case.aggregators]).reshape(-1, 5).T
-    a, b, p_min, p_max = np.array(
-        [(r.a, r.b, r.p_min, r.p_max) for r in case.generators]).reshape(-1, 4).T
+    coef = welfare_coefficients(case)
+    sigma, gamma, mu, p_n, a, b = coef.sigma, coef.gamma, coef.mu, coef.p_n, coef.a, coef.b
+    p_c = np.array([r.p_c for r in case.aggregators], dtype=float)
+    p_min, p_max = np.array([(r.p_min, r.p_max) for r in case.generators],
+                            dtype=float).reshape(-1, 2).T
     # divisors with the zero-weight and linear-cost entries masked out
     weighted, quadratic = sigma > 0, a > 0
     sigma_w, a_q = np.where(weighted, sigma, 1.0), np.where(quadratic, a, 1.0)
@@ -874,7 +880,7 @@ def copper_plate_oracle(case: CaseData):
     (a_lo, g_lo, gap_lo), (a_hi, g_hi, gap_hi) = at_lo, at_hi
     t = gap_lo / (gap_lo - gap_hi) if gap_lo < 0 else 0.0
     p_a, p_g = a_lo + t * (a_hi - a_lo), g_lo + t * (g_hi - g_lo)
-    return p_a, p_g, social_objective(case, p_a, p_g)[0]
+    return p_a, p_g, social_objective(coef, p_a, p_g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -999,7 +1005,7 @@ def _interior_point(problem: Problem, rng) -> np.ndarray:
     # keep demands away from the satisfaction kink where the second
     # derivative jumps (central differences straddle it otherwise); the
     # margin must exceed the widest finite-difference step in use
-    sat = problem._pa_kink / problem.case.s_base
+    sat = problem.welfare.kink / problem.case.s_base
     margin = 2.0 * _OBJ_FD_STEP * np.maximum(1.0, sat)
     pa, lb_a, ub_a = x[lay.pa], lb[lay.pa], ub[lay.pa]
     below = sat - margin

@@ -1,102 +1,94 @@
-"""Consumer satisfaction, inverse demand, generation cost, and the
-SES-weighted welfare objective.
+"""The welfare terms, elementwise over arrays of a case's aggregators or
+generators: satisfaction U(p) = gamma*p - 0.5*mu*p^2 up to the saturation
+point gamma/mu and gamma^2/(2 mu) from it on, its marginal U'(p) (the
+inverse demand, 0 from the saturation point on), generation cost
+C(p) = a*p^2 + b*p + c and its marginal C'(p) = 2a*p + b.
 
-Satisfaction of an aggregator consuming p MW is the concave quadratic
-gamma*p - 0.5*mu*p^2 up to the saturation point gamma/mu, constant beyond it.
-The marginal satisfaction gamma - mu*p is the inverse demand (willingness to
-pay) on the non-saturated branch.
+Each function reads the ``WelfareCoefficients`` of a case, built once by
+``welfare_coefficients``; the last axis of p runs over the aggregators or
+the generators. ``Problem.objective`` and ``objective_gradient``, the run
+metrics and the copper-plate oracle all evaluate these terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .casemodel import Aggregator, CaseData, Generator
+from .casemodel import CaseData
 
 
-@dataclass(frozen=True)
-class SatisfactionParams:
-    gamma: float
-    mu: float
-
-    def __post_init__(self):
-        if self.gamma <= 0 or self.mu <= 0:
-            raise ValueError("gamma and mu must be positive")
-
-    @property
-    def saturation_point(self) -> float:
-        return self.gamma / self.mu
-
-
-def _params(obj) -> SatisfactionParams:
-    if isinstance(obj, SatisfactionParams):
-        return obj
-    return SatisfactionParams(obj.gamma, obj.mu)
+class WelfareCoefficients(NamedTuple):
+    """The welfare coefficients of a case, one entry per aggregator or
+    generator in case order, with the derived constants that every
+    evaluation reads computed once."""
+    sigma: np.ndarray    # SES score, the aggregator's weight
+    gamma: np.ndarray    # $/MWh
+    mu: np.ndarray       # $/MW^2 h
+    p_n: np.ndarray      # normal active demand, MW
+    kink: np.ndarray     # gamma/mu, the demand (MW) where satisfaction saturates
+    half_mu: np.ndarray  # mu/2
+    cap: np.ndarray      # gamma^2/(2 mu), the saturated satisfaction, $/h
+    a: np.ndarray        # $/MW^2 h
+    b: np.ndarray        # $/MWh
+    c: np.ndarray        # $/h
+    two_a: np.ndarray    # 2a, the slope of the marginal cost
 
 
-def satisfaction(params, p: float) -> float:
-    """Consumer satisfaction in $/h at demand p (MW)."""
-    params = _params(params)
-    if p < 0:
-        raise ValueError("demand must be nonnegative")
-    sat = params.saturation_point
-    if p >= sat:
-        return 0.5 * params.gamma ** 2 / params.mu
-    return params.gamma * p - 0.5 * params.mu * p * p
+def welfare_coefficients(case: CaseData) -> WelfareCoefficients:
+    sigma, gamma, mu, p_n = np.array(
+        [(r.sigma, r.gamma, r.mu, r.p_n) for r in case.aggregators], dtype=float).reshape(-1, 4).T
+    a, b, c = np.array([(r.a, r.b, r.c) for r in case.generators], dtype=float).reshape(-1, 3).T
+    return WelfareCoefficients(sigma, gamma, mu, p_n, gamma / mu, 0.5 * mu,
+                               0.5 * gamma ** 2 / mu, a, b, c, 2.0 * a)
 
 
-def marginal_satisfaction(params, p: float) -> float:
-    """dU/dp, valid for all p >= 0 (zero on the saturated branch)."""
-    params = _params(params)
-    if p >= params.saturation_point:
-        return 0.0
-    return params.gamma - params.mu * p
+def satisfaction(coef: WelfareCoefficients, p, unsaturated=None):
+    """U(p) in $/h at demands p (MW). ``unsaturated`` is p < coef.kink,
+    formed here if not given."""
+    if unsaturated is None:
+        unsaturated = p < coef.kink
+    return np.where(unsaturated, coef.gamma * p - coef.half_mu * p * p, coef.cap)
 
 
-def inverse_demand(params, p: float) -> float:
-    """Willingness-to-pay price ($/MWh) at demand p on [0, gamma/mu]."""
-    params = _params(params)
-    if not 0 <= p <= params.saturation_point:
-        raise ValueError("demand outside [0, gamma/mu]")
-    return params.gamma - params.mu * p
+def marginal_satisfaction(coef: WelfareCoefficients, p, unsaturated=None):
+    """U'(p) in $/MWh at demands p (MW), 0 from the saturation point on."""
+    if unsaturated is None:
+        unsaturated = p < coef.kink
+    return np.where(unsaturated, coef.gamma - coef.mu * p, 0.0)
 
 
-def normalized_satisfaction(agg: Aggregator, p: float) -> float:
-    """Satisfaction at p relative to satisfaction at the normal limit."""
-    base = satisfaction(agg, agg.p_n)
-    if base <= 0:
-        raise ValueError("normal-limit satisfaction must be positive")
-    return satisfaction(agg, p) / base
+def gen_cost(coef: WelfareCoefficients, p):
+    """C(p) in $/h at outputs p (MW)."""
+    return coef.a * p * p + coef.b * p + coef.c
 
 
-def gen_cost(gen: Generator, p: float) -> float:
-    """Quadratic generation cost a*p^2 + b*p + c in $/h, p in MW."""
-    return gen.a * p * p + gen.b * p + gen.c
+def marginal_cost(coef: WelfareCoefficients, p):
+    """C'(p) in $/MWh at outputs p (MW)."""
+    return coef.two_a * p + coef.b
 
 
-def marginal_cost(gen: Generator, p: float) -> float:
-    return 2.0 * gen.a * p + gen.b
+def normalized_satisfaction(coef: WelfareCoefficients, p):
+    """U(p) relative to U(p_n), the satisfaction at the normal limit."""
+    return satisfaction(coef, p) / satisfaction(coef, coef.p_n)
 
 
-def social_objective(case: CaseData, p_agg, p_gen) -> tuple[float, float, float]:
-    """Evaluate the welfare objective at MW demand/generation vectors.
+def social_objective(coef: WelfareCoefficients, p_agg, p_gen) -> tuple[float, float, float]:
+    """(weighted_objective, total_satisfaction, total_cost) at the MW
+    demands p_agg and outputs p_gen, one each per aggregator and generator.
 
-    Returns (weighted_objective, total_satisfaction, total_cost) where
-    weighted_objective = sum(sigma * U) - sum(C) and total_satisfaction is
-    the unweighted sum of satisfactions. Social welfare as reported
-    elsewhere is total_satisfaction - total_cost.
+    weighted_objective = sum(sigma * U) - sum(C), summed as
+    ``Problem.objective`` sums it, so the two agree bit for bit at the same
+    point; total_satisfaction is the unweighted sum of satisfactions.
+    Social welfare as reported elsewhere is total_satisfaction - total_cost.
     """
     p_agg = np.asarray(p_agg, dtype=float)
     p_gen = np.asarray(p_gen, dtype=float)
-    if p_agg.shape != (len(case.aggregators),):
+    if p_agg.shape != coef.sigma.shape:
         raise ValueError("p_agg length must match the aggregator count")
-    if p_gen.shape != (len(case.generators),):
+    if p_gen.shape != coef.a.shape:
         raise ValueError("p_gen length must match the generator count")
-
-    sats = [satisfaction(a, p) for a, p in zip(case.aggregators, p_agg)]
-    total_satisfaction = float(sum(sats))
-    weighted = float(sum(a.sigma * s for a, s in zip(case.aggregators, sats)))
-    total_cost = float(sum(gen_cost(g, p) for g, p in zip(case.generators, p_gen)))
-    return weighted - total_cost, total_satisfaction, total_cost
+    sat = satisfaction(coef, p_agg)
+    cost = gen_cost(coef, p_gen).sum()
+    return float((coef.sigma * sat).sum() - cost), float(sat.sum()), float(cost)

@@ -10,6 +10,7 @@ from sesopf.acnetwork import series_admittance
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, Line, builtin_case
 from sesopf.formulation import build_problem
 from sesopf.solver import SolverOptions, solve
+from sesopf.welfare import welfare_coefficients
 
 # To report a failing @given test, hypothesis's plugin imports
 # hypothesis.extra._patching, whose libcst import raises a DeprecationWarning;
@@ -67,6 +68,12 @@ def rts24_solution(rts24):
 def single_bus_case(gen, agg, name="single_bus"):
     """One slack bus, no lines: balance reduces to P_g = P_a, Q_g = Q_a."""
     return CaseData(name, 100.0, (Bus(1, is_slack=True),), (), (gen,), (agg,))
+
+
+def welfare_of(aggregators=(), generators=()):
+    """The WelfareCoefficients of these records, in order."""
+    return welfare_coefficients(
+        CaseData("records", 100.0, (), (), tuple(generators), tuple(aggregators)))
 
 
 def toy_case():

@@ -15,11 +15,13 @@ from sesopf.solver import (
     SolverOptions, copper_plate_oracle, finite_difference_audit, kkt_check,
     solve,
 )
-from sesopf.welfare import SatisfactionParams, gen_cost, inverse_demand, satisfaction
-from sesopf.casemodel import Generator
+from sesopf.welfare import (
+    gen_cost, marginal_satisfaction, satisfaction, social_objective, welfare_coefficients,
+)
+from sesopf.casemodel import Aggregator, Generator
 
 from conftest import (
-    copperize, three_bus_copper_case, toy_case, two_bus_copper_case,
+    copperize, three_bus_copper_case, toy_case, two_bus_copper_case, welfare_of,
 )
 
 
@@ -71,8 +73,7 @@ def test_criterion_1_five_bus_convergence(timed_five_bus, report):
 def test_criterion_2_default_ses_results(timed_five_bus, report):
     _, solution, _ = timed_five_bus
     case = builtin_case("five_bus")
-    from sesopf.welfare import social_objective
-    _, sat, cost = social_objective(case, solution.p_agg, solution.p_gen)
+    _, sat, cost = social_objective(welfare_coefficients(case), solution.p_agg, solution.p_gen)
     welfare = sat - cost
     targets = {"satisfaction": (sat, 37263.06), "cost": (cost, 28290.19),
                "welfare": (welfare, 8972.87)}
@@ -154,12 +155,17 @@ def test_criterion_5_derivative_audit(report):
 
 def test_criterion_6_unit_values(report):
     case = builtin_case("five_bus")
+    # the three aggregators' (gamma, mu), their demands, and one generator
+    aggs = [Aggregator(1, 1.0, gamma, mu, 1.0, 0.0, 0.0, 0.0)
+            for gamma, mu in ((38.68, 0.045), (10.0, 0.087), (11.05, 0.016))]
+    coef = welfare_of(aggs, [Generator(5, 2.0, 10.0, 50.0, 0, 600, -450, 450)])
+    sat = satisfaction(coef, np.array([338.49, 133.99, 84.62]))
+    inverse_demand = marginal_satisfaction(coef, np.array([338.49, 133.99, 84.62]))
     checks = [
-        (satisfaction(SatisfactionParams(38.68, 0.045), 338.49), 10514.84, 5e-3),
-        (satisfaction(SatisfactionParams(10.0, 0.087), 133.99), 574.71, 5e-3),
-        (gen_cost(Generator(5, 2.0, 10.0, 50.0, 0, 600, -450, 450), 100.0),
-         21050.0, 5e-5),
-        (inverse_demand(SatisfactionParams(11.05, 0.016), 84.62), 9.6961, 5e-5),
+        (sat[0], 10514.84, 5e-3),
+        (sat[1], 574.71, 5e-3),
+        (gen_cost(coef, np.array([100.0]))[0], 21050.0, 5e-5),
+        (inverse_demand[2], 9.6961, 5e-5),
         (sum(a.p_n for a in case.aggregators), 1410.39, 5e-3),
         (sum(a.p_c for a in case.aggregators), 700.00, 5e-3),
         (sum(a.q_n for a in case.aggregators), 428.23, 5e-3),

@@ -11,8 +11,9 @@ from sesopf.casemodel import Aggregator, Bus, CaseData, Generator
 from sesopf.formulation import build_problem
 from sesopf.harness import compute_metrics
 from sesopf.solver import finite_difference_audit
-from sesopf.welfare import marginal_cost, marginal_satisfaction, social_objective
+from sesopf.welfare import social_objective
 
+import welfare_oracle as oracle
 from conftest import admittance_by_lines, assembled_hessian, random_interior_state, single_bus_case
 from test_acnetwork import _flow_p_hess_by_entries
 
@@ -111,8 +112,11 @@ def test_gradient_structure(five_bus, five_bus_problem):
     x = random_interior_state(five_bus_problem, rng)
     lay, sb = five_bus_problem.layout, five_bus.s_base
     grad = five_bus_problem.objective_gradient(x)
-    weighted, _, _ = social_objective(five_bus, x[lay.pa] * sb, x[lay.pg] * sb)
+    weighted, _, _ = oracle.social_objective(five_bus, x[lay.pa] * sb, x[lay.pg] * sb)
     assert five_bus_problem.objective(x) == pytest.approx(weighted, rel=1e-12)
+    # the reports' objective sums the same terms in the same order
+    assert five_bus_problem.objective(x) == social_objective(
+        five_bus_problem.welfare, x[lay.pa] * sb, x[lay.pg] * sb)[0]
     assert np.allclose(grad[lay.qg], 0.0)
     assert np.allclose(grad[lay.qa], 0.0)
     assert np.allclose(grad[lay.v], 0.0)
@@ -120,10 +124,10 @@ def test_gradient_structure(five_bus, five_bus_problem):
     for k, agg in enumerate(five_bus.aggregators):
         p = x[lay.pa.start + k] * sb
         assert grad[lay.pa.start + k] == pytest.approx(
-            agg.sigma * marginal_satisfaction(agg, p) * sb)
+            agg.sigma * oracle.marginal_satisfaction(agg, p) * sb)
     for k, gen in enumerate(five_bus.generators):
         p = x[lay.pg.start + k] * sb
-        assert grad[lay.pg.start + k] == pytest.approx(-marginal_cost(gen, p) * sb)
+        assert grad[lay.pg.start + k] == pytest.approx(-oracle.marginal_cost(gen, p) * sb)
 
 
 def test_gradient_vanishes_on_saturated_demand(five_bus_problem):
@@ -136,7 +140,8 @@ def test_gradient_vanishes_on_saturated_demand(five_bus_problem):
     x[lay.pa.start + k] = 1.2 * agg.gamma / agg.mu / case.s_base
     grad = five_bus_problem.objective_gradient(x)
     assert grad[lay.pa.start + k] == 0.0
-    weighted, _, _ = social_objective(case, x[lay.pa] * case.s_base, x[lay.pg] * case.s_base)
+    weighted, _, _ = oracle.social_objective(case, x[lay.pa] * case.s_base,
+                                             x[lay.pg] * case.s_base)
     assert five_bus_problem.objective(x) == pytest.approx(weighted, rel=1e-12)
     diag = five_bus_problem.objective_hessian_diag(x)
     assert diag[lay.pa.start + k] == 0.0

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from sesopf import harness
-from sesopf.casemodel import case_to_dict, save_case
+from sesopf.casemodel import case_to_dict, save_case, scale_ses
+from sesopf.formulation import build_problem
 from sesopf.harness import (
     compute_metrics, emit, run_solve, ses_sweep, solve_document, sweep_points, sweep_rows,
 )
-from sesopf.solver import SolverOptions
-from sesopf.welfare import normalized_satisfaction, social_objective
+from sesopf.solver import SolverOptions, kkt_check
+
+import welfare_oracle as oracle
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +43,19 @@ def test_metrics_welfare_identity(five_bus_run):
 
 def test_metrics_recompute_from_primal_values(five_bus, five_bus_run):
     solution, metrics = five_bus_run
-    w, sat, cost = social_objective(five_bus, solution.p_agg, solution.p_gen)
+    w, sat, cost = oracle.social_objective(five_bus, solution.p_agg, solution.p_gen)
     assert metrics.total_satisfaction == pytest.approx(sat, rel=1e-9)
     assert metrics.total_cost == pytest.approx(cost, rel=1e-9)
     assert metrics.weighted_objective == pytest.approx(w, rel=1e-9)
-    assert metrics.weighted_objective == pytest.approx(solution.objective,
-                                                       rel=1e-9)
+    # both sum the one definition's terms in the same order
+    assert metrics.weighted_objective == solution.objective
 
 
 def test_metrics_normalized_satisfaction_range(five_bus, five_bus_run):
     _, metrics = five_bus_run
     assert len(metrics.normalized_satisfaction) == 7
     for agg, value in zip(five_bus.aggregators, metrics.normalized_satisfaction):
-        floor = normalized_satisfaction(agg, agg.p_c)
+        floor = oracle.normalized_satisfaction(agg, agg.p_c)
         assert floor - 1e-9 <= value <= 1.0 + 1e-9
 
 
@@ -145,8 +147,25 @@ def test_sweep_records_normalized_satisfaction_bounds(five_bus, small_sweep):
     for record in small_sweep.records:
         for agg, value in zip(five_bus.aggregators,
                               record.metrics.normalized_satisfaction):
-            floor = normalized_satisfaction(agg, agg.p_c)
+            floor = oracle.normalized_satisfaction(agg, agg.p_c)
             assert floor - 1e-9 <= value <= 1.0 + 1e-9
+
+
+def test_every_converged_point_of_the_default_sweep_passes_kkt_check(five_bus):
+    """A solve ends converged only where kkt_check's four residuals are
+    within tol as well. On the scaled residuals alone, the 22 % point
+    stopped at a kkt_check stationarity of 1.0106e-6, above CHECK_TOL."""
+    failed = []
+
+    def check(pct, solution):
+        if solution.status == "converged":
+            report = kkt_check(build_problem(scale_ses(five_bus, pct / 100.0)), solution)
+            if not report.passed:
+                failed.append((pct, report))
+
+    result = ses_sweep(five_bus, on_solve=check)
+    assert all(r.status == "converged" for r in result.records)
+    assert failed == []
 
 
 def test_sweep_keeps_failed_points(five_bus):

@@ -1425,11 +1425,13 @@ def test_five_bus_converges_at_a_tight_tolerance(pct, five_bus):
     assert kkt_check(problem, solution).passed
 
 
-@pytest.mark.parametrize("pct, iterations", [(84.7, 25), (86.7, 33), (140.7, 26)])
+@pytest.mark.parametrize("pct, iterations", [(84.7, 25), (86.7, 34), (140.7, 26)])
 def test_the_reduced_path_converges_at_a_tight_tolerance(pct, iterations, five_bus,
                                                          monkeypatch):
     """The points that the condensed path does not bring to tol=1e-9 (the
-    xfail above) converge when forced onto the reduced path."""
+    xfail above) converge when forced onto the reduced path. At 86.7 % the
+    residual test alone passes at iteration 33, but kkt_check's residuals
+    are within tol only at 34."""
     monkeypatch.setattr(solver, "_REDUCE_FROM", 0)
     problem = build_problem(scale_ses(five_bus, pct / 100.0))
     solution = solve(problem, _TIGHT)
