@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields, asdict, replace
 from functools import cache, cached_property
 
@@ -150,9 +151,7 @@ def validate_case(case: CaseData) -> list[str]:
         if not 0 <= a.q_c <= a.q_n:
             out.append(f"{tag}: reactive limits must satisfy 0 <= q_c <= q_n")
 
-    demand_buses = {a.bus for a in case.aggregators}
-    for d in sorted(demand_buses):
-        n = sum(1 for a in case.aggregators if a.bus == d)
+    for d, n in sorted(Counter(a.bus for a in case.aggregators).items()):
         if not 1 <= n <= 3:
             out.append(f"bus {d}: hosts {n} aggregators, expected 1-3")
 
@@ -410,7 +409,8 @@ def _rts24(seed: int = RTS24_SEED) -> CaseData:
 # ---------------------------------------------------------------------------
 # case file I/O (JSON, MW/MVAr units)
 
-_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float)}  # by field type
+# by field type: the types json.load gives a value that _check_type accepts
+_JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float)}
 
 
 def case_to_dict(case: CaseData) -> dict:
@@ -447,15 +447,17 @@ def _entries(doc: dict, key: str, cls) -> tuple:
     rows = doc.get(key)
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError(f"case needs '{key}' as a list of objects")
-    typed = [(f.name, f.type) for f in fields(cls)]
+    typed = [(f.name, _JSON_TYPES.get(f.type, ()), f.type) for f in fields(cls)]
     out = []
     for k, row in enumerate(rows):
         try:
             out.append(cls(**row))
         except TypeError as exc:
             raise ValueError(f"{key}[{k}]: {exc}") from None
-        for name, kind in typed:
-            _check_type(f"{key}[{k}]", name, getattr(out[-1], name), kind)
+        for name, exact, kind in typed:
+            value = getattr(out[-1], name)
+            if type(value) not in exact:  # a float subclass, say, or a wrong type
+                _check_type(f"{key}[{k}]", name, value, kind)
     return tuple(out)
 
 

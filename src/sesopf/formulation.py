@@ -387,7 +387,10 @@ class Problem:
         return balance.reshape(lead + (self.n_eq,)), pq[..., 0, :] - self._smax2
 
     def _adequacy_rows(self, x: np.ndarray) -> np.ndarray:
-        """The two adequacy rows, sum(P_a) - sum(P_g) and sum(Q_a) - sum(Q_g)."""
+        """The two adequacy rows, sum(P_a) - sum(P_g) and sum(Q_a) - sum(Q_g),
+        as the product with the dense (2, n) coefficients, zeros included: a
+        sum over the read columns only would be cheaper in the audit, but it
+        rounds differently and moves the solver's five_bus and rts24 iterates."""
         return (self._adequacy * x[..., None, :]).sum(axis=-1)
 
     def constraints(self, x: np.ndarray,

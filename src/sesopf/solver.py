@@ -97,24 +97,26 @@ two row blocks that make up the ``Problem.constraints`` the solver runs. The
 copper-plate oracle's dispatch is exact: it interpolates between the two
 bracketing prices; its objective is ``welfare.social_objective``.
 
-One routine, ``_central_diff``, differences the objective and the
-constraint rows by column groups (Curtis, Powell & Reid 1974; Coleman & More
-1983): the columns of a group share no row of ``Problem.objective_read_set``
-or ``Problem.constraint_read_sets``, so they move together, and each row's
-difference belongs to the one column of the group that it reads: bit for
-bit the difference of one column at a time. The constraint rows are
-differenced in two blocks, each under the groups of its own rows: the
-network rows (balance and line limits) of ``Problem._network_rows`` and the
-two adequacy rows of ``Problem._adequacy_rows``. Each adequacy row reads
-every P or every Q column, so no grouping of all the rows has fewer groups
-than there are generators and aggregators; the network rows alone need far
-fewer. Each block moves all of its groups in one call. A point where a
-row of a block changes under a group none of whose columns it reads has
-that block differenced again under the dense plan, every column a group of
-its own, in one more call of 2 n points. The columns that no row of a block
-reads share a trailing group, so that a row that starts to read one of them
-sends the block there too. The relative error is taken over the nonzero
-entries of [J_E; J_h] only.
+The audit is one list of (function, step, plan, rows) blocks: the
+objective, the network rows (balance and line limits) of
+``Problem._network_rows`` and the two adequacy rows of
+``Problem._adequacy_rows``. One routine, ``_central_diff``, differences each
+block in one call by the column groups of its own rows of
+``Problem.objective_read_set`` or ``Problem.constraint_read_sets`` (Curtis,
+Powell & Reid 1974; Coleman & More 1983): the columns of a group share no
+row, so they move together, and each row's difference belongs to the one
+column of the group that it reads: bit for bit the difference of one column
+at a time. Each adequacy row reads every P or every Q column, so no grouping
+of all the rows has fewer groups than there are generators and aggregators;
+the network rows alone need far fewer. A point where a row of a block
+changes under a group none of whose columns it reads has that block
+differenced again under the dense plan, every column a group of its own, in
+one more call of 2 n points. The columns that no row of a block reads share
+a trailing group, so that a row that starts to read one of them sends the
+block there too. Per point the gradient, J_E and J_h fill one stack and the
+blocks' differences another in the same row order, and one comparison over
+its nonzero entries names the worst: the first maximum in row order, so a
+tie names the gradient before a Jacobian entry.
 """
 
 from __future__ import annotations
@@ -908,14 +910,13 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
     non-finite error counts as infinite, so a NaN derivative fails the
     audit and is named.
 
-    The objective, the network rows (``Problem._network_rows``: balance and
-    line limits) and the two adequacy rows (``Problem._adequacy_rows``) are
-    differenced apart, each in one call under the column groups of its own
-    read set, which give the per-column differences bit for bit; the two
-    constraint blocks are stacked in row order. A block with a row that
-    changes under a group it does not read, the trailing group of the
-    columns it does not read at all included, is differenced one column at
-    a time at that point, in one more call.
+    The objective, the network rows and the adequacy rows are one list of
+    (function, step, plan, rows) blocks, each differenced in one call per
+    point (module docstring). Per point one ``_max_rel_error`` over the
+    stacked gradient, J_E and J_h, (1 + n_eq + n_ineq, n), names the first
+    maximum in that row order: a tie between the gradient and a Jacobian
+    entry names the gradient. The points' constants are built once per
+    audit, and max(1, |x|) once per point for all three steps.
 
     One fault stays hidden from the grouped plans: each adequacy group holds
     one P column and one Q column, both rows read every group, so an
@@ -924,8 +925,7 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
     _check_count("n_points", n_points, 1)
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_entry = "none"
+    n, n_eq = problem.n_var, problem.n_eq
 
     def objective(points):
         return problem.objective(points)[:, None]
@@ -935,39 +935,37 @@ def finite_difference_audit(problem: Problem, n_points: int = 20,
 
     @functools.cache
     def dense_plan(rows):
-        return _group_plan(np.ones((rows, problem.n_var), dtype=bool))
+        return _group_plan(np.ones((rows, n), dtype=bool))
 
-    def differences(fun, x, step, plan):
-        fd = _central_diff(fun, x, step, plan)
-        return fd if fd is not None else _central_diff(
-            fun, x, step, dense_plan(plan.unread.shape[1]))
-
-    obj_plan = _group_plan(problem.objective_read_set[None])
     # the two adequacy rows, last, read every P or every Q column; the
     # network rows above them colour into far fewer groups without them
     reads = problem.constraint_read_sets
-    con_blocks = ((network, _group_plan(reads[:-2])),
-                  (problem._adequacy_rows, _group_plan(reads[-2:])))
+    analytic, fd = np.zeros((2, 1 + len(reads), n))
+    blocks = ((objective, _OBJ_FD_STEP, _group_plan(problem.objective_read_set[None]), fd[:1]),
+              (network, _CON_FD_STEP, _group_plan(reads[:-2]), fd[1:-2]),
+              (problem._adequacy_rows, _CON_FD_STEP, _group_plan(reads[-2:]), fd[-2:]))
+    interior_point = _interior_sampler(problem)
+    worst, worst_entry = 0.0, "none"
     for _ in range(n_points):
-        x = _interior_point(problem, rng)
-        for analytic, fd in (
-                (problem.objective_gradient(x),
-                 differences(objective, x, _OBJ_FD_STEP, obj_plan)[0]),
-                (np.concatenate(problem.jacobians(x)),
-                 np.concatenate([differences(fun, x, _CON_FD_STEP, plan)
-                                 for fun, plan in con_blocks]))):
-            err, k = _max_rel_error(analytic, fd)
-            if err > worst:
-                worst = err
-                worst_entry = _entry_name(np.unravel_index(k, fd.shape), problem.n_eq)
+        x = interior_point(rng)
+        scale = np.maximum(1.0, np.abs(x))
+        analytic[0] = problem.objective_gradient(x)
+        analytic[1:1 + n_eq], analytic[1 + n_eq:] = problem.jacobians(x)
+        fd.fill(0.0)
+        for fun, step, plan, rows in blocks:
+            if _central_diff(fun, x, step * scale, plan, rows) is None:
+                _central_diff(fun, x, step * scale, dense_plan(len(rows)), rows)
+        err, k = _max_rel_error(analytic, fd)
+        if err > worst:
+            worst, worst_entry = err, _entry_name(*divmod(k, n), n_eq)
     return AuditReport(worst, worst_entry, n_points)
 
 
 def _max_rel_error(analytic, fd) -> tuple[float, int]:
     """The largest |a - f| / max(1, |a|, |f|), a non-finite one counting as
-    inf, and the flat index of its first maximum in row-major order (equality
-    rows first). Every entry where both are 0 has error 0, so only the others
-    and entry 0, the first maximum of an all-zero error, are computed."""
+    inf, and the flat index of its first maximum in row-major order. Every
+    entry where both are 0 has error 0, so only the others and entry 0, the
+    first maximum of an all-zero error, are computed."""
     nonzero = (analytic != 0) | (fd != 0)
     nonzero.flat[0] = True
     nz = np.flatnonzero(nonzero)
@@ -979,12 +977,12 @@ def _max_rel_error(analytic, fd) -> tuple[float, int]:
     return float(err[k]), int(nz[k])
 
 
-def _entry_name(index, n_eq: int) -> str:
-    """The audit's name for an entry of the gradient or of [J_E; J_h]."""
-    if len(index) == 1:
-        return f"gradient[{index[0]}]"
-    i, j = index
-    return f"eq_jacobian[{i}, {j}]" if i < n_eq else f"ineq_jacobian[{i - n_eq}, {j}]"
+def _entry_name(row: int, col: int, n_eq: int) -> str:
+    """The audit's name for an entry of its stack: gradient, J_E, J_h."""
+    if row == 0:
+        return f"gradient[{col}]"
+    i = row - 1
+    return f"eq_jacobian[{i}, {col}]" if i < n_eq else f"ineq_jacobian[{i - n_eq}, {col}]"
 
 
 # The objective is piecewise quadratic, so a central difference is exact
@@ -994,24 +992,31 @@ _OBJ_FD_STEP = 0.02
 _CON_FD_STEP = 1e-6
 
 
-def _interior_point(problem: Problem, rng) -> np.ndarray:
-    lay = problem.layout
-    lb, ub = problem.lb, problem.ub
-    t = rng.uniform(0.15, 0.85, size=problem.n_var)
-    x = np.zeros(problem.n_var)
+def _interior_sampler(problem: Problem):
+    """The audit's interior points of ``problem``, a function of an rng,
+    over constants built here once: the boxed columns' bounds and spans,
+    and each demand's kink margin and the target it moves to."""
+    lay, lb, ub = problem.layout, problem.lb, problem.ub
     boxed = np.isfinite(lb) & np.isfinite(ub)
-    x[boxed] = lb[boxed] + t[boxed] * (ub[boxed] - lb[boxed])
-    x[lay.th] = rng.uniform(-0.3, 0.3, size=lay.n_bus - 1)
+    lo, span = lb[boxed], ub[boxed] - lb[boxed]
     # keep demands away from the satisfaction kink where the second
     # derivative jumps (central differences straddle it otherwise); the
     # margin must exceed the widest finite-difference step in use
     sat = problem.welfare.kink / problem.case.s_base
     margin = 2.0 * _OBJ_FD_STEP * np.maximum(1.0, sat)
-    pa, lb_a, ub_a = x[lay.pa], lb[lay.pa], ub[lay.pa]
     below = sat - margin
-    moved = np.where(below >= lb_a, below, np.minimum(sat + margin, ub_a))
-    x[lay.pa] = np.where(np.abs(pa - sat) < margin, moved, pa)
-    return x
+    moved = np.where(below >= lb[lay.pa], below, np.minimum(sat + margin, ub[lay.pa]))
+
+    def interior_point(rng) -> np.ndarray:
+        t = rng.uniform(0.15, 0.85, size=problem.n_var)
+        x = np.zeros(problem.n_var)
+        x[boxed] = lo + t[boxed] * span
+        x[lay.th] = rng.uniform(-0.3, 0.3, size=lay.n_bus - 1)
+        pa = x[lay.pa]
+        x[lay.pa] = np.where(np.abs(pa - sat) < margin, moved, pa)
+        return x
+
+    return interior_point
 
 
 def _column_groups(reads: np.ndarray) -> np.ndarray:
@@ -1065,22 +1070,22 @@ def _group_plan(reads: np.ndarray) -> _GroupStack:
     return _GroupStack(group, unread, row, col)
 
 
-def _central_diff(fun, x, step, plan):
-    """Central differences (rows, n) at x, step h_j = step * max(1, |x_j|)
-    in column j, of a fun mapping (k, n) points to (k, rows), from the
-    column groups of ``plan`` in one ``fun`` call of 2 k points, k the
-    number of groups: each point moves all columns of one group by +-h_j.
-    A row reads at most one column j of a group, so its difference over
-    that group, divided by 2 h_j, is its derivative in j, and every entry
-    it does not read is 0. A term of a row that reads no moved column is
-    unchanged, so each row sums the same terms as under a one-column move,
-    and the result is the per-column one bit for bit.
+def _central_diff(fun, x, h, plan, out):
+    """Central differences (rows, n) at x, step h_j in column j (the audit's
+    is step * max(1, |x_j|)), of a fun mapping (k, n) points to (k, rows),
+    from the column groups of ``plan`` in one ``fun`` call of 2 k points, k
+    the number of groups: each point moves all columns of one group by
+    +-h_j. A row reads at most one column j of a group, so its difference
+    over that group, divided by 2 h_j, is its derivative in j, and every
+    entry it does not read is 0. A term of a row that reads no moved column
+    is unchanged, so each row sums the same terms as under a one-column
+    move, and the result is the per-column one bit for bit. The read
+    entries are written into ``out``, all zeros, which is returned.
 
-    Returns None if a row changes (NaN and inf included) under a group none
-    of whose columns it reads: the read sets do not describe fun at x, and
-    the caller differences it under the dense plan."""
+    Returns None, ``out`` untouched, if a row changes (NaN and inf included)
+    under a group none of whose columns it reads: the read sets do not
+    describe fun at x, and the caller differences it under the dense plan."""
     group, unread, row, col = plan
-    h = step * np.maximum(1.0, np.abs(x))
     k = len(unread)
     cols = np.arange(len(x))
     points = np.repeat(x[None], 2 * k, axis=0)
@@ -1090,6 +1095,5 @@ def _central_diff(fun, x, step, plan):
     diff = values[:k] - values[k:]
     if diff[unread].any():
         return None
-    jac = np.zeros((unread.shape[1], len(x)))
-    jac[row, col] = diff[group[col], row] / (2 * h[col])
-    return jac
+    out[row, col] = diff[group[col], row] / (2 * h[col])
+    return out

@@ -324,6 +324,27 @@ def test_malformed_entry_is_named(rts24, key, k, change, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("key, cls", [("buses", Bus), ("lines", Line),
+                                      ("generators", Generator), ("aggregators", Aggregator)])
+def test_loader_accepts_what_check_type_accepts(five_bus, key, cls):
+    """The loader tests a value's exact JSON type first and calls
+    ``_check_type`` only for the others, so every field of every kind takes
+    or refuses a value, float subclasses and numpy scalars included, with
+    the message that ``_check_type`` alone gives."""
+    for f in dataclasses.fields(cls):
+        for value in (True, 1, 1.5, np.float64(1.5), "1", None, np.int64(1), np.bool_(True)):
+            doc = case_to_dict(five_bus)
+            doc[key][1] = {**doc[key][1], f.name: value}
+            try:
+                casemodel._check_type(f"{key}[1]", f.name, value, f.type)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    case_from_dict(doc)
+                assert str(info.value) == str(exc)
+            else:
+                assert getattr(getattr(case_from_dict(doc), key)[1], f.name) is value
+
+
 def test_single_bus_case_is_valid():
     case = single_bus_case(
         Generator(1, 1.0, 0.0, 0.0, 0.0, 10.0, -5.0, 5.0),

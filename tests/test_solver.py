@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from sesopf import acnetwork, casemodel, solver
 from sesopf.casemodel import (
@@ -394,6 +394,60 @@ def test_audit_fails_on_a_nan_derivative(cls, entry, five_bus_problem):
     assert report.max_rel_error == np.inf
 
 
+class _TiedGradientAndJacobian(Problem):
+    """gradient[0] and J_E[3, 30] far from their differences, both at an
+    error of exactly 1: |1e300 - f| / 1e300 for a moderate f."""
+    def objective_gradient(self, x):
+        grad = super().objective_gradient(x)
+        grad[0] = 1e300
+        return grad
+
+    def jacobians(self, x):
+        je, jh = super().jacobians(x)
+        je[3, 30] = 1e300
+        return je, jh
+
+
+class _GradientOffThenNaNJacobian(_CorruptedGradient, _NaNEqJacobian):
+    pass
+
+
+@pytest.mark.parametrize("cls, entry, error", [
+    (_TiedGradientAndJacobian, "gradient[0]", 1.0),
+    (_GradientOffThenNaNJacobian, "eq_jacobian[3, 30]", np.inf)])
+def test_audit_names_the_first_worst_entry_in_row_order(cls, entry, error, five_bus_problem):
+    """The gradient, J_E and J_h are compared in one stack, gradient row
+    first: a tie names the gradient entry, as comparing the gradient before
+    the Jacobian with a strict > did, and a NaN Jacobian entry counts as
+    inf above a finite gradient error."""
+    report = finite_difference_audit(_rebuilt(cls, five_bus_problem), n_points=3, seed=1)
+    assert (report.max_rel_error, report.worst_entry) == (error, entry)
+
+
+class _AllZero(Problem):
+    """Every row and every derivative 0, so every error is 0."""
+    def objective(self, x):
+        return np.zeros(x.shape[:-1])
+
+    def objective_gradient(self, x):
+        return np.zeros(self.n_var)
+
+    def _network_rows(self, x):
+        return np.zeros(x.shape[:-1] + (self.n_eq,)), np.zeros(x.shape[:-1] + (self.n_ineq - 2,))
+
+    def _adequacy_rows(self, x):
+        return np.zeros(x.shape[:-1] + (2,))
+
+    def jacobians(self, x):
+        return np.zeros((self.n_eq, self.n_var)), np.zeros((self.n_ineq, self.n_var))
+
+
+def test_audit_of_an_all_zero_error_names_no_entry(five_bus_problem):
+    report = finite_difference_audit(_rebuilt(_AllZero, five_bus_problem), n_points=3, seed=1)
+    assert report == solver.AuditReport(0.0, "none", 3)
+    assert report.passed
+
+
 def test_audit_linear_rows_exact(five_bus_problem):
     """Adequacy rows are linear, so central differences agree to roundoff."""
     rng = np.random.default_rng(2)
@@ -438,7 +492,7 @@ def test_audit_accepts_numpy_integers(five_bus_problem):
 
 def _interior_point_by_loop(problem, rng):
     """The audit's interior point with the kink margin applied one
-    aggregator at a time: the reference for ``solver._interior_point``."""
+    aggregator at a time: the reference for ``solver._interior_sampler``."""
     lay, lb, ub = problem.layout, problem.lb, problem.ub
     t = rng.uniform(0.15, 0.85, size=problem.n_var)
     x = np.zeros(problem.n_var)
@@ -461,15 +515,17 @@ def _interior_point_by_loop(problem, rng):
 def test_interior_point_matches_the_loop(name, frac):
     """Each aggregator's satisfaction kink put at frac of its demand box,
     so that the margin moves demands below it, above it and onto a bound:
-    the vectorised margin gives the loop's points bit for bit."""
+    the vectorised margin, with its constants built once for all points,
+    gives the loop's points bit for bit from the same rng stream."""
     case = builtin_case(name)
     aggs = tuple(dataclasses.replace(a, gamma=a.mu * (a.p_c + frac * (a.p_n - a.p_c)))
                  for a in case.aggregators)
     problem = Problem(dataclasses.replace(case, aggregators=aggs))
+    interior_point = solver._interior_sampler(problem)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     for _ in range(10):
-        assert np.array_equal(solver._interior_point(problem, rng),
-                              _interior_point_by_loop(problem, ref_rng))
+        assert np.array_equal(interior_point(rng), _interior_point_by_loop(problem, ref_rng))
+    assert rng.random() == ref_rng.random()
 
 
 def _stacked_constraints(problem):
@@ -482,6 +538,17 @@ def _stacked_network(problem):
 
 def _stacked_objective(problem):
     return lambda points: problem.objective(points)[:, None]
+
+
+def _interior_point(problem, rng):
+    return solver._interior_sampler(problem)(rng)
+
+
+def _grouped_diff(fun, x, step, plan):
+    """``solver._central_diff`` at the audit's steps, step * max(1, |x_j|),
+    into zeros of its block's shape."""
+    return solver._central_diff(fun, x, step * np.maximum(1.0, np.abs(x)), plan,
+                                np.zeros((plan.unread.shape[1], len(x))))
 
 
 def _per_column_diff(fun, x, step):
@@ -509,7 +576,7 @@ def test_grouped_differences_equal_per_column_ones(network_problem):
     reads = p.constraint_read_sets
     rng = np.random.default_rng(5)
     for _ in range(5):
-        x = solver._interior_point(p, rng)
+        x = _interior_point(p, rng)
         for fun, plan, step in (
                 (_stacked_constraints(p), solver._group_plan(reads), 1e-6),
                 (_stacked_network(p), solver._group_plan(reads[:-2]), 1e-6),
@@ -517,7 +584,7 @@ def test_grouped_differences_equal_per_column_ones(network_problem):
                 (_stacked_objective(p), solver._group_plan(p.objective_read_set[None]),
                  solver._OBJ_FD_STEP),
                 (_stacked_constraints(p), solver._group_plan(np.ones_like(reads)), 1e-6)):
-            grouped = solver._central_diff(fun, x, step, plan)
+            grouped = _grouped_diff(fun, x, step, plan)
             per_column = _per_column_diff(fun, x, step)
             assert grouped is not None
             assert np.array_equal(grouped, per_column)
@@ -579,13 +646,14 @@ def rts24_audit_matrices(rts24):
     of the 20 points of an rts24 audit with seed 0."""
     problem = Problem(rts24)
     plan = solver._group_plan(problem.constraint_read_sets)
+    interior_point = solver._interior_sampler(problem)
     rng = np.random.default_rng(0)
     matrices = []
     for _ in range(20):
-        x = solver._interior_point(problem, rng)
+        x = interior_point(rng)
         matrices.append((np.concatenate(problem.jacobians(x)),
-                         solver._central_diff(_stacked_constraints(problem), x,
-                                              solver._CON_FD_STEP, plan)))
+                         _grouped_diff(_stacked_constraints(problem), x,
+                                       solver._CON_FD_STEP, plan)))
     return problem, matrices
 
 
@@ -642,7 +710,7 @@ def test_objective_ignores_columns_outside_its_read_set(network_problem):
     unread = ~p.objective_read_set
     rng = np.random.default_rng(6)
     for _ in range(5):
-        x = solver._interior_point(p, rng)
+        x = _interior_point(p, rng)
         moved = x.copy()
         moved[unread] += rng.uniform(-0.5, 0.5, size=unread.sum())
         assert p.objective(moved) == p.objective(x)
@@ -688,7 +756,7 @@ def test_constraint_blocks_ignore_columns_outside_their_read_sets(network_proble
     for fun, block_reads in ((_stacked_network(p), reads[:-2]), (p._adequacy_rows, reads[-2:])):
         rows = np.arange(len(block_reads))
         for _ in range(3):
-            x = solver._interior_point(p, rng)
+            x = _interior_point(p, rng)
             moved = np.repeat(x[None], len(rows), axis=0)
             moved[~block_reads] += rng.uniform(-0.5, 0.5, size=(~block_reads).sum())
             kept, at_x = fun(moved)[rows, rows], fun(x[None])[0]
@@ -737,9 +805,8 @@ def test_audit_falls_back_to_per_column_differences(five_bus_problem):
     reads = problem.constraint_read_sets[:-2]
     groups = solver._column_groups(reads)
     assert not (reads[_UNREAD_ROW] & (groups == groups[_UNREAD_COL])).any()
-    x = solver._interior_point(problem, np.random.default_rng(1))
-    assert solver._central_diff(_stacked_network(problem), x, 1e-6,
-                                solver._group_plan(reads)) is None
+    x = _interior_point(problem, np.random.default_rng(1))
+    assert _grouped_diff(_stacked_network(problem), x, 1e-6, solver._group_plan(reads)) is None
 
     problem.calls.clear()
     report = finite_difference_audit(problem, n_points=3, seed=1)
@@ -770,16 +837,16 @@ def test_audit_names_a_nan_difference_as_per_column_differencing_does(five_bus_p
     """A NaN at the + point of a column that the row reads is the grouped
     difference of that entry alone; the audit names it as the dense plan,
     one column at a time, names it."""
-    x = solver._interior_point(five_bus_problem, np.random.default_rng(1))
-    monkeypatch.setattr(solver, "_interior_point", lambda problem, rng: x.copy())
+    x = _interior_point(five_bus_problem, np.random.default_rng(1))
+    monkeypatch.setattr(solver, "_interior_sampler", lambda problem: lambda rng: x.copy())
     col = int(np.flatnonzero(five_bus_problem.constraint_read_sets[0])[-1])
     grouped, dense = (_rebuilt(cls, five_bus_problem)
                       for cls in (_NaNAtPlusPoint, _DenseNaNAtPlusPoint))
     for problem in (grouped, dense):
         problem.at, problem.col = x, col
 
-    fd = solver._central_diff(_stacked_network(grouped), x, 1e-6,
-                              solver._group_plan(grouped.constraint_read_sets[:-2]))
+    fd = _grouped_diff(_stacked_network(grouped), x, 1e-6,
+                       solver._group_plan(grouped.constraint_read_sets[:-2]))
     assert np.isnan(fd[0, col]) and np.isfinite(np.delete(fd.ravel(), col)).all()
     report = finite_difference_audit(grouped, n_points=1)
     assert report == finite_difference_audit(dense, n_points=1)
@@ -1300,7 +1367,11 @@ def test_the_pivot_test_keeps_a_linear_cost_unit(monkeypatch):
     assert abs(eliminated.p_gen[0] - 40.0) > 1e-6
 
 
-@settings(deadline=None, max_examples=60)
+# About 72 % of the drawn systems are too ill-conditioned for their
+# eigenvalue signs to be counted and are rejected by assume(); at that rate
+# the filter_too_much check (50 rejections before 10 kept examples) fails
+# about one run in twelve although no example does. The property is unchanged.
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.filter_too_much])
 @given(data=st.data())
 def test_reduced_inertia_adds_up_to_the_full_one(data, five_bus_problem):
     """Haynsworth: on a random system with five_bus's +-1 injection
