@@ -24,15 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .casemodel import CaseData, Line
-
-
-def series_admittance(line: Line) -> tuple[float, float]:
-    """Series conductance and susceptance g + jb = 1/(r + jx)."""
-    d = line.r * line.r + line.x * line.x
-    if d == 0:
-        raise ValueError(f"line {line.from_bus}-{line.to_bus} has r = x = 0")
-    return line.r / d, -line.x / d
+from .casemodel import CaseData
 
 
 def bus_injections(g, b, v, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -117,13 +109,15 @@ def flow_q_hess(vi, vj, ct, st, g, b):
 
 
 def line_arrays(case: CaseData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(from bus index, to bus index, g, b) of every line, in line order."""
-    i = np.array([case.bus_index(ln.from_bus) for ln in case.lines], dtype=int)
-    j = np.array([case.bus_index(ln.to_bus) for ln in case.lines], dtype=int)
-    series = [series_admittance(ln) for ln in case.lines]
-    g = np.array([gb[0] for gb in series], dtype=float)
-    b = np.array([gb[1] for gb in series], dtype=float)
-    return i, j, g, b
+    """(from bus index, to bus index, g, b) of every line, in line order,
+    from ``case.positions`` and the series admittance g + jb = 1/(r + jx) of
+    the ``case.view`` columns; r = x = 0 raises naming the first such line."""
+    at, r, x = case.positions, case.view.lines.r, case.view.lines.x
+    d = r * r + x * x
+    if not d.all():
+        line = case.lines[np.flatnonzero(d == 0)[0]]
+        raise ValueError(f"line {line.from_bus}-{line.to_bus} has r = x = 0")
+    return at.line_from, at.line_to, r / d, -x / d
 
 
 def line_flows(case: CaseData, v, theta) -> tuple[np.ndarray, np.ndarray]:

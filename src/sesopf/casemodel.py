@@ -10,7 +10,10 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, asdict, replace
-from functools import cache, cached_property
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,77 +82,106 @@ class CaseData:
         except KeyError:
             raise KeyError(f"unknown bus id {bus_id}") from None
 
-    def slack_index(self) -> int:
-        for k, bus in enumerate(self.buses):
-            if bus.is_slack:
-                return k
-        raise ValueError("case has no slack bus")
+    @cached_property
+    def view(self) -> SimpleNamespace:
+        """The records as arrays, built on first use and read by every layer: per
+        table a namespace of read-only float columns in case order (``view.lines.r``)."""
+        return SimpleNamespace(**{kind: _columns(getattr(self, kind), cls.__match_args__)
+                                  for kind, cls in _TABLES.items()})
+
+    @cached_property
+    def positions(self) -> SimpleNamespace:
+        """The read-only bus positions of the generators, aggregators and line
+        ends, from ``bus_index``: an unknown bus raises, so read after validation."""
+        ids = [r.bus for r in self.generators + self.aggregators]
+        ids += [ln.from_bus for ln in self.lines] + [ln.to_bus for ln in self.lines]
+        at = np.fromiter(map(self.bus_index, ids), int, len(ids))
+        at.flags.writeable = False
+        ng, na, nl = len(self.generators), len(self.aggregators), len(self.lines)
+        return SimpleNamespace(generators=at[:ng], aggregators=at[ng:ng + na],
+                               line_from=at[ng + na:ng + na + nl], line_to=at[ng + na + nl:])
+
+
+# the record class of each table, in validation order, and its float fields
+_TABLES = {"buses": Bus, "lines": Line, "generators": Generator, "aggregators": Aggregator}
+_FLOATS = {kind: [f.name for f in fields(cls) if f.type == "float"]
+           for kind, cls in _TABLES.items()}
+
+
+def _columns(records: tuple, names: tuple) -> SimpleNamespace:
+    """The fields ``names`` (a record class's ``__match_args__``) of ``records``."""
+    values = chain.from_iterable(map(attrgetter(*names), records))
+    table = np.fromiter(values, float, len(records) * len(names)).reshape(-1, len(names)).T.copy()
+    table.flags.writeable = False
+    return SimpleNamespace(**dict(zip(names, table)))
+
+
+def _unknown(ids, known):
+    """Where ``ids`` holds no bus id. ``known`` is the sorted bus ids, then NaN,
+    which equals no id and keeps every ``searchsorted`` position in range."""
+    return known[known.searchsorted(ids)] != ids
+
+
+# validate_case's per-record rules by table, after each float field's finiteness:
+# the tag of record ``r`` at ``k``, then (rule, message) pairs, a rule mapping the
+# columns and the known bus ids to a bool array, True where a record breaks it.
+_RULES = {
+    "buses": ("bus {r.id}", [
+        (lambda t, known: ~((0 < t.v_min) & (t.v_min <= t.v_max)),
+         "voltage limits must satisfy 0 < v_min <= v_max")]),
+    "lines": ("line {r.from_bus}-{r.to_bus}", [
+        (lambda t, known: t.from_bus == t.to_bus, "self loop"),
+        (lambda t, known: _unknown(t.from_bus, known) | _unknown(t.to_bus, known),
+         "references unknown bus"),
+        (lambda t, known: t.x == 0, "zero reactance"),
+        (lambda t, known: t.s_max <= 0, "nonpositive flow limit")]),
+    "generators": ("generator {k} at bus {r.bus}", [
+        (lambda t, known: _unknown(t.bus, known), "references unknown bus"),
+        (lambda t, known: t.p_min > t.p_max, "p_min > p_max"),
+        (lambda t, known: t.q_min > t.q_max, "q_min > q_max"),
+        (lambda t, known: t.a < 0, "negative quadratic cost coefficient")]),
+    "aggregators": ("aggregator {k} at bus {r.bus}", [
+        (lambda t, known: _unknown(t.bus, known), "references unknown bus"),
+        (lambda t, known: t.sigma < 0, "negative sigma"),
+        (lambda t, known: (t.gamma <= 0) | (t.mu <= 0), "gamma and mu must be positive"),
+        (lambda t, known: t.p_n <= 0, "normal demand must be positive"),
+        (lambda t, known: ~((0 <= t.p_c) & (t.p_c <= t.p_n)),
+         "active limits must satisfy 0 <= p_c <= p_n"),
+        (lambda t, known: ~((0 <= t.q_c) & (t.q_c <= t.q_n)),
+         "reactive limits must satisfy 0 <= q_c <= q_n")]),
+}
 
 
 def validate_case(case: CaseData) -> list[str]:
-    """Check every structural invariant; return one message per violation.
-    Every numeric field must be finite: JSON case files may carry NaN and
-    Infinity, which no comparison below would catch."""
+    """One message per violated invariant: the case-level checks, then per
+    table the finiteness of each float field (JSON files may carry NaN and
+    Infinity, which no range rule catches) and its ``_RULES``, each one array
+    comparison on ``case.view``, reported record by record in rule order and
+    formatted only where broken, then aggregators per bus and connectivity."""
     out: list[str] = []
-    bus_ids = [b.id for b in case.buses]
-    if len(set(bus_ids)) != len(bus_ids):
+    view, known = case.view, np.sort(np.concatenate([case.view.buses.id, [np.nan]]))
+    if (known[1:] == known[:-1]).any():
         out.append("duplicate bus ids")
     if not math.isfinite(case.s_base):
         out.append(f"s_base must be finite, got {case.s_base!r}")
     elif case.s_base <= 0:
         out.append("s_base must be positive")
 
-    n_slack = sum(1 for b in case.buses if b.is_slack)
+    n_slack = np.count_nonzero(view.buses.is_slack)
     if n_slack == 0:
         out.append("no slack bus")
     elif n_slack > 1:
         out.append("multiple slack buses")
 
-    for b in case.buses:
-        out += _non_finite(f"bus {b.id}", b)
-        if not (0 < b.v_min <= b.v_max):
-            out.append(f"bus {b.id}: voltage limits must satisfy 0 < v_min <= v_max")
-
-    known = set(bus_ids)
-    for ln in case.lines:
-        tag = f"line {ln.from_bus}-{ln.to_bus}"
-        out += _non_finite(tag, ln)
-        if ln.from_bus == ln.to_bus:
-            out.append(f"{tag}: self loop")
-        if ln.from_bus not in known or ln.to_bus not in known:
-            out.append(f"{tag}: references unknown bus")
-        if ln.x == 0:
-            out.append(f"{tag}: zero reactance")
-        if ln.s_max <= 0:
-            out.append(f"{tag}: nonpositive flow limit")
-
-    for k, g in enumerate(case.generators):
-        tag = f"generator {k} at bus {g.bus}"
-        out += _non_finite(tag, g)
-        if g.bus not in known:
-            out.append(f"{tag}: references unknown bus")
-        if g.p_min > g.p_max:
-            out.append(f"{tag}: p_min > p_max")
-        if g.q_min > g.q_max:
-            out.append(f"{tag}: q_min > q_max")
-        if g.a < 0:
-            out.append(f"{tag}: negative quadratic cost coefficient")
-
-    for k, a in enumerate(case.aggregators):
-        tag = f"aggregator {k} at bus {a.bus}"
-        out += _non_finite(tag, a)
-        if a.bus not in known:
-            out.append(f"{tag}: references unknown bus")
-        if a.sigma < 0:
-            out.append(f"{tag}: negative sigma")
-        if a.gamma <= 0 or a.mu <= 0:
-            out.append(f"{tag}: gamma and mu must be positive")
-        if a.p_n <= 0:
-            out.append(f"{tag}: normal demand must be positive")
-        if not 0 <= a.p_c <= a.p_n:
-            out.append(f"{tag}: active limits must satisfy 0 <= p_c <= p_n")
-        if not 0 <= a.q_c <= a.q_n:
-            out.append(f"{tag}: reactive limits must satisfy 0 <= q_c <= q_n")
+    for kind, (tag, rules) in _RULES.items():
+        table, records, floats = getattr(view, kind), getattr(case, kind), _FLOATS[kind]
+        broken = np.concatenate([~np.isfinite([getattr(table, name) for name in floats]),
+                                 [rule(table, known) for rule, _ in rules]])
+        if broken.any():
+            messages = [f"{name} must be finite, got {{r.{name}!r}}" for name in floats]
+            messages += [message for _, message in rules]
+            out += [f"{tag.format(k=k, r=records[k])}: {messages[j].format(r=records[k])}"
+                    for k, j in np.argwhere(broken.T).tolist()]
 
     for d, n in sorted(Counter(a.bus for a in case.aggregators).items()):
         if not 1 <= n <= 3:
@@ -158,19 +190,6 @@ def validate_case(case: CaseData) -> list[str]:
     if case.buses and not _connected(case):
         out.append("network graph is not connected")
     return out
-
-
-@cache
-def _float_fields(cls) -> tuple[str, ...]:
-    """The names of the float fields of a record class, found once per class."""
-    return tuple(f.name for f in fields(cls) if f.type == "float")
-
-
-def _non_finite(tag: str, record) -> list[str]:
-    """One message per float field of ``record`` that is NaN or infinite."""
-    return [f"{tag}: {name} must be finite, got {getattr(record, name)!r}"
-            for name in _float_fields(type(record))
-            if not math.isfinite(getattr(record, name))]
 
 
 def _connected(case: CaseData) -> bool:

@@ -127,10 +127,10 @@ class PointState(NamedTuple):
 
 @dataclass
 class Problem:
-    """The NLP of one case, built from the case alone: ``__post_init__``
-    derives the variable layout, the bounds ``lb`` and ``ub``, and the index
-    arrays that every evaluator uses, so each evaluation is a fixed sequence
-    of array operations.
+    """The NLP of one case, built from the case's arrays alone (``case.view``
+    and ``case.positions``): ``__post_init__`` derives the variable layout,
+    the bounds ``lb`` and ``ub``, and the index arrays that every evaluator
+    uses, so each evaluation is a fixed sequence of array operations.
 
     Directed line rows come from->to for every line, then to->from.
     ``_state_cols`` holds the variable columns of their local state, one
@@ -149,18 +149,16 @@ class Problem:
 
     def __post_init__(self):
         case, sb = self.case, self.case.s_base
-        aggs, gens = case.aggregators, case.generators
-        self.layout = lay = VariableLayout(len(gens), len(aggs), len(case.buses),
-                                           case.slack_index())
+        gens, aggs, buses = case.view.generators, case.view.aggregators, case.view.buses
+        self.layout = lay = VariableLayout(len(case.generators), len(case.aggregators),
+                                           len(case.buses), int(np.flatnonzero(buses.is_slack)[0]))
         n, nb, ng, na = lay.n_var, lay.n_bus, lay.n_gen, lay.n_agg
 
         # the bounds in layout order: P_g, Q_g, P_a, Q_a, v, then the free angles
-        self.lb = np.array([*(g.p_min / sb for g in gens), *(g.q_min / sb for g in gens),
-                            *(a.p_c / sb for a in aggs), *(a.q_c / sb for a in aggs),
-                            *(b.v_min for b in case.buses), *[-np.inf] * (nb - 1)], dtype=float)
-        self.ub = np.array([*(g.p_max / sb for g in gens), *(g.q_max / sb for g in gens),
-                            *(a.p_n / sb for a in aggs), *(a.q_n / sb for a in aggs),
-                            *(b.v_max for b in case.buses), *[np.inf] * (nb - 1)], dtype=float)
+        self.lb = np.concatenate([gens.p_min / sb, gens.q_min / sb, aggs.p_c / sb,
+                                  aggs.q_c / sb, buses.v_min, [-np.inf] * (nb - 1)])
+        self.ub = np.concatenate([gens.p_max / sb, gens.q_max / sb, aggs.p_n / sb,
+                                  aggs.q_n / sb, buses.v_max, [np.inf] * (nb - 1)])
 
         self._pa, self._pg = lay.pa, lay.pg
         # the objective's per-problem constants: the welfare coefficients
@@ -174,8 +172,7 @@ class Problem:
         # power balance: each generator and aggregator enters one P and one
         # Q row with a fixed sign; these are also the constant entries of
         # the equality Jacobian
-        gen_bus = np.array([case.bus_index(g.bus) for g in gens], dtype=int)
-        agg_bus = np.array([case.bus_index(a.bus) for a in aggs], dtype=int)
+        gen_bus, agg_bus = case.positions.generators, case.positions.aggregators
         self._inj_row = np.concatenate([gen_bus, agg_bus, nb + gen_bus, nb + agg_bus])
         self._inj_col = np.concatenate([np.arange(sl.start, sl.stop)
                                         for sl in (lay.pg, lay.pa, lay.qg, lay.qa)])
@@ -199,7 +196,7 @@ class Problem:
         # each directed row's P flow at (g, b), its Q flow at (-b, g)
         g, b = np.concatenate([line_g, line_g]), np.concatenate([line_b, line_b])
         self._gb = np.array([[g, -b], [b, g]])
-        self._smax2 = np.array([ln.s_max / sb for ln in case.lines] * 2, dtype=float)
+        self._smax2 = np.concatenate([case.view.lines.s_max / sb] * 2)
 
         valid = cols >= 0
         rows_v, cols_v = np.nonzero(valid)

@@ -40,12 +40,8 @@ SCALAR_METRICS = tuple(f.name for f in fields(Metrics) if f.type == "float")
 
 def _agg_keys(case: CaseData) -> list[tuple[int, int]]:
     """(bus, index at that bus) of each aggregator: its label in the reports."""
-    keys = []
-    counters: dict[int, int] = {}
-    for a in case.aggregators:
-        counters[a.bus] = counters.get(a.bus, 0) + 1
-        keys.append((a.bus, counters[a.bus]))
-    return keys
+    buses = [a.bus for a in case.aggregators]
+    return [(bus, buses[:k + 1].count(bus)) for k, bus in enumerate(buses)]
 
 
 def compute_metrics(case: CaseData, solution: Solution) -> Metrics:

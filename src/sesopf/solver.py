@@ -88,8 +88,8 @@ per case are in CHANGES.md):
   along a direction with dphi >= 0; such a step's ``values`` call forms
   the new iterate's state, so no point has its state formed twice.
 
-Rows for fixed variables are appended to c_E and J_E only if the problem
-has such variables.
+A fixed variable's row is appended to c_E; its +1 in J_E is written into
+the KKT buffers once per solve and enters J_E' lam by index.
 
 ``kkt_check`` and the derivative audit pass below the fixed CHECK_TOL = 1e-6;
 the audit holds the same ``Problem.jacobians`` to central differences of the
@@ -207,9 +207,9 @@ class _InternalNLP:
     bounds; near-degenerate bound pairs become extra equality rows.
 
     A bound row has a single entry, -1 (lower) or +1 (upper), in the column
-    ``bound_idx``. The solver therefore keeps only the problem rows of the
-    inequality Jacobian as ``jh``; the bound rows enter every product
-    through ``bound_idx`` and ``bound_sign``."""
+    ``bound_idx``, a fixed row +1 in ``fixed_idx``. The solver therefore keeps
+    only the problem rows of both Jacobians; the other rows enter every
+    product through ``bound_idx`` and ``bound_sign``, or ``fixed_idx``."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
@@ -222,8 +222,6 @@ class _InternalNLP:
         self.bound_idx = np.concatenate([self.lower_idx, self.upper_idx])
         self.bound_sign = np.repeat([-1.0, 1.0], [len(self.lower_idx), len(self.upper_idx)])
         self.bound_val = np.concatenate([lb[self.lower_idx], ub[self.upper_idx]])
-        self.fixed_rows = np.zeros((len(self.fixed_idx), self.n))
-        self.fixed_rows[np.arange(len(self.fixed_idx)), self.fixed_idx] = 1.0
         # the v and theta columns, the last in the layout
         self.network = slice(problem.layout.v.start, self.n)
 
@@ -238,16 +236,12 @@ class _InternalNLP:
         h = np.concatenate([ineq, self.bound_sign * (x[self.bound_idx] - self.bound_val)])
         return -p.objective(x, state), ce, h, state
 
-    def grad(self, x, state):
-        return -self.problem.objective_gradient(x, state)
-
-    def jacobians(self, x, state):
-        """(J_E, jh) at x: the problem's equality Jacobian with the fixed
-        rows below it, and the problem rows of the inequality Jacobian."""
-        je, jh = self.problem.jacobians(x, state)
-        if len(self.fixed_idx):
-            je = np.vstack([je, self.fixed_rows])
-        return je, jh
+    def je_t(self, je, lam):
+        """Full J_E' lam: the problem rows' product, plus each fixed row's lam at its column."""
+        out = je.T @ lam[:len(je)]
+        if self.fixed_idx.size:  # most problems fix no variable; skip the empty add
+            out[self.fixed_idx] += lam[len(je):]
+        return out
 
     def jh_t(self, jh, y):
         """Transpose of the full inequality Jacobian times y."""
@@ -387,6 +381,7 @@ class _CondensedKKT:
         self.target = (n, me, 0)
         self.kkt = np.zeros((n + me, n + me))
         self.kkt[n:, n:] = -_DELTA_C * np.eye(me)
+        self.kkt[n + np.arange(nlp.problem.n_eq, me), nlp.fixed_idx] = 1.0  # J_E's fixed rows
         # strided view of the Hessian block's diagonal, where delta_w is added
         self.kkt_diag = self.kkt.reshape(-1)[:n * (n + me + 1):n + me + 1]
         self.scaled = np.empty_like(self.kkt)  # equilibrated copy, factored in place
@@ -400,8 +395,8 @@ class _CondensedKKT:
         kkt[nlp.network, nlp.network] += block
         self.kkt_diag += diag
         self.kkt_diag += barrier
-        kkt[:n, n:] = je.T
-        kkt[n:, :n] = je
+        kkt[n:n + len(je), :n] = je
+        kkt[:n, n:] = kkt[n:, :n].T
         self.m_diag = self.kkt_diag.copy()
 
     def inertia_ok(self, delta_w: float) -> bool:
@@ -479,6 +474,7 @@ class _ReducedKKT:
         self.rhs_rows = np.concatenate([self.row, self.at])
         self.rhs_coef = np.stack([self.sign, self.coef])
         self.rows = np.vstack([np.zeros((me, n)), self.adequacy])  # borders J_E, J_a
+        self.rows[np.arange(p.n_eq, me), nlp.fixed_idx] = 1.0  # J_E's fixed rows, written once
         self.corner = np.full(m, -_DELTA_C)  # -delta_c, then -1/sigma_a on the diagonal
         self.layouts = {}
 
@@ -503,11 +499,11 @@ class _ReducedKKT:
     def assign(self, diag, block, je, sigma_a, rhs):
         """Take the system in (dx, dlam, dnu_a) of the class docstring from
         its blocks: H (without delta_w) in the two blocks of
-        ``Problem.lagrangian_hessian``, J_E, the adequacy rows' nu/s and
-        the right-hand side."""
+        ``Problem.lagrangian_hessian``, the problem's J_E, the adequacy
+        rows' nu/s and the right-hand side."""
         self.diag, self.block = diag, block
         self.pivots = diag[self.free]
-        self.rows[:self.me] = je
+        self.rows[:len(je)] = je
         self.corner[self.me:] = -1.0 / sigma_a
         self.rhs = rhs
 
@@ -605,7 +601,7 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         return _finish(nlp, x, f, ce, h, np.zeros(me), np.zeros(len(h)),
                        0, [], "infeasible_detected", reason)
 
-    grad = nlp.grad(x, state)
+    grad = -problem.objective_gradient(x, state)
     s = np.maximum(1e-2, -h)
     mu = MU0 * max(1.0, np.abs(grad).max() / 100.0)
     nu = np.maximum(mu / s, 1e-8)
@@ -624,8 +620,8 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         # guarded by the residual tests instead
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         for it in range(1, opts.max_iter + 1):
-            je, jh = nlp.jacobians(x, state)
-            r_d = grad + je.T @ lam + nlp.jh_t(jh, nu)
+            je, jh = problem.jacobians(x, state)
+            r_d = grad + nlp.je_t(je, lam) + nlp.jh_t(jh, nu)
             r_h = h + s
             inf_pr, inf_du, inf_comp0, inf_comp_mu = _scaled_residuals(
                 r_d, ce, r_h, s, lam, nu, mu)
@@ -704,13 +700,13 @@ def solve(problem: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
                 x_t, s_t, terms = x + alpha * dx, s + alpha * ds, None
                 trial = nlp.values(x_t)
             x, s, (f, ce, h, state) = x_t, s_t, trial
-            grad = nlp.grad(x, state)
+            grad = -problem.objective_gradient(x, state)
             lam = lam_t
             nu = np.maximum(nu_t, 1e-14)
             # keep inequality duals within a band of mu/s (degenerate or weakly
             # active rows otherwise distort the equality duals)
             kappa = 1e10
-            # np.clip's values, without the 1-2 us of its Python wrapper
+            # np.clip's values, without the overhead of its Python wrapper
             nu = np.minimum(np.maximum(nu, mu / (kappa * s)), kappa * mu / s)
             came_by = {"alpha_p": alpha, "alpha_d": alpha_d, "delta_w": delta_w,
                        "backtracks": backtracks, "fallback": fallback}
@@ -847,11 +843,9 @@ def copper_plate_oracle(case: CaseData):
     linear-cost unit setting the price. Returns (p_agg MW, p_gen MW,
     weighted objective $/h).
     """
-    coef = welfare_coefficients(case)
-    sigma, gamma, mu, p_n, a, b = coef.sigma, coef.gamma, coef.mu, coef.p_n, coef.a, coef.b
-    p_c = np.array([r.p_c for r in case.aggregators], dtype=float)
-    p_min, p_max = np.array([(r.p_min, r.p_max) for r in case.generators],
-                            dtype=float).reshape(-1, 2).T
+    coef, aggs, gens = welfare_coefficients(case), case.view.aggregators, case.view.generators
+    sigma, gamma, mu, p_n, p_c = aggs.sigma, aggs.gamma, aggs.mu, aggs.p_n, aggs.p_c
+    a, b, p_min, p_max = gens.a, gens.b, gens.p_min, gens.p_max
     # divisors with the zero-weight and linear-cost entries masked out
     weighted, quadratic = sigma > 0, a > 0
     sigma_w, a_q = np.where(weighted, sigma, 1.0), np.where(quadratic, a, 1.0)

@@ -37,11 +37,10 @@ class WelfareCoefficients(NamedTuple):
 
 
 def welfare_coefficients(case: CaseData) -> WelfareCoefficients:
-    sigma, gamma, mu, p_n = np.array(
-        [(r.sigma, r.gamma, r.mu, r.p_n) for r in case.aggregators], dtype=float).reshape(-1, 4).T
-    a, b, c = np.array([(r.a, r.b, r.c) for r in case.generators], dtype=float).reshape(-1, 3).T
-    return WelfareCoefficients(sigma, gamma, mu, p_n, gamma / mu, 0.5 * mu,
-                               0.5 * gamma ** 2 / mu, a, b, c, 2.0 * a)
+    agg, gen = case.view.aggregators, case.view.generators
+    return WelfareCoefficients(agg.sigma, agg.gamma, agg.mu, agg.p_n, agg.gamma / agg.mu,
+                               0.5 * agg.mu, 0.5 * agg.gamma ** 2 / agg.mu,
+                               gen.a, gen.b, gen.c, 2.0 * gen.a)
 
 
 def satisfaction(coef: WelfareCoefficients, p, unsaturated=None):

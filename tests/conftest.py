@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sesopf.acnetwork import series_admittance
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, Line, builtin_case
 from sesopf.formulation import build_problem
 from sesopf.solver import SolverOptions, solve
 from sesopf.welfare import welfare_coefficients
+
+from record_oracle import series_admittance
 
 # To report a failing @given test, hypothesis's plugin imports
 # hypothesis.extra._patching, whose libcst import raises a DeprecationWarning;

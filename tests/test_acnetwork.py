@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from sesopf.casemodel import Bus, CaseData, Line
 from sesopf.acnetwork import (
     HESS_ENTRIES, bus_injections, flow_p, flow_p_grad, flow_p_hess, flow_state,
-    line_flows, network_losses, series_admittance,
+    line_arrays, line_flows, network_losses,
 )
 
 from conftest import admittance_by_lines
+from record_oracle import series_admittance
 
 
 def _two_bus(r, x, s_max=1e6):
@@ -40,6 +41,15 @@ def test_series_admittance_reference_values():
     assert b == pytest.approx(-9.9010, abs=5e-5)
     with pytest.raises(ValueError):
         series_admittance(Line(1, 2, 0.0, 0.0, 1.0))
+
+
+def test_line_arrays_name_the_first_line_with_no_impedance():
+    """r = x = 0 raises for the first such line, as the line-by-line form
+    raises at it."""
+    case = _three_bus_chain()
+    lines = (case.lines[0], Line(2, 3, 0.0, 0.0, 1.0), Line(3, 1, -0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="^line 2-3 has r = x = 0$"):
+        line_arrays(dataclasses.replace(case, lines=lines))
 
 
 def test_build_admittance_pure_reactance():

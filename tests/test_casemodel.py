@@ -8,14 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import record_oracle
 from sesopf import casemodel
+from sesopf.acnetwork import line_arrays
 from sesopf.casemodel import (
     Aggregator, Bus, CaseData, Generator, Line,
     builtin_case, case_from_dict, case_to_dict,
     load_case, save_case, scale_ses, validate_case,
 )
+from sesopf.formulation import Problem
+from sesopf.welfare import welfare_coefficients
 
-from conftest import single_bus_case, toy_case
+from conftest import (
+    single_bus_case, three_bus_copper_case, toy_case, two_bus_copper_case, with_parallel_lines,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +136,166 @@ CORRUPTIONS = {
 def test_validate_names_each_violation(five_bus, name):
     corrupt, messages = CORRUPTIONS[name]
     assert validate_case(corrupt(five_bus)) == messages
+
+
+# the corruptions that the validation property draws: each takes a case and
+# hypothesis's draw function and returns the corrupted case
+_TABLES = {"buses": Bus, "lines": Line, "generators": Generator, "aggregators": Aggregator}
+_BUS_REFS = {"lines": ("from_bus", "to_bus"), "generators": ("bus",), "aggregators": ("bus",)}
+_EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, -1.0, 1.0]
+
+
+def _float_value(case, draw):
+    """A float field of a record set to NaN, +-inf, a value at or beside 0,
+    or a value at or one ulp beside another float field of the record: both
+    sides of every range rule."""
+    kind = draw(st.sampled_from([k for k in _TABLES if getattr(case, k)]))
+    k = draw(st.integers(0, len(getattr(case, kind)) - 1))
+    names = [f.name for f in dataclasses.fields(_TABLES[kind]) if f.type == "float"]
+    other = getattr(getattr(case, kind)[k], draw(st.sampled_from(names)))
+    value = draw(st.sampled_from(_EDGE_VALUES + [other, math.nextafter(other, math.inf),
+                                                 math.nextafter(other, -math.inf)]))
+    return _with(case, kind, k, **{draw(st.sampled_from(names)): value})
+
+
+def _bus_ref(case, draw):
+    """A bus reference set to a known id or to an unknown one."""
+    kind = draw(st.sampled_from([k for k in _BUS_REFS if getattr(case, k)]))
+    k = draw(st.integers(0, len(getattr(case, kind)) - 1))
+    ids = [b.id for b in case.buses] + [0, -1, 99]
+    return _with(case, kind, k, **{draw(st.sampled_from(_BUS_REFS[kind])): draw(st.sampled_from(ids))})
+
+
+def _self_loop(case, draw):
+    k = draw(st.integers(0, len(case.lines) - 1))
+    return _with(case, "lines", k, to_bus=case.lines[k].from_bus)
+
+
+def _duplicate_id(case, draw):
+    j, k = draw(st.lists(st.integers(0, len(case.buses) - 1), min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):
+        return _with(case, "buses", k, id=case.buses[j].id)
+    return dataclasses.replace(case, buses=case.buses + (case.buses[j],))
+
+
+def _four_aggregators(case, draw):
+    """Copies of an aggregator appended until its bus hosts 4."""
+    if not case.aggregators:
+        return case
+    agg = draw(st.sampled_from(case.aggregators))
+    extra = 4 - sum(a.bus == agg.bus for a in case.aggregators)
+    return dataclasses.replace(case, aggregators=case.aggregators + (agg,) * max(extra, 0))
+
+
+def _no_aggregators(case, draw):
+    """Every aggregator at one bus removed: that bus hosts 0."""
+    if not case.aggregators:
+        return case
+    bus = draw(st.sampled_from(sorted({a.bus for a in case.aggregators})))
+    return dataclasses.replace(
+        case, aggregators=tuple(a for a in case.aggregators if a.bus != bus))
+
+
+def _removed_line(case, draw):
+    """One line removed; on rts24 line 7-8 is bus 7's only line."""
+    k = draw(st.integers(0, len(case.lines) - 1))
+    return dataclasses.replace(case, lines=case.lines[:k] + case.lines[k + 1:])
+
+
+def _s_base(case, draw):
+    return dataclasses.replace(case, s_base=draw(st.sampled_from(_EDGE_VALUES)))
+
+
+_CORRUPT = [_float_value, _bus_ref, _self_loop, _duplicate_id, _four_aggregators,
+            _no_aggregators, _removed_line, _s_base]
+
+
+@given(data=st.data())
+def test_validation_reports_as_the_record_oracle(data, five_bus, rts24):
+    """One to three random corruptions of five_bus or rts24: the rules on
+    the view report the per-record oracle's messages, text and order."""
+    case = data.draw(st.sampled_from([five_bus, rts24]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        case = data.draw(st.sampled_from(_CORRUPT))(case, data.draw)
+    assert validate_case(case) == record_oracle.validate_case(case)
+
+
+# ---------------------------------------------------------------------------
+# the array view of the records
+
+
+def _single_bus():
+    return single_bus_case(Generator(1, 1.0, 0.0, 0.0, 0.0, 10.0, -5.0, 5.0),
+                           Aggregator(1, 1.0, 10.0, 1.0, 8.0, 0.0, 2.0, 0.0))
+
+
+_VIEW_CASES = {
+    "five_bus": lambda: builtin_case("five_bus"), "rts24": lambda: builtin_case("rts24"),
+    **{f"rts24_seed{seed}": (lambda seed=seed: casemodel._rts24(seed)) for seed in range(8)},
+    "five_bus_parallel": lambda: with_parallel_lines(builtin_case("five_bus")),
+    "single_bus": _single_bus, "toy": toy_case,
+    "two_bus_copper": two_bus_copper_case, "three_bus_copper": three_bus_copper_case,
+}
+
+
+def _same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", _VIEW_CASES)
+def test_the_view_holds_every_record_field_bit_for_bit(name):
+    """Premise: each column of the view is its field of every record, in
+    case order, as a contiguous read-only float64 array; the positions are
+    ``bus_index`` of each generator, aggregator and line end."""
+    case = _VIEW_CASES[name]()
+    for kind, cls in _TABLES.items():
+        table = getattr(case.view, kind)
+        assert list(vars(table)) == [f.name for f in dataclasses.fields(cls)]
+        for f in dataclasses.fields(cls):
+            column = getattr(table, f.name)
+            assert column.flags.c_contiguous and not column.flags.writeable
+            _same_bits(column, np.array([float(getattr(r, f.name))
+                                         for r in getattr(case, kind)], dtype=float))
+    at = case.positions
+    for actual, ids in ((at.generators, [g.bus for g in case.generators]),
+                        (at.aggregators, [a.bus for a in case.aggregators]),
+                        (at.line_from, [ln.from_bus for ln in case.lines]),
+                        (at.line_to, [ln.to_bus for ln in case.lines])):
+        assert not actual.flags.writeable
+        _same_bits(actual, np.array([case.bus_index(i) for i in ids], dtype=int))
+
+
+@pytest.mark.parametrize("name", _VIEW_CASES)
+def test_the_readers_of_the_view_equal_the_record_oracle(name):
+    """``Problem``'s bounds, admittances and line limits, the welfare
+    coefficients, the line arrays and the copper-plate oracle's bounds (the
+    view's p_c, p_min and p_max) equal their per-record forms bit for bit."""
+    case = _VIEW_CASES[name]()
+    problem = Problem(case)
+    for actual, expected in zip((problem.lb, problem.ub), record_oracle.bounds(case)):
+        _same_bits(actual, expected)
+    _same_bits(problem._smax2, record_oracle.smax2(case))
+    i, j, g, b = record_oracle.line_arrays(case)
+    g, b = np.concatenate([g, g]), np.concatenate([b, b])
+    _same_bits(problem._gb, np.array([[g, -b], [b, g]]))
+    for actual, expected in zip(line_arrays(case), record_oracle.line_arrays(case)):
+        _same_bits(actual, expected)
+    for actual, expected in zip(welfare_coefficients(case), record_oracle.welfare_coefficients(case)):
+        _same_bits(actual, expected)
+    _same_bits(case.view.aggregators.p_c, np.array([a.p_c for a in case.aggregators]))
+    _same_bits(case.view.generators.p_min, np.array([g.p_min for g in case.generators]))
+    _same_bits(case.view.generators.p_max, np.array([g.p_max for g in case.generators]))
+
+
+def test_the_view_is_built_once_per_case(five_bus):
+    """Cached on the case; a replaced case gets a view of its own records."""
+    case = builtin_case("five_bus")
+    assert case.view is case.view and case.positions is case.positions
+    scaled = scale_ses(case, 2.0)
+    assert scaled.view is not case.view
+    _same_bits(scaled.view.aggregators.sigma, 2.0 * case.view.aggregators.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +509,16 @@ def test_loader_accepts_what_check_type_accepts(five_bus, key, cls):
                 assert str(info.value) == str(exc)
             else:
                 assert getattr(getattr(case_from_dict(doc), key)[1], f.name) is value
+
+
+def test_a_case_without_buses_names_every_bus_reference_unknown():
+    """Validation reports, as the record oracle does, on a case with no bus
+    at all, where no id is known."""
+    case = dataclasses.replace(_single_bus(), buses=(), lines=(Line(1, 2, 0.0, 0.1, 1.0),))
+    assert validate_case(case) == record_oracle.validate_case(case) == [
+        "no slack bus", "line 1-2: references unknown bus",
+        "generator 0 at bus 1: references unknown bus",
+        "aggregator 0 at bus 1: references unknown bus"]
 
 
 def test_single_bus_case_is_valid():

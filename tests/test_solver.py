@@ -1078,7 +1078,7 @@ def _hand_built_reduced(five_bus_problem):
     diag = np.zeros(n)
     diag[kkt.free] = 10.0
     n_net = n - nlp.network.start
-    je = nlp.jacobians(five_bus_problem.initial_point(), None)[0]
+    je = five_bus_problem.jacobians(five_bus_problem.initial_point())[0]
     je[:, nlp.network.start] = 0.0
     return kkt, diag, np.zeros((n_net, n_net)), je, np.ones(2), np.zeros(n + me + 2)
 
@@ -1266,6 +1266,28 @@ def _scattered_hessian(nlp, x, state, lam, nu, jh, d_sigma, rows, cols):
     return m
 
 
+def _with_fixed_rows(nlp, je):
+    """The problem's J_E with the fixed variables' rows below it, a +1 in
+    each one's column: the equality Jacobian that the KKT buffers hold."""
+    rows = np.zeros((len(nlp.fixed_idx), nlp.n))
+    rows[np.arange(len(nlp.fixed_idx)), nlp.fixed_idx] = 1.0
+    return np.vstack([je, rows])
+
+
+def test_the_fixed_rows_enter_by_index_bit_for_bit(rts24):
+    """rts24's synchronous condenser has its P fixed: its row is added to
+    J_E' lam at its column, which equals the product over the stacked J_E
+    bit for bit, so the residual r_d sums as it did over that product."""
+    problem = build_problem(rts24)
+    nlp = solver._InternalNLP(problem)
+    assert nlp.fixed_idx.tolist() == [14] and nlp.m_eq == problem.n_eq + 1
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        je = problem.jacobians(random_interior_state(problem, rng))[0]
+        lam = rng.normal(size=nlp.m_eq) * 10.0 ** rng.uniform(-8, 4, size=nlp.m_eq)
+        _assert_same_bits([nlp.je_t(je, lam)], [_with_fixed_rows(nlp, je).T @ lam])
+
+
 @pytest.mark.parametrize("name", ["five_bus", "rts24"])
 def test_both_kkt_paths_build_the_scattered_matrices_bit_for_bit(name, request, monkeypatch):
     """Every KKT system of a solve, on both paths, from the two Hessian
@@ -1289,6 +1311,7 @@ def test_both_kkt_paths_build_the_scattered_matrices_bit_for_bit(name, request, 
     borders = np.vstack([np.zeros((me, n)), problem._adequacy])
     for args in systems:
         x, state, lam, nu, jh, je, d_sigma = args[:7]
+        je = _with_fixed_rows(nlp, je)
         mi = len(jh)
         full.load(*args)
         hess = _scattered_hessian(nlp, x, state, lam, nu, jh, d_sigma, slice(None), slice(None))
@@ -1390,7 +1413,7 @@ def test_reduced_inertia_adds_up_to_the_full_one(data, five_bus_problem):
         data.draw(st.lists(st.floats(-10.0, 8.0), min_size=len(kkt.free), max_size=len(kkt.free))))
     core = rng.normal(size=(n - net.start, n - net.start))
     block = core + core.T
-    je = nlp.jacobians(problem.initial_point(), None)[0]
+    je = problem.jacobians(problem.initial_point())[0]
     je[:, net] = rng.normal(size=(me, n - net.start))
     sigma_a = 10.0 ** np.array(data.draw(st.lists(st.floats(-4.0, 6.0), min_size=2, max_size=2)))
     delta_w = data.draw(st.sampled_from([0.0, 1e-4, 1.0]))
