@@ -63,6 +63,7 @@ this when it evaluates all its perturbed points at once.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -71,51 +72,33 @@ from typing import NamedTuple
 import numpy as np
 
 from . import acnetwork
-from .casemodel import CaseData, validate_case
+from .casemodel import CaseData, scale_ses, validate_case
 from .welfare import (
-    gen_cost, marginal_cost, marginal_satisfaction, satisfaction, welfare_coefficients,
-)
+    WelfareCoefficients, gen_cost, marginal_cost, marginal_satisfaction, satisfaction,
+    welfare_coefficients)
 # Imported for the per-layer tracer in bench/layertrace.py, which patches
 # this name on this module; nothing here calls it.
 from .welfare import social_objective  # noqa: F401
 
 
-@dataclass(frozen=True)
-class VariableLayout:
+class VariableLayout(NamedTuple):
     n_gen: int
     n_agg: int
     n_bus: int
     slack: int  # bus index whose angle is fixed
+    n_var: int
+    pg: slice
+    qg: slice
+    pa: slice
+    qa: slice
+    v: slice
+    th: slice
 
-    @property
-    def n_var(self) -> int:
-        return 2 * self.n_gen + 2 * self.n_agg + 2 * self.n_bus - 1
-
-    @property
-    def pg(self) -> slice:
-        return slice(0, self.n_gen)
-
-    @property
-    def qg(self) -> slice:
-        return slice(self.n_gen, 2 * self.n_gen)
-
-    @property
-    def pa(self) -> slice:
-        return slice(2 * self.n_gen, 2 * self.n_gen + self.n_agg)
-
-    @property
-    def qa(self) -> slice:
-        return slice(2 * self.n_gen + self.n_agg, 2 * self.n_gen + 2 * self.n_agg)
-
-    @property
-    def v(self) -> slice:
-        k = 2 * self.n_gen + 2 * self.n_agg
-        return slice(k, k + self.n_bus)
-
-    @property
-    def th(self) -> slice:
-        k = 2 * self.n_gen + 2 * self.n_agg + self.n_bus
-        return slice(k, k + self.n_bus - 1)
+    @classmethod
+    def of(cls, n_gen: int, n_agg: int, n_bus: int, slack: int) -> VariableLayout:
+        """The layout's blocks as slices between the cumulative block sizes."""
+        ends = np.cumsum((0, n_gen, n_gen, n_agg, n_agg, n_bus, n_bus - 1)).tolist()
+        return cls(n_gen, n_agg, n_bus, slack, ends[-1], *map(slice, ends, ends[1:]))
 
 
 class PointState(NamedTuple):
@@ -143,15 +126,16 @@ class Problem:
     Lagrangian Hessian's v/theta block are each one scatter of these rows'
     derivatives, gathered by the flat ``take`` indices ``_grad_take`` and
     ``_hess_take``; the block's positions are ``_block_flat``. ``welfare``
-    holds the case's ``WelfareCoefficients``."""
+    holds the case's ``WelfareCoefficients``; a sweep builds one Problem per
+    case and takes each point's SES scores σ through ``scaled``."""
 
     case: CaseData
 
     def __post_init__(self):
         case, sb = self.case, self.case.s_base
         gens, aggs, buses = case.view.generators, case.view.aggregators, case.view.buses
-        self.layout = lay = VariableLayout(len(case.generators), len(case.aggregators),
-                                           len(case.buses), int(np.flatnonzero(buses.is_slack)[0]))
+        slack = int(np.flatnonzero(buses.is_slack)[0])
+        self.layout = lay = VariableLayout.of(len(gens.a), len(aggs.sigma), len(buses.id), slack)
         n, nb, ng, na = lay.n_var, lay.n_bus, lay.n_gen, lay.n_agg
 
         # the bounds in layout order: P_g, Q_g, P_a, Q_a, v, then the free angles
@@ -163,11 +147,10 @@ class Problem:
         self._pa, self._pg = lay.pa, lay.pg
         # the objective's per-problem constants: the welfare coefficients
         # with their derived constants, the demand curvature below the
-        # saturation point and the constant Hessian diagonal entries
-        self.welfare = coef = welfare_coefficients(case)
-        self._pa_curv = -coef.sigma * coef.mu * sb * sb
+        # saturation point (both in ``_score``) and the constant Hessian diagonal
+        self._score(welfare_coefficients(case))
         self._diag_base = np.zeros(n)
-        self._diag_base[lay.pg] = -coef.two_a * sb * sb
+        self._diag_base[lay.pg] = -self.welfare.two_a * sb * sb
 
         # power balance: each generator and aggregator enters one P and one
         # Q row with a fixed sign; these are also the constant entries of
@@ -226,6 +209,23 @@ class Problem:
         # J_h outside the line-limit entries: zeros, then the adequacy rows
         self._jh_base = np.zeros((self.n_ineq, n))
         self._jh_base[-2:] = self._adequacy
+
+    def _score(self, welfare: WelfareCoefficients) -> None:
+        """Set the members that read the SES scores σ."""
+        self.welfare, sb = welfare, self.case.s_base
+        self._pa_curv = -welfare.sigma * welfare.mu * sb * sb
+
+    def scaled(self, factor: float) -> Problem:
+        """This problem with the case ``scale_ses(self.case, factor)``: a shallow
+        copy sharing every array; an overflowing score raises as in ``build_problem``."""
+        case = scale_ses(self.case, factor)
+        sigma = case.view.aggregators.sigma  # scale_ses's products, which metrics read too
+        if not np.isfinite(sigma).all():
+            return build_problem(case)  # raises: sigma must be finite
+        problem = copy.copy(self)
+        problem.case = case
+        problem._score(self.welfare._replace(sigma=sigma))
+        return problem
 
     @functools.cached_property
     def constraint_read_sets(self) -> np.ndarray:

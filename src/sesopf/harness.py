@@ -15,8 +15,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import acnetwork
-from .casemodel import CaseData, scale_ses
-from .formulation import build_problem
+# scale_ses: nothing here calls it; bench/layertrace.py patches it on this module
+from .casemodel import CaseData, scale_ses  # noqa: F401
+from .formulation import Problem, build_problem
 from .solver import Solution, SolverOptions, solve
 from .welfare import normalized_satisfaction, social_objective, welfare_coefficients
 
@@ -56,12 +57,11 @@ def compute_metrics(case: CaseData, solution: Solution) -> Metrics:
                    norm, curt_mw)
 
 
-def run_solve(case: CaseData, opts: SolverOptions = SolverOptions()):
-    """Solve a case at its default SES values; return (Solution, Metrics)."""
-    problem = build_problem(case)
+def run_solve(case: CaseData | Problem, opts: SolverOptions = SolverOptions()):
+    """Solve a case, or a Problem built from one; return (Solution, Metrics)."""
+    problem = case if isinstance(case, Problem) else build_problem(case)
     solution = solve(problem, opts)
-    metrics = compute_metrics(case, solution)
-    return solution, metrics
+    return solution, compute_metrics(problem.case, solution)
 
 
 @dataclass(frozen=True)
@@ -114,13 +114,13 @@ SWEEP_FROM_PCT, SWEEP_TO_PCT, SWEEP_STEP_PCT = 10.0, 150.0, 2.0
 def ses_sweep(case: CaseData, from_pct: float = SWEEP_FROM_PCT, to_pct: float = SWEEP_TO_PCT,
               step_pct: float = SWEEP_STEP_PCT,
               opts: SolverOptions = SolverOptions(), *, on_solve=None) -> SweepResult:
-    """Re-solve the case with all SES values scaled together at each point
-    of ``sweep_points``. ``on_solve``, if given, is called with
-    (scale_pct, Solution) after each point."""
-    records = []
-    for pct in sweep_points(from_pct, to_pct, step_pct):
-        scaled = scale_ses(case, pct / 100.0)
-        solution, metrics = run_solve(scaled, opts)
+    """Re-solve the case's one Problem with all SES values scaled together
+    (``Problem.scaled``) at each point of ``sweep_points``. ``on_solve``, if
+    given, is called with (scale_pct, Solution) after each point."""
+    records, pcts = [], sweep_points(from_pct, to_pct, step_pct)
+    problem = build_problem(case)
+    for pct in pcts:
+        solution, metrics = run_solve(problem.scaled(pct / 100.0), opts)
         if on_solve is not None:
             on_solve(pct, solution)
         records.append(SweepRecord(pct, solution.status, solution.iterations, metrics))

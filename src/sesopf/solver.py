@@ -53,10 +53,10 @@ Cost model: the work is laid out by how often it runs (the measured costs
 per case are in CHANGES.md):
 
 - once per process and matrix size: the ``dsytrf`` workspace query;
-- once per problem (``Problem.__post_init__``): every constant the
-  evaluators read, the objective's coefficients and its constant Hessian
-  diagonal included, and the integer gather and scatter indices of the
-  Jacobians and the Lagrangian Hessian; no evaluator rebuilds one per call;
+- once per case (``Problem.__post_init__``, shared by ``Problem.scaled``):
+  every constant the evaluators read, the objective's coefficients and its
+  constant Hessian diagonal included, and the integer gather and scatter
+  indices of the Jacobians and the Lagrangian Hessian; none is rebuilt per call;
 - once per solve: the bound index arrays, the KKT buffers (the condensed
   matrix, a strided view of its Hessian diagonal and an equilibrated copy;
   or the reduced path's borders J_E and J_a and constraint diagonal, and

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sesopf.acnetwork import bus_injections, flow_p, flow_state, line_flows
-from sesopf.casemodel import Aggregator, Bus, CaseData, Generator
+from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, scale_ses
 from sesopf.formulation import build_problem
 from sesopf.harness import compute_metrics
 from sesopf.solver import finite_difference_audit
@@ -347,6 +347,33 @@ def test_evaluators_equal_their_per_call_forms_bit_for_bit(network_problem):
         assert diag.shape == (p.n_var,) and block.shape == (n_net, n_net)
         _assert_bits(assembled_hessian(p, diag, block),
                      _per_call_lagrangian_hessian(p, x, lam_eq, lam_ineq))
+
+
+@pytest.mark.parametrize("factor", [0.1, 0.7, 1.0, 1.5])
+@pytest.mark.parametrize("name", ["five_bus", "rts24"])
+def test_a_scaled_problem_is_the_problem_of_the_scaled_case(request, name, factor):
+    """The premise of ``Problem.scaled``: the re-scored Problem of a case is
+    the Problem of the scaled case bit for bit, in its bounds, its welfare
+    coefficients and every evaluator at interior points, and it shares every
+    member but its case and its scores with the Problem it was scaled from."""
+    case = request.getfixturevalue(name)
+    base = build_problem(case)
+    scaled, rebuilt = base.scaled(factor), build_problem(scale_ses(case, factor))
+    assert scaled.case == rebuilt.case
+    for actual, expected in zip([scaled.lb, scaled.ub, *scaled.welfare],
+                                [rebuilt.lb, rebuilt.ub, *rebuilt.welfare]):
+        _assert_bits(actual, expected)
+    rng = np.random.default_rng(53)
+    for _ in range(8):
+        x = random_interior_state(rebuilt, rng)
+        lam_eq, lam_ineq = rng.normal(size=rebuilt.n_eq), rng.uniform(0, 2, size=rebuilt.n_ineq)
+        evaluations = [
+            [p.objective(x), p.objective_gradient(x), *p.constraints(x), *p.jacobians(x),
+             *p.lagrangian_hessian(x, lam_eq, lam_ineq)] for p in (scaled, rebuilt)]
+        for actual, expected in zip(*evaluations):
+            _assert_bits(actual, expected)
+    assert {name for name, value in vars(base).items() if vars(scaled)[name] is not value} \
+        == {"case", "welfare", "_pa_curv"}
 
 
 def test_the_lagrangian_hessian_has_only_its_two_blocks(network_problem):

@@ -5,16 +5,19 @@ import hashlib
 import io
 import json
 import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sesopf import harness
+from sesopf import formulation, harness
 from sesopf.casemodel import case_to_dict, save_case, scale_ses
-from sesopf.formulation import build_problem
+from sesopf.formulation import Problem, build_problem
 from sesopf.harness import (
     compute_metrics, emit, run_solve, ses_sweep, solve_document, sweep_points, sweep_rows,
+    write_result,
 )
 from sesopf.solver import SolverOptions, kkt_check
 
@@ -166,6 +169,78 @@ def test_every_converged_point_of_the_default_sweep_passes_kkt_check(five_bus):
     result = ses_sweep(five_bus, on_solve=check)
     assert all(r.status == "converged" for r in result.records)
     assert failed == []
+
+
+def test_a_sweep_validates_the_case_and_builds_its_problem_once(monkeypatch, five_bus):
+    """Every point re-scores the one Problem; none validates or builds again."""
+    calls = {"validate_case": 0, "__post_init__": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, count)
+    counted(formulation, "validate_case")
+    counted(Problem, "__post_init__")
+    result = ses_sweep(five_bus, 90.0, 110.0, 10.0)
+    assert len(result.records) == 3
+    assert calls == {"validate_case": 1, "__post_init__": 1}
+
+
+def test_no_solve_of_a_sweep_writes_into_the_shared_problem(monkeypatch, five_bus):
+    """The points share the arrays of the case's Problem: after the default
+    sweep they still equal those of a fresh Problem of the case."""
+    built = []
+
+    def kept(case):
+        built.append(build_problem(case))
+        return built[-1]
+    monkeypatch.setattr(harness, "build_problem", kept)
+    ses_sweep(five_bus)
+    [base], fresh = built, Problem(five_bus)
+    assert vars(base).keys() == vars(fresh).keys()
+    for name, value in vars(base).items():
+        assert _same(value, vars(fresh)[name]), name
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, tuple):  # the layout and the welfare coefficients
+        return len(a) == len(b) and all(map(_same, a, b))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+def test_a_sweep_rejects_its_range_before_its_case(five_bus):
+    bad = replace(five_bus, lines=(replace(five_bus.lines[0], x=0.0),) + five_bus.lines[1:])
+    with pytest.raises(ValueError, match="invalid case"):
+        ses_sweep(bad, 100.0, 100.0, 2.0)
+    with pytest.raises(ValueError, match="invalid sweep range"):
+        ses_sweep(bad, 100.0, 50.0, 2.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_a_sweep_point_whose_scores_overflow_stops_the_sweep(five_bus):
+    """A score of 1.5e308 is finite, 150 % of it is not: the sweep raises
+    the scaled case's violation at that point, as building its Problem
+    from the scaled case does, and records no non-finite objective."""
+    aggs = (replace(five_bus.aggregators[0], sigma=1.5e308),) + five_bus.aggregators[1:]
+    case = replace(five_bus, aggregators=aggs)
+    message = "invalid case: aggregator 0 at bus 2: sigma must be finite, got inf"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_problem(scale_ses(case, 1.5))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ses_sweep(case, 100.0, 150.0, 50.0, SolverOptions(max_iter=2))
+
+
+def test_run_solve_of_a_problem_is_run_solve_of_its_case(five_bus, five_bus_run):
+    def document(case, run):
+        buf = io.StringIO()
+        write_result(solve_document(case, *run), "json", buf)
+        return buf.getvalue()
+    assert document(five_bus, run_solve(build_problem(five_bus))) == \
+        document(five_bus, five_bus_run)
 
 
 def test_sweep_keeps_failed_points(five_bus):
