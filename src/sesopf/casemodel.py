@@ -155,9 +155,11 @@ _RULES = {
 def validate_case(case: CaseData) -> list[str]:
     """One message per violated invariant: the case-level checks, then per
     table the finiteness of each float field (JSON files may carry NaN and
-    Infinity, which no range rule catches) and its ``_RULES``, each one array
-    comparison on ``case.view``, reported record by record in rule order and
-    formatted only where broken, then aggregators per bus and connectivity."""
+    Infinity, which no range rule catches; a value that is no JSON number,
+    which only a case built in Python holds, fails it with ``_check_type``'s
+    message) and its ``_RULES``, each one array comparison on ``case.view``,
+    reported record by record in rule order and formatted only where broken,
+    then aggregators per bus and connectivity."""
     out: list[str] = []
     view, known = case.view, np.sort(np.concatenate([case.view.buses.id, [np.nan]]))
     if (known[1:] == known[:-1]).any():
@@ -177,10 +179,21 @@ def validate_case(case: CaseData) -> list[str]:
         table, records, floats = getattr(view, kind), getattr(case, kind), _FLOATS[kind]
         broken = np.concatenate([~np.isfinite([getattr(table, name) for name in floats]),
                                  [rule(table, known) for rule, _ in rules]])
+        # _check_type's float test reads only a value's type: a table whose value
+        # types all pass it holds no str or None that the view read as a number
+        values, not_real = list(chain.from_iterable(map(attrgetter(*floats), records))), {}
+        if not all(issubclass(t, _JSON_TYPES["float"]) and t is not bool
+                   for t in set(map(type, values))):
+            for (k, j), value in zip(np.ndindex(len(records), len(floats)), values):
+                try:
+                    _check_type(tag.format(k=k, r=records[k]), floats[j], value, "float")
+                except ValueError as exc:
+                    not_real[k, j], broken[j, k] = str(exc), True
         if broken.any():
             messages = [f"{name} must be finite, got {{r.{name}!r}}" for name in floats]
             messages += [message for _, message in rules]
-            out += [f"{tag.format(k=k, r=records[k])}: {messages[j].format(r=records[k])}"
+            out += [not_real.get((k, j)) or
+                    f"{tag.format(k=k, r=records[k])}: {messages[j].format(r=records[k])}"
                     for k, j in np.argwhere(broken.T).tolist()]
 
     for d, n in sorted(Counter(a.bus for a in case.aggregators).items()):

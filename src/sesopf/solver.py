@@ -113,10 +113,11 @@ changes under a group none of whose columns it reads has that block
 differenced again under the dense plan, every column a group of its own, in
 one more call of 2 n points. The columns that no row of a block reads share
 a trailing group, so that a row that starts to read one of them sends the
-block there too. Per point the gradient, J_E and J_h fill one stack and the
-blocks' differences another in the same row order, and one comparison over
-its nonzero entries names the worst: the first maximum in row order, so a
-tie names the gradient before a Jacobian entry.
+block there too. A plan, built once per audit, carries its difference's flat
+indices, and a stack's network rows take one cos and sin per line. Per point
+the gradient, J_E and J_h fill one stack and the blocks' differences another
+in the same row order, and one comparison over its nonzero entries names the
+worst: the first maximum in row order, so a tie names the gradient first.
 """
 
 from __future__ import annotations
@@ -1044,14 +1045,19 @@ def _column_groups(reads: np.ndarray) -> np.ndarray:
 
 
 class _GroupStack(NamedTuple):
-    """The column groups that one ``fun`` call of ``_central_diff`` moves,
-    all of them: column j moves in the points of group ``group[j]``;
+    """The k column groups that one ``fun`` call of ``_central_diff`` moves:
     ``unread[a, i]`` is set where row i reads no column of group a, and
-    ``(row, col)`` lists the reads."""
-    group: np.ndarray
+    ``(row, col)`` lists the reads. The flat indices of that call: each
+    column's +h and -h cell in the (2 k, n) points (``plus``, ``minus``),
+    and in the (k, rows) difference the set cells of ``unread`` and each
+    read's (group, row) cell (``unread_cells``, ``read_cells``)."""
     unread: np.ndarray
     row: np.ndarray
     col: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    unread_cells: np.ndarray
+    read_cells: np.ndarray
 
 
 def _group_plan(reads: np.ndarray) -> _GroupStack:
@@ -1059,9 +1065,12 @@ def _group_plan(reads: np.ndarray) -> _GroupStack:
     ``reads`` (the dense plan) every column is a group of its own."""
     group = _column_groups(reads)
     col, row = np.nonzero(reads.T)
-    unread = np.ones((group.max() + 1, reads.shape[0]), dtype=bool)
+    k, (rows, n) = group.max() + 1, reads.shape
+    unread = np.ones((k, rows), dtype=bool)
     unread[group[col], row] = False
-    return _GroupStack(group, unread, row, col)
+    plus = group * n + np.arange(n)
+    return _GroupStack(unread, row, col, plus, plus + k * n, np.flatnonzero(unread),
+                       group[col] * rows + row)
 
 
 def _central_diff(fun, x, h, plan, out):
@@ -1079,15 +1088,14 @@ def _central_diff(fun, x, h, plan, out):
     Returns None, ``out`` untouched, if a row changes (NaN and inf included)
     under a group none of whose columns it reads: the read sets do not
     describe fun at x, and the caller differences it under the dense plan."""
-    group, unread, row, col = plan
-    k = len(unread)
-    cols = np.arange(len(x))
+    k = len(plan.unread)
     points = np.repeat(x[None], 2 * k, axis=0)
-    points[group, cols] += h
-    points[k + group, cols] -= h
+    flat = points.reshape(-1)
+    flat[plan.plus] += h
+    flat[plan.minus] -= h
     values = fun(points)
     diff = values[:k] - values[k:]
-    if diff[unread].any():
+    if diff.take(plan.unread_cells).any():
         return None
-    out[row, col] = diff[group[col], row] / (2 * h[col])
+    out[plan.row, plan.col] = diff.take(plan.read_cells) / (2 * h.take(plan.col))
     return out

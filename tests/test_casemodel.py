@@ -138,6 +138,19 @@ def test_validate_names_each_violation(five_bus, name):
     assert validate_case(corrupt(five_bus)) == messages
 
 
+@pytest.mark.parametrize("value", ["1.5", None])
+def test_validate_names_a_float_field_that_holds_no_number(five_bus, value):
+    """A record built in Python can hold what no case file can: a str, which
+    the view reads as a number, or None, which it reads as NaN. Either is a
+    violation with the loader's message, in that field's place among the
+    record's violations, and the others keep their order."""
+    case = _with(_with(five_bus, "generators", 0, a=value, c=math.nan), "lines", 0, to_bus=1)
+    assert validate_case(case) == [
+        "line 1-1: self loop",
+        f"generator 0 at bus 1: a must be float, got {value!r}",
+        "generator 0 at bus 1: c must be finite, got nan"]
+
+
 # the corruptions that the validation property draws: each takes a case and
 # hypothesis's draw function and returns the corrupted case
 _TABLES = {"buses": Bus, "lines": Line, "generators": Generator, "aggregators": Aggregator}

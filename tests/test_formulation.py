@@ -323,15 +323,25 @@ def _assert_bits(actual, expected):
 
 def test_evaluators_equal_their_per_call_forms_bit_for_bit(network_problem):
     """Values, sign bits and shapes, at single points and in stacks of 1, 7
-    and 64 interior points. The first two points put every demand exactly
-    at and then beyond the satisfaction kink gamma/mu."""
+    and 64 points. The first two points put every demand exactly at and then
+    beyond the satisfaction kink gamma/mu; the next are the flat start, where
+    every angle difference is +0.0, and a point where one line's end angles
+    are equal, so the stacked line state's sin of -(+0.0) must be +0.0 too."""
     p = network_problem
     lay, sb = p.layout, p.case.s_base
     rng = np.random.default_rng(41)
     xs = np.stack([random_interior_state(p, rng) for _ in range(64)])
     kink = np.array([a.gamma / a.mu for a in p.case.aggregators]) / sb
     xs[0, lay.pa], xs[1, lay.pa] = kink, 1.5 * kink
-    for x in (xs[0], xs[1], xs[2], xs[:1], xs[:7], xs):
+    xs[2] = p.initial_point()
+    theta_from, theta_to = next(ends for ends in p._state_cols[2:].T if (ends >= 0).all())
+    xs[3, theta_to] = xs[3, theta_from]
+    for stack in (xs[:1], xs[:7], xs):
+        states = p._line_state(stack)
+        for i, x in enumerate(stack):
+            for actual, expected in zip(states, p._line_state(x)):
+                _assert_bits(actual[i], expected)
+    for x in (xs[0], xs[1], xs[2], xs[3], xs[:1], xs[:7], xs):
         assert type(p.objective(x)) is type(_per_call_objective(p, x))
         _assert_bits(p.objective(x), _per_call_objective(p, x))
         for actual, expected in zip(p.constraints(x), _per_call_constraints(p, x)):
