@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field, fields, asdict, replace
 from functools import cached_property
@@ -102,18 +103,37 @@ class CaseData:
                                line_from=at[ng + na:ng + na + nl], line_to=at[ng + na + nl:])
 
 
-# the record class of each table, in validation order, and its float fields
+# the record class of each table, in validation order, and its fields' types
 _TABLES = {"buses": Bus, "lines": Line, "generators": Generator, "aggregators": Aggregator}
-_FLOATS = {kind: [f.name for f in fields(cls) if f.type == "float"]
-           for kind, cls in _TABLES.items()}
+_TYPES = {kind: [f.type for f in fields(cls)] for kind, cls in _TABLES.items()}
 
 
 def _columns(records: tuple, names: tuple) -> SimpleNamespace:
-    """The fields ``names`` (a record class's ``__match_args__``) of ``records``."""
-    values = chain.from_iterable(map(attrgetter(*names), records))
-    table = np.fromiter(values, float, len(records) * len(names)).reshape(-1, len(names)).T.copy()
+    """The fields ``names`` (a record class's ``__match_args__``) of ``records``, NaN
+    where ``float()`` cannot read a value, which only a record built in Python holds."""
+    values = list(chain.from_iterable(map(attrgetter(*names), records)))
+    try:
+        flat = np.fromiter(values, float, len(values))
+    except (TypeError, ValueError, OverflowError):
+        flat = np.fromiter(map(_number, values), float, len(values))
+    table = flat.reshape(-1, len(names)).T.copy()
     table.flags.writeable = False
     return SimpleNamespace(**dict(zip(names, table)))
+
+
+def _number(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _takes(t: type, kind: str) -> bool:
+    """Whether ``validate_case`` takes a value of type t in a ``kind`` field: a float
+    field what ``_check_type`` takes, an int field any real number but a bool (bus=1.0
+    is bus 1), a bool field any real number or numpy bool; ``_check_type`` refuses the rest."""
+    real = issubclass(t, _JSON_TYPES["float"] if kind == "float" else numbers.Real)
+    return real and t is not bool or kind == "bool" and issubclass(t, (bool, np.bool_))
 
 
 def _unknown(ids, known):
@@ -122,9 +142,9 @@ def _unknown(ids, known):
     return known[known.searchsorted(ids)] != ids
 
 
-# validate_case's per-record rules by table, after each float field's finiteness:
-# the tag of record ``r`` at ``k``, then (rule, message) pairs, a rule mapping the
-# columns and the known bus ids to a bool array, True where a record breaks it.
+# validate_case's per-record rules by table, after each field's type and each float
+# field's finiteness: the tag of record ``r`` at ``k``, then (rule, message) pairs, a
+# rule mapping the columns and the known bus ids to a bool array, True where broken.
 _RULES = {
     "buses": ("bus {r.id}", [
         (lambda t, known: ~((0 < t.v_min) & (t.v_min <= t.v_max)),
@@ -154,51 +174,53 @@ _RULES = {
 
 def validate_case(case: CaseData) -> list[str]:
     """One message per violated invariant: the case-level checks, then per
-    table the finiteness of each float field (JSON files may carry NaN and
-    Infinity, which no range rule catches; a value that is no JSON number,
-    which only a case built in Python holds, fails it with ``_check_type``'s
-    message) and its ``_RULES``, each one array comparison on ``case.view``,
-    reported record by record in rule order and formatted only where broken,
-    then aggregators per bus and connectivity."""
+    table each field's type (a value that ``_takes`` refuses, which only a case
+    built in Python holds, gets ``_check_type``'s message), each float field's
+    finiteness (JSON files may carry NaN and Infinity, which no range rule
+    catches) and its ``_RULES``, each one array comparison on ``case.view``,
+    reported record by record in field and rule order and formatted only where
+    broken, then aggregators per bus and connectivity. No value raises."""
     out: list[str] = []
     view, known = case.view, np.sort(np.concatenate([case.view.buses.id, [np.nan]]))
     if (known[1:] == known[:-1]).any():
         out.append("duplicate bus ids")
-    if not math.isfinite(case.s_base):
+    if not math.isfinite(s_base := _number(case.s_base)):
         out.append(f"s_base must be finite, got {case.s_base!r}")
-    elif case.s_base <= 0:
+    elif s_base <= 0:
         out.append("s_base must be positive")
 
-    n_slack = np.count_nonzero(view.buses.is_slack)
+    n_slack = np.count_nonzero(np.abs(view.buses.is_slack) > 0)  # NaN, an unread flag, is not set
     if n_slack == 0:
         out.append("no slack bus")
     elif n_slack > 1:
         out.append("multiple slack buses")
 
     for kind, (tag, rules) in _RULES.items():
-        table, records, floats = getattr(view, kind), getattr(case, kind), _FLOATS[kind]
-        broken = np.concatenate([~np.isfinite([getattr(table, name) for name in floats]),
+        table, records, types = getattr(view, kind), getattr(case, kind), _TYPES[kind]
+        names = _TABLES[kind].__match_args__
+        broken = np.concatenate([~np.isfinite([getattr(table, name) for name in names])
+                                 & (np.array(types) == "float")[:, None],
                                  [rule(table, known) for rule, _ in rules]])
-        # _check_type's float test reads only a value's type: a table whose value
-        # types all pass it holds no str or None that the view read as a number
-        values, not_real = list(chain.from_iterable(map(attrgetter(*floats), records))), {}
-        if not all(issubclass(t, _JSON_TYPES["float"]) and t is not bool
-                   for t in set(map(type, values))):
-            for (k, j), value in zip(np.ndindex(len(records), len(floats)), values):
-                try:
-                    _check_type(tag.format(k=k, r=records[k]), floats[j], value, "float")
-                except ValueError as exc:
-                    not_real[k, j], broken[j, k] = str(exc), True
+        values, mistyped = list(chain.from_iterable(map(attrgetter(*names), records))), {}
+        refused = {(j, t) for j in range(len(names))
+                   for t in set(map(type, values[j::len(names)])) if not _takes(t, types[j])}
+        if refused:
+            for (k, j), value in zip(np.ndindex(len(records), len(names)), values):
+                if (j, type(value)) in refused:
+                    try:
+                        _check_type(tag.format(k=k, r=records[k]), names[j], value, types[j])
+                    except ValueError as exc:
+                        mistyped[k, j], broken[j, k] = str(exc), True
         if broken.any():
-            messages = [f"{name} must be finite, got {{r.{name}!r}}" for name in floats]
+            messages = [f"{name} must be finite, got {{r.{name}!r}}" for name in names]
             messages += [message for _, message in rules]
-            out += [not_real.get((k, j)) or
+            out += [mistyped.get((k, j)) or
                     f"{tag.format(k=k, r=records[k])}: {messages[j].format(r=records[k])}"
                     for k, j in np.argwhere(broken.T).tolist()]
 
-    for d, n in sorted(Counter(a.bus for a in case.aggregators).items()):
+    for d, n in sorted(Counter(view.aggregators.bus.tolist()).items()):
         if not 1 <= n <= 3:
-            out.append(f"bus {d}: hosts {n} aggregators, expected 1-3")
+            out.append(f"bus {d:.15g}: hosts {n} aggregators, expected 1-3")
 
     if case.buses and not _connected(case):
         out.append("network graph is not connected")
@@ -206,13 +228,15 @@ def validate_case(case: CaseData) -> list[str]:
 
 
 def _connected(case: CaseData) -> bool:
-    adj: dict[int, set[int]] = {b.id: set() for b in case.buses}
-    for ln in case.lines:
-        if ln.from_bus in adj and ln.to_bus in adj:
-            adj[ln.from_bus].add(ln.to_bus)
-            adj[ln.to_bus].add(ln.from_bus)
-    seen = {case.buses[0].id}
-    stack = [case.buses[0].id]
+    """Whether the lines connect every bus, by ``case.view``'s ids (NaN where unread)."""
+    buses, lines = case.view.buses, case.view.lines
+    adj: dict[float, set[float]] = {bus_id: set() for bus_id in buses.id.tolist()}
+    for f, t in zip(lines.from_bus.tolist(), lines.to_bus.tolist()):
+        if f in adj and t in adj:
+            adj[f].add(t)
+            adj[t].add(f)
+    seen = {next(iter(adj))}
+    stack = list(seen)
     while stack:
         for nb in adj[stack.pop()]:
             if nb not in seen:

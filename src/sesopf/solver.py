@@ -60,8 +60,8 @@ per case are in CHANGES.md):
 - once per solve: the bound index arrays, the KKT buffers (the condensed
   matrix, a strided view of its Hessian diagonal and an equilibrated copy;
   or the reduced path's borders J_E and J_a and constraint diagonal, and
-  per set of kept columns a matrix and a strided view of its diagonal) and
-  the warnings filter around the iteration loop;
+  the kept columns of each set of eliminated ones, found at its first
+  trial) and the warnings filter around the iteration loop;
 - once per iterate: ``jacobians``, the objective gradient, one residual
   pass and, if it takes a step, the Lagrangian Hessian as its two blocks
   (the injection diagonal and the v/theta block; no n x n Hessian), its
@@ -72,7 +72,7 @@ per case are in CHANGES.md):
 - once per delta_w trial: on the condensed path the diagonal refill and
   one ``_inertia`` (one ``dsytrf``), and, when the inertia is right, the
   equilibration and one ``scipy.linalg.solve`` (a second factorization);
-  on the reduced path the 1x1 pivot test, the kept matrix from zeros (the
+  on the reduced path the 1x1 pivot test, a new kept matrix of zeros (the
   kept diagonal, the v/theta block, the borders, the constraint block less
   one ``bincount`` of the eliminated columns' Schur complement terms) and
   one ``_equilibrated_ldl`` (the equilibration and one ``dsytrf``, in
@@ -408,17 +408,6 @@ class _CondensedKKT:
         return _equilibrated_solve(self.kkt, self.scaled, self.rhs)
 
 
-class _Layout(NamedTuple):
-    """The reduced KKT matrix for one set of kept columns: ``kept`` (in
-    column order, the v and theta columns last), the matrix, which each
-    trial fills from zeros, equilibrates and factors in place, a strided
-    view of its diagonal, and the inertia target."""
-    kept: np.ndarray
-    matrix: np.ndarray
-    diag: np.ndarray
-    target: tuple
-
-
 class _ReducedKKT:
     """The KKT system with the two adequacy rows kept as rows and the
     separable injection columns eliminated.
@@ -443,8 +432,7 @@ class _ReducedKKT:
     vanishes near the optimum; the test keeps such a column. The reduced
     matrix holds the kept columns (v, theta, the fixed columns and the
     injections that fail the test) and the m_E + 2 rows, and its inertia
-    target is (kept columns, m_E + 2, 0). One layout is built per kept set
-    and reused within the solve.
+    target is (kept columns, m_E + 2, 0).
 
     The interface is ``_CondensedKKT``'s; ``assign`` takes a system given by
     its blocks. ``inertia_ok`` leaves the trial's ``_equilibrated_ldl``
@@ -459,25 +447,20 @@ class _ReducedKKT:
         fixed = np.zeros(n, dtype=bool)
         fixed[nlp.fixed_idx] = True
         free = ~fixed[p._inj_col]
-        # each injection column that is not fixed, its balance row and
-        # sign, and its adequacy row (after the m_E equality rows) and sign
+        # each injection column that is not fixed and its incidence u, held
+        # once: its balance row and sign, then its adequacy row (after the
+        # m_E equality rows) and coefficient
         self.free = p._inj_col[free]
-        self.row, self.sign = p._inj_row[free], p._inj_sign[free]
-        self.adequacy = p._adequacy
-        adequacy_row = (self.adequacy[1, self.free] != 0).astype(int)
-        self.at, self.coef = me + adequacy_row, self.adequacy[adequacy_row, self.free]
-        # an eliminated column's u u' in the (m, m) constraint block, and
-        # its u in the constraint rows of the right-hand side
-        self.block_flat = np.concatenate([self.row * m + self.row, self.row * m + self.at,
-                                          self.at * m + self.row, self.at * m + self.at])
-        self.block_coef = np.stack([self.sign * self.sign, self.sign * self.coef,
-                                    self.sign * self.coef, self.coef * self.coef])
-        self.rhs_rows = np.concatenate([self.row, self.at])
-        self.rhs_coef = np.stack([self.sign, self.coef])
-        self.rows = np.vstack([np.zeros((me, n)), self.adequacy])  # borders J_E, J_a
+        adequacy_row = (p._adequacy[1, self.free] != 0).astype(int)
+        self.u_rows = np.stack([p._inj_row[free], me + adequacy_row])
+        self.u_coef = np.stack([p._inj_sign[free], p._adequacy[adequacy_row, self.free]])
+        # an eliminated column's u u' in the (m, m) constraint block
+        self.block_flat = (self.u_rows[:, None] * m + self.u_rows).ravel()
+        self.block_coef = self.u_coef[:, None] * self.u_coef
+        self.rows = np.vstack([np.zeros((me, n)), p._adequacy])  # borders J_E, J_a
         self.rows[np.arange(p.n_eq, me), nlp.fixed_idx] = 1.0  # J_E's fixed rows, written once
         self.corner = np.full(m, -_DELTA_C)  # -delta_c, then -1/sigma_a on the diagonal
-        self.layouts = {}
+        self.kept_by_eliminated = {}  # eliminated.tobytes() -> the kept columns, in order
 
     def load(self, x, state, lam, nu, jh, je, d_sigma, r_d, r_h, centring, ce):
         nlp = self.nlp
@@ -508,60 +491,52 @@ class _ReducedKKT:
         self.corner[self.me:] = -1.0 / sigma_a
         self.rhs = rhs
 
-    def _layout(self, eliminated) -> _Layout:
-        key = eliminated.tobytes()
-        layout = self.layouts.get(key)
-        if layout is None:
-            n = self.n
-            keep = np.ones(n, dtype=bool)
-            keep[self.free[eliminated]] = False
-            kept = np.flatnonzero(keep)
-            k = len(kept)
-            size = k + self.m
-            matrix = np.zeros((size, size))
-            layout = self.layouts[key] = _Layout(kept, matrix, matrix.reshape(-1)[::size + 1],
-                                                 (k, self.m, 0))
-        return layout
-
     def inertia_ok(self, delta_w: float) -> bool:
         pivots = self.pivots + delta_w
         eliminated = pivots >= _BK_ALPHA
-        layout = self._layout(eliminated)
+        key = eliminated.tobytes()
+        kept = self.kept_by_eliminated.get(key)
+        if kept is None:
+            keep = np.ones(self.n, dtype=bool)
+            keep[self.free[eliminated]] = False
+            kept = self.kept_by_eliminated[key] = np.flatnonzero(keep)
+        self.kept = kept
         self.inverse = np.divide(1.0, pivots, out=np.zeros_like(pivots), where=eliminated)
-        k, m, matrix, diag = len(layout.kept), self.m, layout.matrix, layout.diag
+        k, m = len(kept), self.m
+        matrix = np.zeros((k + m, k + m))
+        diag = matrix.reshape(-1)[::k + m + 1]
         # H: the kept injection columns' diagonal, then the v/theta block
-        matrix.fill(0.0)
         matrix[k - len(self.block):k, k - len(self.block):k] = self.block
-        diag[:k] += self.diag.take(layout.kept)
+        diag[:k] += self.diag.take(kept)
         diag[:k] += delta_w
-        border = self.rows.take(layout.kept, axis=1)
+        border = self.rows.take(kept, axis=1)
         matrix[k:, :k] = border
         matrix[:k, k:] = border.T
         diag[k:] = self.corner
         schur = np.bincount(self.block_flat, weights=(self.block_coef * self.inverse).ravel(),
                             minlength=m * m)
         matrix[k:, k:] -= schur.reshape(m, m)
-        self.layout = layout
-        # every entry was rewritten above, so the matrix is factored in place
         self.factor = _equilibrated_ldl(matrix)
-        return self.factor is not None and self.factor[0] == layout.target
+        return self.factor is not None and self.factor[0] == (k, m, 0)
 
     def solve(self) -> np.ndarray:
-        layout, n, me = self.layout, self.n, self.me
-        k = len(layout.kept)
+        kept, n, me = self.kept, self.n, self.me
+        k = len(kept)
         scaled_rhs = self.inverse * self.rhs[self.free]  # D^-1 rhs on the free columns
         reduced = np.concatenate([
-            self.rhs.take(layout.kept),
-            self.rhs[n:] - np.bincount(self.rhs_rows, weights=(self.rhs_coef * scaled_rhs).ravel(),
+            self.rhs.take(kept),
+            self.rhs[n:] - np.bincount(self.u_rows.ravel(),
+                                       weights=(self.u_coef * scaled_rhs).ravel(),
                                        minlength=self.m)])
         _, ldu, ipiv, scale = self.factor
         z, _ = scipy.linalg.lapack.dsytrs(ldu, ipiv, scale * reduced, overwrite_b=True)
         z *= scale
         duals = z[k:]
         dx = np.empty(n)
-        dx[self.free] = scaled_rhs - self.inverse * (self.sign * duals[self.row]
-                                                     + self.coef * duals[self.at])
-        dx[layout.kept] = z[:k]
+        # u' duals as one addition per column: a sum over the two rows would
+        # start from +0.0 and lose the sign of -0.0 + -0.0
+        dx[self.free] = scaled_rhs - self.inverse * np.add(*(self.u_coef * duals[self.u_rows]))
+        dx[kept] = z[:k]
         return np.concatenate([dx, duals[:me]])
 
 

@@ -16,7 +16,7 @@ from sesopf.casemodel import (
     builtin_case, case_from_dict, case_to_dict,
     load_case, save_case, scale_ses, validate_case,
 )
-from sesopf.formulation import Problem
+from sesopf.formulation import Problem, build_problem
 from sesopf.welfare import welfare_coefficients
 
 from conftest import (
@@ -109,6 +109,8 @@ CORRUPTIONS = {
                          ["duplicate bus ids", "network graph is not connected"]),
     "zero_s_base": (lambda c: dataclasses.replace(c, s_base=0.0),
                     ["s_base must be positive"]),
+    "s_base_no_number": (lambda c: dataclasses.replace(c, s_base=[100.0]),
+                         ["s_base must be finite, got [100.0]"]),
     "voltage_limits": (lambda c: _with(c, "buses", 2, v_min=1.1),
                        ["bus 3: voltage limits must satisfy 0 < v_min <= v_max"]),
     "self_loop": (lambda c: _with(c, "lines", 0, to_bus=1), ["line 1-1: self loop"]),
@@ -138,17 +140,54 @@ def test_validate_names_each_violation(five_bus, name):
     assert validate_case(corrupt(five_bus)) == messages
 
 
-@pytest.mark.parametrize("value", ["1.5", None])
+@pytest.mark.parametrize("value", ["1.5", None, "abc", [1.0]])
 def test_validate_names_a_float_field_that_holds_no_number(five_bus, value):
-    """A record built in Python can hold what no case file can: a str, which
-    the view reads as a number, or None, which it reads as NaN. Either is a
-    violation with the loader's message, in that field's place among the
-    record's violations, and the others keep their order."""
+    """A record built in Python can hold what no case file can: a str that
+    the view reads as a number, or None, a str or a list that it reads as
+    NaN. Each is a violation with the loader's message, in that field's
+    place among the record's violations, and the others keep their order."""
     case = _with(_with(five_bus, "generators", 0, a=value, c=math.nan), "lines", 0, to_bus=1)
     assert validate_case(case) == [
         "line 1-1: self loop",
         f"generator 0 at bus 1: a must be float, got {value!r}",
         "generator 0 at bus 1: c must be finite, got nan"]
+
+
+@pytest.mark.parametrize("kind, k, changes, messages", [
+    ("generators", 0, {"bus": "1"}, ["generator 0 at bus 1: bus must be int, got '1'"]),
+    ("generators", 0, {"bus": True}, ["generator 0 at bus True: bus must be int, got True"]),
+    ("aggregators", 0, {"bus": [2], "sigma": -1.0},
+     ["aggregator 0 at bus [2]: bus must be int, got [2]",
+      "aggregator 0 at bus [2]: references unknown bus",
+      "aggregator 0 at bus [2]: negative sigma"]),
+    ("lines", 0, {"to_bus": None, "x": 0.0},
+     ["line 1-None: to_bus must be int, got None", "line 1-None: references unknown bus",
+      "line 1-None: zero reactance"]),
+    ("buses", 1, {"is_slack": "yes", "v_min": 2.0},
+     ["bus 2: is_slack must be bool, got 'yes'",
+      "bus 2: voltage limits must satisfy 0 < v_min <= v_max"]),
+    ("buses", 0, {"is_slack": None}, ["no slack bus", "bus 1: is_slack must be bool, got None"]),
+])
+def test_validate_names_an_id_or_flag_that_holds_no_number(five_bus, kind, k, changes, messages):
+    """An id that is no real number, or is a bool, and a flag that is no
+    number are violations with the loader's message, in the field's place
+    before the record's rule messages; an id or flag the view cannot read
+    is NaN there, which references no bus and sets no flag. build_problem
+    refuses such a case instead of failing on the id."""
+    case = _with(five_bus, kind, k, **changes)
+    assert validate_case(case) == messages
+    with pytest.raises(ValueError, match="^invalid case: "):
+        build_problem(case)
+
+
+@pytest.mark.parametrize("kind, changes", [
+    ("generators", {"bus": 1.0}), ("generators", {"bus": np.int64(1)}),
+    ("lines", {"from_bus": np.float64(1.0), "to_bus": np.int32(2)}),
+    ("aggregators", {"bus": np.uint8(2)}), ("buses", {"id": np.int64(1), "is_slack": 1}),
+    ("buses", {"is_slack": np.True_}), ("generators", {"a": np.float64(2.0), "b": 14})])
+def test_validate_takes_every_real_id_and_flag(five_bus, kind, changes):
+    """Python and numpy ints and floats stay valid ids and flags."""
+    assert validate_case(_with(five_bus, kind, 0, **changes)) == []
 
 
 # the corruptions that the validation property draws: each takes a case and
@@ -501,6 +540,14 @@ def test_malformed_entry_is_named(rts24, key, k, change, message):
     with pytest.raises(ValueError) as info:
         case_from_dict(doc)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("buses", [{}, [1], "x"])
+def test_a_table_that_is_no_list_of_objects_is_named(five_bus, buses):
+    doc = {**case_to_dict(five_bus), "buses": buses}
+    with pytest.raises(ValueError) as info:
+        case_from_dict(doc)
+    assert str(info.value) == "case needs 'buses' as a list of objects"
 
 
 @pytest.mark.parametrize("key, cls", [("buses", Bus), ("lines", Line),

@@ -119,6 +119,20 @@ def test_a_step_that_does_not_move_the_start_is_rejected_before_any_point(
     assert len(rounded) == 3
 
 
+def test_a_range_of_more_than_max_sweep_points_is_rejected_before_any_point(monkeypatch):
+    """(1, 100001, 1) would list 100,001 points and is refused with no point
+    rounded; (1, 100000, 1) lists its 100,000."""
+    rounded = []
+    monkeypatch.setattr(harness, "round", lambda *args: rounded.append(args), raising=False)
+    assert harness.MAX_SWEEP_POINTS == 100_000
+    with pytest.raises(ValueError, match="sweep range has more than 100000 points"):
+        sweep_points(1.0, 100_001.0, 1.0)
+    assert rounded == []
+    monkeypatch.undo()
+    points = sweep_points(1.0, 100_000.0, 1.0)
+    assert len(points) == 100_000 and points[-1] == 100_000.0
+
+
 @pytest.mark.parametrize("start", [10.1, 10.5, 10.7])
 def test_sweep_stays_within_the_benchmark_reference(five_bus, start):
     """The benchmark's sweep gate: every point converges with welfare within

@@ -186,6 +186,18 @@ def test_reactive_shortfall_is_screened(monkeypatch):
     assert len(calls) == 1
 
 
+def test_an_empty_variable_box_is_screened(five_bus):
+    """A Problem built without validation from five_bus with one bus's
+    v_min above its v_max has an empty box; the screen names it before any
+    step."""
+    buses = list(five_bus.buses)
+    buses[2] = dataclasses.replace(buses[2], v_min=1.1, v_max=1.0)
+    solution = solve(Problem(dataclasses.replace(five_bus, buses=tuple(buses))))
+    assert solution.status == "infeasible_detected"
+    assert solution.reason == "empty variable box"
+    assert solution.iterations == 0
+
+
 def test_iteration_limit_reported():
     solution = solve(build_problem(toy_case()), SolverOptions(max_iter=2))
     assert solution.status == "iteration_limit"
@@ -1110,6 +1122,73 @@ def test_a_non_finite_reduced_matrix_raises(value, five_bus_problem):
         kkt.inertia_ok(1e-4)
 
 
+@pytest.mark.parametrize("name, path, factor", [
+    ("five_bus", "_CondensedKKT", "_inertia"), ("rts24", "_ReducedKKT", "_equilibrated_ldl")])
+def test_a_non_finite_step_is_retried_at_the_next_delta_w(name, path, factor, request,
+                                                         monkeypatch):
+    """The first step of a solve made NaN is rejected as a wrong inertia is:
+    the next trial factors the loaded system plus delta_w = 1e-4, bit for
+    bit the matrix of a fresh system loaded alike, and the solve converges.
+    On the condensed path the step is solved in its own equilibrated buffer,
+    so the matrix that the next trial refills is intact."""
+    problem = build_problem(request.getfixturevalue(name))
+    cls = getattr(solver, path)
+    factored, loads, poisoned = [], [], []
+    original = getattr(solver, factor)
+    monkeypatch.setattr(solver, factor, lambda kkt: factored.append(kkt.copy()) or original(kkt))
+
+    def load(self, *args, _load=cls.load):
+        loads.append(args)
+        return _load(self, *args)
+
+    def solve_step(self, _solve=cls.solve):
+        step = _solve(self)
+        if not poisoned:
+            poisoned.append((len(factored), loads[-1]))
+            step[0] = np.nan
+        return step
+
+    monkeypatch.setattr(cls, "load", load)
+    monkeypatch.setattr(cls, "solve", solve_step)
+    solution = solve(problem)
+    assert solution.status == "converged"
+    assert solution.log[1]["delta_w"] == 1e-4
+    (next_trial, args), = poisoned
+    fresh = cls(solver._InternalNLP(problem))
+    fresh.load(*args)
+    before = len(factored)
+    assert fresh.inertia_ok(1e-4)
+    _assert_same_bits([factored[next_trial]], [factored[before]])
+
+
+def test_a_reduced_trial_owes_nothing_to_the_trials_before_it(rts24, monkeypatch):
+    """The last system of an rts24 solve at delta_w = 0, 100 and 0 again:
+    two different sets of eliminated columns, the first met twice. Only the
+    kept columns of a set carry over between trials, so the third trial's
+    factor and step are the first's, and the second's are those of a fresh
+    system loaded alike, bit for bit."""
+    problem = build_problem(rts24)
+    args = _kkt_systems(problem, monkeypatch)[-1]
+    reduced = solver._ReducedKKT(solver._InternalNLP(problem))
+    reduced.load(*args)
+
+    def trial(kkt, delta_w):
+        ok = kkt.inertia_ok(delta_w)
+        factor = [kkt.factor[0]] + [a.copy() for a in kkt.factor[1:]]
+        return len(kkt.kept), factor, kkt.solve() if ok else None
+
+    first, second, third = (trial(reduced, delta_w) for delta_w in (0.0, 100.0, 0.0))
+    # at delta_w = 100 every injection column that is not fixed is eliminated
+    assert first[0] > second[0] == reduced.n - len(reduced.free)
+    assert first[2] is not None
+    _assert_same_bits(third[1] + [third[2]], first[1] + [first[2]])
+    fresh = solver._ReducedKKT(solver._InternalNLP(problem))
+    fresh.load(*args)
+    again = trial(fresh, 100.0)
+    assert again[0] == second[0] and again[1][0] == second[1][0]
+    _assert_same_bits(again[1][1:] + [again[2]], second[1][1:] + [second[2]])
+
+
 def test_inertia_matches_ldl_on_solver_matrices(five_bus_problem, monkeypatch):
     """Every KKT matrix of a five_bus solve gets the counts that the
     eigenvalues of scipy.linalg.ldl's block diagonal D give."""
@@ -1247,7 +1326,7 @@ def _both_paths(problem, systems):
             assert not reduced.inertia_ok(delta_w)
             delta_w = 1e-4 if delta_w == 0.0 else 10.0 * delta_w
         assert reduced.inertia_ok(delta_w)
-        out.append((reduced.layout.kept, _backward_error(full.kkt, reduced.solve(), full.rhs),
+        out.append((reduced.kept, _backward_error(full.kkt, reduced.solve(), full.rhs),
                     _backward_error(full.kkt, full.solve(), full.rhs)))
     return out
 
@@ -1327,7 +1406,7 @@ def test_both_kkt_paths_build_the_scattered_matrices_bit_for_bit(name, request, 
         while True:
             ok = full.inertia_ok(delta_w)
             reduced.inertia_ok(delta_w)
-            kept = reduced.layout.kept
+            kept = reduced.kept
             k = len(kept)
             top = hess.take((kept[:, None] * n + kept).ravel()).reshape(k, k)
             top.reshape(-1)[::k + 1] += delta_w
@@ -1428,7 +1507,7 @@ def test_reduced_inertia_adds_up_to_the_full_one(data, five_bus_problem):
     ev = np.linalg.eigvalsh(full)
     assume(np.abs(ev).min() > 1e-8 * np.abs(ev).max())
     pos, neg, zero = kkt.factor[0]
-    assert (pos + n - len(kkt.layout.kept), neg, zero) == (
+    assert (pos + n - len(kkt.kept), neg, zero) == (
         int(np.sum(ev > 0)), int(np.sum(ev < 0)), 0)
 
 
