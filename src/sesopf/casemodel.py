@@ -86,9 +86,12 @@ class CaseData:
     @cached_property
     def view(self) -> SimpleNamespace:
         """The records as arrays, built on first use and read by every layer: per
-        table a namespace of read-only float columns in case order (``view.lines.r``)."""
-        return SimpleNamespace(**{kind: _columns(getattr(self, kind), cls.__match_args__)
-                                  for kind, cls in _TABLES.items()})
+        table a namespace of read-only float columns in case order (``view.lines.r``),
+        and privately the values they were read from (``view._values["lines"]``)."""
+        tables = {kind: _columns(getattr(self, kind), cls.__match_args__)
+                  for kind, cls in _TABLES.items()}
+        return SimpleNamespace(**{kind: table for kind, (_, table) in tables.items()},
+                               _values={kind: values for kind, (values, _) in tables.items()})
 
     @cached_property
     def positions(self) -> SimpleNamespace:
@@ -108,9 +111,10 @@ _TABLES = {"buses": Bus, "lines": Line, "generators": Generator, "aggregators": 
 _TYPES = {kind: [f.type for f in fields(cls)] for kind, cls in _TABLES.items()}
 
 
-def _columns(records: tuple, names: tuple) -> SimpleNamespace:
-    """The fields ``names`` (a record class's ``__match_args__``) of ``records``, NaN
-    where ``float()`` cannot read a value, which only a record built in Python holds."""
+def _columns(records: tuple, names: tuple) -> tuple[list, SimpleNamespace]:
+    """The values of the fields ``names`` (a record class's ``__match_args__``) of
+    ``records``, record by record, from the one walk over them, and their columns,
+    NaN where ``float()`` cannot read a value, which only a record built in Python holds."""
     values = list(chain.from_iterable(map(attrgetter(*names), records)))
     try:
         flat = np.fromiter(values, float, len(values))
@@ -118,7 +122,7 @@ def _columns(records: tuple, names: tuple) -> SimpleNamespace:
         flat = np.fromiter(map(_number, values), float, len(values))
     table = flat.reshape(-1, len(names)).T.copy()
     table.flags.writeable = False
-    return SimpleNamespace(**dict(zip(names, table)))
+    return values, SimpleNamespace(**dict(zip(names, table)))
 
 
 def _number(value) -> float:
@@ -174,19 +178,21 @@ _RULES = {
 
 def validate_case(case: CaseData) -> list[str]:
     """One message per violated invariant: the case-level checks, then per
-    table each field's type (a value that ``_takes`` refuses, which only a case
-    built in Python holds, gets ``_check_type``'s message), each float field's
-    finiteness (JSON files may carry NaN and Infinity, which no range rule
+    table each field's type (a value of the view's that ``_takes`` refuses, which
+    only a case built in Python holds, gets ``_check_type``'s message), each float
+    field's finiteness (JSON files may carry NaN and Infinity, which no range rule
     catches) and its ``_RULES``, each one array comparison on ``case.view``,
-    reported record by record in field and rule order and formatted only where
-    broken, then aggregators per bus and connectivity. No value raises."""
+    reported record by record in field and rule order, then aggregators per bus
+    and connectivity. Records are read only to word a message. No value raises."""
     out: list[str] = []
     view, known = case.view, np.sort(np.concatenate([case.view.buses.id, [np.nan]]))
     if (known[1:] == known[:-1]).any():
         out.append("duplicate bus ids")
-    if not math.isfinite(s_base := _number(case.s_base)):
+    if not isinstance(case.s_base, numbers.Real) or isinstance(case.s_base, bool):
+        out.append(f"s_base must be float, got {case.s_base!r}")
+    elif not math.isfinite(case.s_base):
         out.append(f"s_base must be finite, got {case.s_base!r}")
-    elif s_base <= 0:
+    elif case.s_base <= 0:
         out.append("s_base must be positive")
 
     n_slack = np.count_nonzero(np.abs(view.buses.is_slack) > 0)  # NaN, an unread flag, is not set
@@ -197,11 +203,10 @@ def validate_case(case: CaseData) -> list[str]:
 
     for kind, (tag, rules) in _RULES.items():
         table, records, types = getattr(view, kind), getattr(case, kind), _TYPES[kind]
-        names = _TABLES[kind].__match_args__
+        names, values, mistyped = _TABLES[kind].__match_args__, view._values[kind], {}
         broken = np.concatenate([~np.isfinite([getattr(table, name) for name in names])
                                  & (np.array(types) == "float")[:, None],
                                  [rule(table, known) for rule, _ in rules]])
-        values, mistyped = list(chain.from_iterable(map(attrgetter(*names), records))), {}
         refused = {(j, t) for j in range(len(names))
                    for t in set(map(type, values[j::len(names)])) if not _takes(t, types[j])}
         if refused:
@@ -470,15 +475,9 @@ _JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float)}
 
 
 def case_to_dict(case: CaseData) -> dict:
-    return {
-        "name": case.name,
-        "s_base": case.s_base,
-        "buses": [asdict(b) for b in case.buses],
-        "lines": [asdict(ln) for ln in case.lines],
-        "generators": [asdict(g) for g in case.generators],
-        "aggregators": [asdict(a) for a in case.aggregators],
-        "metadata": case.metadata,
-    }
+    return {"name": case.name, "s_base": case.s_base,
+            **{kind: [asdict(r) for r in getattr(case, kind)] for kind in _TABLES},
+            "metadata": case.metadata}
 
 
 def case_from_dict(doc: dict) -> CaseData:
@@ -487,15 +486,9 @@ def case_from_dict(doc: dict) -> CaseData:
     if not isinstance(doc, dict):
         raise ValueError("a case file must hold a JSON object")
     _check_type("case", "s_base", doc.get("s_base"), "float")
-    return CaseData(
-        name=doc.get("name", "unnamed"),
-        s_base=float(doc["s_base"]),
-        buses=_entries(doc, "buses", Bus),
-        lines=_entries(doc, "lines", Line),
-        generators=_entries(doc, "generators", Generator),
-        aggregators=_entries(doc, "aggregators", Aggregator),
-        metadata=doc.get("metadata", {}),
-    )
+    return CaseData(doc.get("name", "unnamed"), float(doc["s_base"]),
+                    *(_entries(doc, kind, cls) for kind, cls in _TABLES.items()),
+                    doc.get("metadata", {}))
 
 
 def _entries(doc: dict, key: str, cls) -> tuple:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import defaultdict
 from dataclasses import dataclass, fields
+from itertools import count
 
 import numpy as np
 
@@ -41,8 +43,8 @@ SCALAR_METRICS = tuple(f.name for f in fields(Metrics) if f.type == "float")
 
 def _agg_keys(case: CaseData) -> list[tuple[int, int]]:
     """(bus, index at that bus) of each aggregator: its label in the reports."""
-    buses = [a.bus for a in case.aggregators]
-    return [(bus, buses[:k + 1].count(bus)) for k, bus in enumerate(buses)]
+    seen = defaultdict(lambda: count(1))  # a running count per bus
+    return [(a.bus, next(seen[a.bus])) for a in case.aggregators]
 
 
 def compute_metrics(case: CaseData, solution: Solution) -> Metrics:

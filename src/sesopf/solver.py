@@ -1001,19 +1001,18 @@ def _column_groups(reads: np.ndarray) -> np.ndarray:
     a fault that ``_central_diff`` sees, not a change charged to a column
     of group 0 that the row reads."""
     cols, rows = np.nonzero(reads.T)
-    bounds = np.searchsorted(cols, np.arange(reads.shape[1] + 1)).tolist()
-    rows = rows.tolist()
+    read, starts = np.unique(cols, return_index=True)  # the read columns, in order
+    bounds, rows = starts.tolist() + [len(rows)], rows.tolist()
     taken = [0] * reads.shape[0]
-    group = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        rows_j = rows[start:stop]
-        busy = 0
+    group = [-1] * reads.shape[1]
+    for j, start, stop in zip(read.tolist(), bounds, bounds[1:]):
+        rows_j, busy = rows[start:stop], 0
         for i in rows_j:
             busy |= taken[i]
         g = (~busy & (busy + 1)).bit_length() - 1  # the lowest clear bit
         for i in rows_j:
             taken[i] |= 1 << g
-        group.append(g if rows_j else -1)
+        group[j] = g
     group = np.array(group, dtype=int)
     group[group < 0] = group.max(initial=-1) + 1
     return group

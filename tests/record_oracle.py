@@ -2,7 +2,8 @@
 tests hold ``CaseData.view`` and its readers to.
 
 ``validate_case`` checks record by record with one ``if`` per rule, in the
-order that ``sesopf.casemodel.validate_case`` reports; the other functions
+order that ``sesopf.casemodel.validate_case`` reports, and walks the lines
+for connectivity itself: it calls nothing of the package's; the other functions
 build, one record at a time, the arrays that ``Problem``, the welfare
 coefficients and ``acnetwork.line_arrays`` read from the view, with the
 operations that the array forms apply elementwise, so the two agree bit for
@@ -15,7 +16,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from sesopf.casemodel import CaseData, Line, _connected
+from sesopf.casemodel import CaseData, Line
 
 
 def series_admittance(line: Line) -> tuple[float, float]:
@@ -76,7 +77,10 @@ def validate_case(case: CaseData) -> list[str]:
     bus_ids = [b.id for b in case.buses]
     if len(set(bus_ids)) != len(bus_ids):
         out.append("duplicate bus ids")
-    if not math.isfinite(case.s_base):
+    if not isinstance(case.s_base, (int, float, np.integer, np.floating)) \
+            or isinstance(case.s_base, bool):
+        out.append(f"s_base must be float, got {case.s_base!r}")
+    elif not math.isfinite(case.s_base):
         out.append(f"s_base must be finite, got {case.s_base!r}")
     elif case.s_base <= 0:
         out.append("s_base must be positive")
@@ -140,3 +144,19 @@ def validate_case(case: CaseData) -> list[str]:
     if case.buses and not _connected(case):
         out.append("network graph is not connected")
     return out
+
+
+def _connected(case: CaseData) -> bool:
+    """Whether the lines join every bus: from the first bus, sweep the lines
+    until no sweep reaches a new bus. A line with an end at no bus joins
+    nothing, and a duplicate bus id is one bus, so the count falls short."""
+    known = {b.id for b in case.buses}
+    reached, grew = {case.buses[0].id}, True
+    while grew:
+        grew = False
+        for ln in case.lines:
+            if ln.from_bus in known and ln.to_bus in known \
+                    and (ln.from_bus in reached) != (ln.to_bus in reached):
+                reached |= {ln.from_bus, ln.to_bus}
+                grew = True
+    return len(reached) == len(case.buses)

@@ -1,8 +1,11 @@
 """Case data types, validation, built-in systems, SES scaling, and I/O."""
 
+import ast
 import dataclasses
+import inspect
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -110,7 +113,7 @@ CORRUPTIONS = {
     "zero_s_base": (lambda c: dataclasses.replace(c, s_base=0.0),
                     ["s_base must be positive"]),
     "s_base_no_number": (lambda c: dataclasses.replace(c, s_base=[100.0]),
-                         ["s_base must be finite, got [100.0]"]),
+                         ["s_base must be float, got [100.0]"]),
     "voltage_limits": (lambda c: _with(c, "buses", 2, v_min=1.1),
                        ["bus 3: voltage limits must satisfy 0 < v_min <= v_max"]),
     "self_loop": (lambda c: _with(c, "lines", 0, to_bus=1), ["line 1-1: self loop"]),
@@ -190,6 +193,23 @@ def test_validate_takes_every_real_id_and_flag(five_bus, kind, changes):
     assert validate_case(_with(five_bus, kind, 0, **changes)) == []
 
 
+@pytest.mark.parametrize("s_base", ["100", True, np.True_, None, 100j])
+def test_validate_names_an_s_base_that_is_no_real_number(five_bus, s_base):
+    """An s_base that is no real number, or is a bool, gets the loader's
+    ``must be float`` message, and build_problem refuses the case."""
+    case = dataclasses.replace(five_bus, s_base=s_base)
+    assert validate_case(case) == [f"s_base must be float, got {s_base!r}"]
+    with pytest.raises(ValueError, match="^invalid case: s_base must be float"):
+        build_problem(case)
+
+
+@pytest.mark.parametrize("s_base", [100, 100.0, np.int64(100), np.int32(100), np.float64(100.0),
+                                    np.float32(100.0)])
+def test_validate_takes_every_real_s_base(five_bus, s_base):
+    """Python and numpy ints and floats stay valid."""
+    assert validate_case(dataclasses.replace(five_bus, s_base=s_base)) == []
+
+
 # the corruptions that the validation property draws: each takes a case and
 # hypothesis's draw function and returns the corrupted case
 _TABLES = {"buses": Bus, "lines": Line, "generators": Generator, "aggregators": Aggregator}
@@ -255,7 +275,7 @@ def _removed_line(case, draw):
 
 
 def _s_base(case, draw):
-    return dataclasses.replace(case, s_base=draw(st.sampled_from(_EDGE_VALUES)))
+    return dataclasses.replace(case, s_base=draw(st.sampled_from(_EDGE_VALUES + ["100", True])))
 
 
 _CORRUPT = [_float_value, _bus_ref, _self_loop, _duplicate_id, _four_aggregators,
@@ -270,6 +290,54 @@ def test_validation_reports_as_the_record_oracle(data, five_bus, rts24):
     for _ in range(data.draw(st.integers(1, 3))):
         case = data.draw(st.sampled_from(_CORRUPT))(case, data.draw)
     assert validate_case(case) == record_oracle.validate_case(case)
+
+
+def test_the_record_oracle_imports_no_function_of_the_package():
+    """The oracle shares no code with what it checks: from the package it
+    imports the case and record types alone."""
+    tree = ast.parse(inspect.getsource(record_oracle))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names
+                if node.module.startswith("sesopf")]
+    assert imported and set(imported) <= {("sesopf.casemodel", cls.__name__)
+                                          for cls in (CaseData, *_TABLES.values())}
+    assert not any(alias.name.startswith("sesopf") for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names)
+
+
+def _counting(case, reads):
+    """case with every record replaced by one of a subclass whose field reads
+    add to ``reads[(record type, field)]``."""
+    def counting(cls):
+        class Counted(cls):
+            def __getattribute__(self, name):
+                if name in cls.__match_args__:
+                    reads[cls.__name__, name] += 1
+                return super().__getattribute__(name)
+        return Counted
+
+    tables = {}
+    for kind, cls in _TABLES.items():
+        counted = counting(cls)
+        tables[kind] = tuple(counted(*dataclasses.astuple(r)) for r in getattr(case, kind))
+    return dataclasses.replace(case, **tables)
+
+
+@pytest.mark.parametrize("name", ["five_bus", "rts24"])
+def test_validation_reads_no_record_field_once_the_view_exists(name):
+    """The view's walk is the one read of every value: on a valid case
+    ``validate_case`` then reads no record field at all."""
+    reads = Counter()
+    case = _counting(builtin_case(name), reads)
+    assert [[dataclasses.astuple(r) for r in getattr(case, kind)] for kind in _TABLES] \
+        == [[dataclasses.astuple(r) for r in getattr(builtin_case(name), kind)] for kind in _TABLES]
+    reads.clear()
+    assert case.view
+    assert sum(reads.values()) == sum(len(getattr(case, kind)) * len(dataclasses.fields(cls))
+                                      for kind, cls in _TABLES.items())
+    reads.clear()
+    assert validate_case(case) == []
+    assert reads == Counter()
 
 
 # ---------------------------------------------------------------------------
