@@ -10,7 +10,7 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
@@ -72,8 +72,8 @@ class CaseData:
 
     @cached_property
     def _bus_positions(self) -> dict[int, int]:
-        # reversed, so that a duplicate id keeps its first position
-        return {bus.id: k for k, bus in reversed(tuple(enumerate(self.buses)))}
+        ids = self.view._values["buses"][::4]  # reversed: a duplicate id keeps its first position
+        return {bus_id: k for k, bus_id in reversed(tuple(enumerate(ids)))}
 
     def bus_index(self, bus_id: int) -> int:
         """Position of a bus id in ``buses``: the one bus id resolver that
@@ -95,10 +95,11 @@ class CaseData:
 
     @cached_property
     def positions(self) -> SimpleNamespace:
-        """The read-only bus positions of the generators, aggregators and line
-        ends, from ``bus_index``: an unknown bus raises, so read after validation."""
-        ids = [r.bus for r in self.generators + self.aggregators]
-        ids += [ln.from_bus for ln in self.lines] + [ln.to_bus for ln in self.lines]
+        """The read-only bus positions of the generators, aggregators and line ends, by
+        ``bus_index`` of the view's values: an unknown bus raises, so read after validation."""
+        values = self.view._values  # a unit's bus leads its 8 values, a line's ends its 5
+        ids = values["generators"][::8] + values["aggregators"][::8]
+        ids += values["lines"][::5] + values["lines"][1::5]
         at = np.fromiter(map(self.bus_index, ids), int, len(ids))
         at.flags.writeable = False
         ng, na, nl = len(self.generators), len(self.aggregators), len(self.lines)
@@ -135,7 +136,8 @@ def _number(value) -> float:
 def _takes(t: type, kind: str) -> bool:
     """Whether ``validate_case`` takes a value of type t in a ``kind`` field: a float
     field what ``_check_type`` takes, an int field any real number but a bool (bus=1.0
-    is bus 1), a bool field any real number or numpy bool; ``_check_type`` refuses the rest."""
+    is bus 1; a value that is not integral is refused apart), a bool field any real
+    number or numpy bool; ``_check_type`` refuses the rest."""
     real = issubclass(t, _JSON_TYPES["float"] if kind == "float" else numbers.Real)
     return real and t is not bool or kind == "bool" and issubclass(t, (bool, np.bool_))
 
@@ -204,14 +206,20 @@ def validate_case(case: CaseData) -> list[str]:
     for kind, (tag, rules) in _RULES.items():
         table, records, types = getattr(view, kind), getattr(case, kind), _TYPES[kind]
         names, values, mistyped = _TABLES[kind].__match_args__, view._values[kind], {}
-        broken = np.concatenate([~np.isfinite([getattr(table, name) for name in names])
-                                 & (np.array(types) == "float")[:, None],
+        columns, kinds = np.array([getattr(table, name) for name in names]), np.array(types)
+        finite = np.isfinite(columns)
+        broken = np.concatenate([~finite & (kinds == "float")[:, None],
                                  [rule(table, known) for rule, _ in rules]])
         refused = {(j, t) for j in range(len(names))
                    for t in set(map(type, values[j::len(names)])) if not _takes(t, types[j])}
-        if refused:
+        # an int field's value that the view reads as no integral number (bus=1.5),
+        # unless it is an int too large for a float
+        fractional = {(k, j) for j, k in np.argwhere(
+            ~(finite & (columns == np.trunc(columns))) & (kinds == "int")[:, None]).tolist()
+            if not isinstance(values[k * len(names) + j], numbers.Integral)}
+        if refused or fractional:
             for (k, j), value in zip(np.ndindex(len(records), len(names)), values):
-                if (j, type(value)) in refused:
+                if (j, type(value)) in refused or (k, j) in fractional:
                     try:
                         _check_type(tag.format(k=k, r=records[k]), names[j], value, types[j])
                     except ValueError as exc:
@@ -475,9 +483,29 @@ _JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float)}
 
 
 def case_to_dict(case: CaseData) -> dict:
-    return {"name": case.name, "s_base": case.s_base,
-            **{kind: [asdict(r) for r in getattr(case, kind)] for kind in _TABLES},
+    """The file form of a case, each field value as ``_saved`` writes it."""
+    tables = {kind: [{name: _saved(getattr(r, name), t) for name, t in zip(cls.__match_args__,
+                                                                          _TYPES[kind])}
+                     for r in getattr(case, kind)] for kind, cls in _TABLES.items()}
+    return {"name": case.name, "s_base": _saved(case.s_base, "float"), **tables,
             "metadata": case.metadata}
+
+
+def _saved(value, kind: str):
+    """A ``kind`` field's value as its file holds it, so that every value that
+    ``validate_case`` takes loads back: a bool field's number as the flag that
+    validation reads (NaN is not set), an int field's integral number as an int,
+    and any other number that json cannot write as the float it equals. Every
+    other value is written as it is, and the loader names those it refuses."""
+    if type(value) in _JSON_TYPES[kind]:
+        return value
+    if kind == "bool" and isinstance(value, (numbers.Real, np.bool_)):
+        return bool(abs(value) > 0)
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return value
+    if kind == "int" and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    return value if isinstance(value, (int, float)) else float(value)
 
 
 def case_from_dict(doc: dict) -> CaseData:

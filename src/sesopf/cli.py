@@ -105,8 +105,8 @@ def cli_main(argv=None) -> int:
 
     try:
         case = _load(args.case)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, KeyError, ValueError) as exc:  # a KeyError's str() adds quotes
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 
     try:

@@ -125,9 +125,9 @@ class Problem:
     broadcast. The balance Jacobian, the inequality Jacobian and the
     Lagrangian Hessian's v/theta block are each one scatter of these rows'
     derivatives, gathered by the flat ``take`` indices ``_grad_take`` and
-    ``_hess_take``; the block's positions are ``_block_flat``. ``welfare``
-    holds the case's ``WelfareCoefficients``; a sweep builds one Problem per
-    case and takes each point's SES scores σ through ``scaled``."""
+    ``_hess_take``; the block's positions are ``_block_flat``. ``case`` is the
+    case the Problem was built from, and ``welfare`` holds the scores σ that
+    every evaluator and the run metrics read, which ``scaled`` alone replaces."""
 
     case: CaseData
 
@@ -218,14 +218,13 @@ class Problem:
         self._pa_curv = -welfare.sigma * welfare.mu * sb * sb
 
     def scaled(self, factor: float) -> Problem:
-        """This problem with the case ``scale_ses(self.case, factor)``: a shallow
-        copy sharing every array; an overflowing score raises as in ``build_problem``."""
-        case = scale_ses(self.case, factor)
-        sigma = case.view.aggregators.sigma  # scale_ses's products, which metrics read too
-        if not np.isfinite(sigma).all():
-            return build_problem(case)  # raises: sigma must be finite
+        """A shallow copy sharing the case and every array, its scores σ times
+        ``factor`` as ``scale_ses`` forms them; a factor that is no positive number,
+        or a score that overflows, raises as ``build_problem`` of ``scale_ses`` does."""
+        sigma = self.welfare.sigma * factor if 0 < factor < math.inf else None
+        if sigma is None or not np.isfinite(sigma).all():
+            return build_problem(scale_ses(self.case, factor))  # raises
         problem = copy.copy(self)
-        problem.case = case
         problem._score(self.welfare._replace(sigma=sigma))
         return problem
 

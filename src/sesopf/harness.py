@@ -21,7 +21,7 @@ from . import acnetwork
 from .casemodel import CaseData, scale_ses  # noqa: F401
 from .formulation import Problem, build_problem
 from .solver import Solution, SolverOptions, solve
-from .welfare import normalized_satisfaction, social_objective, welfare_coefficients
+from .welfare import normalized_satisfaction, social_objective
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,14 @@ def _agg_keys(case: CaseData) -> list[tuple[int, int]]:
     return [(a.bus, next(seen[a.bus])) for a in case.aggregators]
 
 
-def compute_metrics(case: CaseData, solution: Solution) -> Metrics:
-    """The run metrics of a solution; its weighted_objective is the
-    solution's objective bit for bit."""
-    coef = welfare_coefficients(case)
+def compute_metrics(problem: Problem, solution: Solution) -> Metrics:
+    """The run metrics of a solution of ``problem`` at its scores ``problem.welfare``;
+    their weighted_objective is the solution's objective bit for bit."""
+    coef = problem.welfare
     weighted, sat, cost = social_objective(coef, solution.p_agg, solution.p_gen)
     norm = normalized_satisfaction(coef, solution.p_agg)
     curt_mw = coef.p_n - solution.p_agg
-    losses = acnetwork.network_losses(case, solution.v, solution.theta)
+    losses = acnetwork.network_losses(problem.case, solution.v, solution.theta)
     return Metrics(sat, weighted, cost, sat - cost, float(curt_mw.sum()), losses,
                    norm, curt_mw)
 
@@ -63,7 +63,7 @@ def run_solve(case: CaseData | Problem, opts: SolverOptions = SolverOptions()):
     """Solve a case, or a Problem built from one; return (Solution, Metrics)."""
     problem = case if isinstance(case, Problem) else build_problem(case)
     solution = solve(problem, opts)
-    return solution, compute_metrics(problem.case, solution)
+    return solution, compute_metrics(problem, solution)
 
 
 @dataclass(frozen=True)

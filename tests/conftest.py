@@ -106,6 +106,23 @@ def three_bus_copper_case():
     return CaseData("three_bus_copper", 100.0, buses, lines, gens, aggs)
 
 
+def pinned_case():
+    """Capacity equals total critical demand: both demands sit at p_c."""
+    gen = Generator(1, 0.1, 1.0, 0.0, 0.0, 60.0, 0.0, 0.0)
+    aggs = (Aggregator(1, 5.0, 40.0, 0.2, 50.0, 30.0, 0.0, 0.0),
+            Aggregator(1, 9.0, 40.0, 0.2, 50.0, 30.0, 0.0, 0.0))
+    return CaseData("pinned", 100.0, (Bus(1, is_slack=True),), (), (gen,), aggs)
+
+
+def linear_marginal_case():
+    """A linear-cost unit (a = 0, b = 10) sets the price: demand 50 - P
+    meets the unit's step at 10 $/MWh, so P = 40 MW and the weighted
+    welfare is 50*40 - 40**2/2 - 10*40 = 800 $/h."""
+    gen = Generator(1, 0.0, 10.0, 0.0, 0.0, 100.0, 0.0, 0.0)
+    agg = Aggregator(1, 1.0, 50.0, 1.0, 100.0, 0.0, 0.0, 0.0)
+    return single_bus_case(gen, agg, "linear_marginal")
+
+
 def with_parallel_lines(case):
     """case with a second circuit beside its first line, entered in the
     opposite direction with other impedances, and a copy of its last line."""

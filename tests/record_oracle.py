@@ -11,6 +11,7 @@ bit.
 """
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import fields
 
@@ -63,11 +64,19 @@ def welfare_coefficients(case: CaseData) -> tuple:
     return (sigma, gamma, mu, p_n, gamma / mu, 0.5 * mu, 0.5 * gamma ** 2 / mu, a, b, c, 2.0 * a)
 
 
-def _non_finite(tag: str, record) -> list[str]:
-    """One message per float field of ``record`` that is NaN or infinite."""
-    return [f"{tag}: {f.name} must be finite, got {getattr(record, f.name)!r}"
-            for f in fields(record) if f.type == "float"
-            and not math.isfinite(getattr(record, f.name))]
+def _field_messages(tag: str, record) -> list[str]:
+    """One message per field of ``record``, in field order, that is an int field
+    holding no integral number (bus=1.0 is bus 1, bus=1.5 no bus) or a float
+    field holding NaN or an infinity."""
+    out = []
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type == "int" and not (isinstance(value, numbers.Integral)
+                                    or math.isfinite(value) and value == math.floor(value)):
+            out.append(f"{tag}: {f.name} must be int, got {value!r}")
+        elif f.type == "float" and not math.isfinite(value):
+            out.append(f"{tag}: {f.name} must be finite, got {value!r}")
+    return out
 
 
 def validate_case(case: CaseData) -> list[str]:
@@ -92,14 +101,14 @@ def validate_case(case: CaseData) -> list[str]:
         out.append("multiple slack buses")
 
     for b in case.buses:
-        out += _non_finite(f"bus {b.id}", b)
+        out += _field_messages(f"bus {b.id}", b)
         if not (0 < b.v_min <= b.v_max):
             out.append(f"bus {b.id}: voltage limits must satisfy 0 < v_min <= v_max")
 
     known = set(bus_ids)
     for ln in case.lines:
         tag = f"line {ln.from_bus}-{ln.to_bus}"
-        out += _non_finite(tag, ln)
+        out += _field_messages(tag, ln)
         if ln.from_bus == ln.to_bus:
             out.append(f"{tag}: self loop")
         if ln.from_bus not in known or ln.to_bus not in known:
@@ -111,7 +120,7 @@ def validate_case(case: CaseData) -> list[str]:
 
     for k, g in enumerate(case.generators):
         tag = f"generator {k} at bus {g.bus}"
-        out += _non_finite(tag, g)
+        out += _field_messages(tag, g)
         if g.bus not in known:
             out.append(f"{tag}: references unknown bus")
         if g.p_min > g.p_max:
@@ -123,7 +132,7 @@ def validate_case(case: CaseData) -> list[str]:
 
     for k, a in enumerate(case.aggregators):
         tag = f"aggregator {k} at bus {a.bus}"
-        out += _non_finite(tag, a)
+        out += _field_messages(tag, a)
         if a.bus not in known:
             out.append(f"{tag}: references unknown bus")
         if a.sigma < 0:

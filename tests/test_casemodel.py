@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,6 +194,32 @@ def test_validate_takes_every_real_id_and_flag(five_bus, kind, changes):
     assert validate_case(_with(five_bus, kind, 0, **changes)) == []
 
 
+@pytest.mark.parametrize("value", [1.5, np.float64(-2.5), math.nan, math.inf, Fraction(3, 2)])
+def test_validate_names_an_id_that_is_not_integral(five_bus, value):
+    """An int field needs an integral number: bus=1.0 is bus 1, bus=1.5 is
+    refused with the loader's message, in the field's place."""
+    case = _with(five_bus, "generators", 0, bus=value)
+    assert validate_case(case) == record_oracle.validate_case(case) == [
+        f"generator 0 at bus {value}: bus must be int, got {value!r}",
+        f"generator 0 at bus {value}: references unknown bus"]
+
+
+def test_validate_names_a_bus_id_that_is_not_integral_wherever_it_stands(five_bus):
+    """Bus 1 renamed 1.5 in every record that names it: each of those ids is
+    refused, though every reference is known and the network connected."""
+    case = five_bus
+    for kind, names in {"buses": ("id",), **_BUS_REFS}.items():
+        for k, record in enumerate(getattr(case, kind)):
+            case = _with(case, kind, k, **{name: 1.5 for name in names
+                                           if getattr(record, name) == 1})
+    assert validate_case(case) == record_oracle.validate_case(case) == [
+        "bus 1.5: id must be int, got 1.5",
+        *(f"line 1.5-{to}: from_bus must be int, got 1.5" for to in (2, 4, 5)),
+        *(f"generator {k} at bus 1.5: bus must be int, got 1.5" for k in (0, 1))]
+    with pytest.raises(ValueError, match="^invalid case: bus 1.5: id must be int"):
+        build_problem(case)
+
+
 @pytest.mark.parametrize("s_base", ["100", True, np.True_, None, 100j])
 def test_validate_names_an_s_base_that_is_no_real_number(five_bus, s_base):
     """An s_base that is no real number, or is a bool, gets the loader's
@@ -231,10 +258,10 @@ def _float_value(case, draw):
 
 
 def _bus_ref(case, draw):
-    """A bus reference set to a known id or to an unknown one."""
+    """A bus reference set to a known id, to an unknown one or to no integral number."""
     kind = draw(st.sampled_from([k for k in _BUS_REFS if getattr(case, k)]))
     k = draw(st.integers(0, len(getattr(case, kind)) - 1))
-    ids = [b.id for b in case.buses] + [0, -1, 99]
+    ids = [b.id for b in case.buses] + [0, -1, 99, 1.5]
     return _with(case, kind, k, **{draw(st.sampled_from(_BUS_REFS[kind])): draw(st.sampled_from(ids))})
 
 
@@ -326,7 +353,8 @@ def _counting(case, reads):
 @pytest.mark.parametrize("name", ["five_bus", "rts24"])
 def test_validation_reads_no_record_field_once_the_view_exists(name):
     """The view's walk is the one read of every value: on a valid case
-    ``validate_case`` then reads no record field at all."""
+    ``validate_case``, the bus positions and ``Problem`` then read no record
+    field at all."""
     reads = Counter()
     case = _counting(builtin_case(name), reads)
     assert [[dataclasses.astuple(r) for r in getattr(case, kind)] for kind in _TABLES] \
@@ -337,6 +365,7 @@ def test_validation_reads_no_record_field_once_the_view_exists(name):
                                       for kind, cls in _TABLES.items())
     reads.clear()
     assert validate_case(case) == []
+    assert Problem(case).case.positions is case.positions
     assert reads == Counter()
 
 
@@ -583,6 +612,25 @@ def test_case_json_round_trip(tmp_path, five_bus):
     assert loaded.generators == five_bus.generators
     assert loaded.aggregators == five_bus.aggregators
     assert loaded.s_base == five_bus.s_base
+
+
+@pytest.mark.parametrize("kind, changes", [
+    ("generators", {"bus": 1.0}), ("generators", {"bus": np.float64(1.0), "a": np.float64(2.0)}),
+    ("lines", {"from_bus": np.int64(1), "to_bus": np.int32(2)}), ("aggregators", {"bus": np.uint8(2)}),
+    ("buses", {"id": np.int64(1), "is_slack": np.True_}), ("buses", {"is_slack": 1}),
+    ("buses", {"is_slack": 0.5}), ("case", {"s_base": np.int64(100)}),
+    ("case", {"s_base": np.float32(100.0)}), ("case", {"s_base": Fraction(100)})])
+def test_a_case_that_validates_is_saved_as_it_loads_back(tmp_path, five_bus, kind, changes):
+    """Ids, flags and numbers that validate but that json cannot write, or the
+    loader would refuse, are saved as the ints, bools and floats they equal (a
+    flag as validation reads it): five_bus so changed is saved as five_bus is."""
+    case = (dataclasses.replace(five_bus, **changes) if kind == "case"
+            else _with(five_bus, kind, 0, **changes))
+    assert validate_case(case) == []
+    save_case(case, tmp_path / "case.json")
+    save_case(five_bus, tmp_path / "expected.json")
+    assert (tmp_path / "case.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+    assert load_case(tmp_path / "case.json") == five_bus
 
 
 def test_case_dict_round_trip_survives_json(rts24):

@@ -230,6 +230,13 @@ def test_unknown_builtin_exits_2(capsys):
     assert cli_main(["solve", "builtin:nine_bus"]) == 2
 
 
+def test_unknown_builtin_is_named_without_quotes(capsys):
+    """The KeyError's message as given, not wrapped in the quotes of its str()."""
+    assert cli_main(["solve", "builtin:nope"]) == 2
+    assert capsys.readouterr().err == \
+        "error: unknown built-in case 'nope' (expected five_bus or rts24)\n"
+
+
 def test_bad_flag_exits_2(capsys):
     assert cli_main(["solve", "builtin:five_bus", "--frobnicate"]) == 2
 

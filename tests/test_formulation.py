@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from sesopf.acnetwork import bus_injections, flow_p, flow_state, line_flows
 from sesopf.casemodel import Aggregator, Bus, CaseData, Generator, scale_ses
 from sesopf.formulation import build_problem
-from sesopf.harness import compute_metrics
-from sesopf.solver import finite_difference_audit
+from sesopf.harness import Metrics, compute_metrics
+from sesopf.solver import SolverOptions, finite_difference_audit, solve
 from sesopf.welfare import social_objective
 
 import welfare_oracle as oracle
@@ -364,12 +365,13 @@ def test_evaluators_equal_their_per_call_forms_bit_for_bit(network_problem):
 def test_a_scaled_problem_is_the_problem_of_the_scaled_case(request, name, factor):
     """The premise of ``Problem.scaled``: the re-scored Problem of a case is
     the Problem of the scaled case bit for bit, in its bounds, its welfare
-    coefficients and every evaluator at interior points, and it shares every
-    member but its case and its scores with the Problem it was scaled from."""
+    coefficients, every evaluator at interior points and the run metrics of a
+    solution, and it shares its case and every member but its scores with
+    the Problem it was scaled from."""
     case = request.getfixturevalue(name)
     base = build_problem(case)
     scaled, rebuilt = base.scaled(factor), build_problem(scale_ses(case, factor))
-    assert scaled.case == rebuilt.case
+    assert scaled.case is base.case
     for actual, expected in zip([scaled.lb, scaled.ub, *scaled.welfare],
                                 [rebuilt.lb, rebuilt.ub, *rebuilt.welfare]):
         _assert_bits(actual, expected)
@@ -383,7 +385,24 @@ def test_a_scaled_problem_is_the_problem_of_the_scaled_case(request, name, facto
         for actual, expected in zip(*evaluations):
             _assert_bits(actual, expected)
     assert {name for name, value in vars(base).items() if vars(scaled)[name] is not value} \
-        == {"case", "welfare", "_pa_curv"}
+        == {"welfare", "_pa_curv"}
+    solution = solve(rebuilt, SolverOptions(max_iter=3))
+    for field in dataclasses.fields(Metrics):
+        _assert_bits(getattr(compute_metrics(scaled, solution), field.name),
+                     getattr(compute_metrics(rebuilt, solution), field.name))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf, 1.5])
+def test_a_refused_factor_or_score_raises_as_the_scaled_case_does(five_bus, factor):
+    """A factor that is no positive number raises ``scale_ses``'s message, and
+    a score that overflows (1.5e308, finite, at 150 %) ``build_problem``'s."""
+    aggs = (dataclasses.replace(five_bus.aggregators[0], sigma=1.5e308),) + five_bus.aggregators[1:]
+    case = dataclasses.replace(five_bus, aggregators=aggs)
+    with pytest.raises(ValueError) as expected:
+        build_problem(scale_ses(case, factor))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        build_problem(case).scaled(factor)
 
 
 def test_the_lagrangian_hessian_has_only_its_two_blocks(network_problem):
@@ -500,7 +519,7 @@ def _check_second_derivatives(problem):
 def test_curtailment_report_bounds(five_bus, five_bus_solution):
     """Each aggregator is curtailed by at least zero and at most p_n - p_c,
     and the total is their sum."""
-    metrics = compute_metrics(five_bus, five_bus_solution)
+    metrics = compute_metrics(build_problem(five_bus), five_bus_solution)
     per = metrics.curtailment
     p_n = np.array([a.p_n for a in five_bus.aggregators])
     p_c = np.array([a.p_c for a in five_bus.aggregators])

@@ -203,6 +203,17 @@ def test_a_sweep_validates_the_case_and_builds_its_problem_once(monkeypatch, fiv
     assert calls == {"validate_case": 1, "__post_init__": 1}
 
 
+def test_a_sweep_builds_no_scaled_case(monkeypatch, five_bus):
+    """Every point re-scores the scores of the one Problem, which keeps its
+    case: the default sweep runs with ``scale_ses`` refusing every call."""
+    def refuse(case, factor):
+        raise AssertionError(f"scale_ses called at factor {factor}")
+    monkeypatch.setattr(formulation, "scale_ses", refuse)
+    result = ses_sweep(five_bus)
+    assert len(result.records) == 71
+    assert all(r.status == "converged" for r in result.records)
+
+
 def test_no_solve_of_a_sweep_writes_into_the_shared_problem(monkeypatch, five_bus):
     """The points share the arrays of the case's Problem: after the default
     sweep they still equal those of a fresh Problem of the case."""

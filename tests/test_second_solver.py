@@ -8,7 +8,9 @@ from sesopf.formulation import build_problem
 from sesopf.solver import SolverOptions, solve
 
 import second_solver
-from conftest import three_bus_copper_case, toy_case, two_bus_copper_case
+from conftest import (
+    linear_marginal_case, pinned_case, three_bus_copper_case, toy_case, two_bus_copper_case,
+)
 
 # How closely a converged solve must agree with the second solver: the
 # objective relatively; P (generators and aggregators, p.u.), v (p.u.) and the
@@ -18,9 +20,10 @@ from conftest import three_bus_copper_case, toy_case, two_bus_copper_case
 TOLERANCE = {"objective": 1e-7, "p": 1e-6, "v": 1e-6, "theta": 1e-6}
 
 # five_bus at its default SES and at two sweep points, and the small cases. On
-# the lossless copper plates (r = 0) and the one-bus toy, v and theta lie on a
-# face of optima too (only v_i v_j sin(theta_i - theta_j) is priced, or nothing
-# of v at all), so there only the objective and P are compared.
+# the lossless copper plates (r = 0) and the one-bus cases (toy, the linear-cost
+# marginal unit and the demands pinned at p_c), v and theta lie on a face of
+# optima too (only v_i v_j sin(theta_i - theta_j) is priced, or nothing of v at
+# all), so there only the objective and P are compared.
 PROBLEMS = {
     "five_bus": (lambda five_bus: five_bus, ("objective", "p", "v", "theta")),
     "five_bus_ses40": (lambda five_bus: five_bus.scaled(0.40), ("objective", "p", "v", "theta")),
@@ -28,6 +31,8 @@ PROBLEMS = {
     "toy": (lambda _: build_problem(toy_case()), ("objective", "p")),
     "two_bus_copper": (lambda _: build_problem(two_bus_copper_case()), ("objective", "p")),
     "three_bus_copper": (lambda _: build_problem(three_bus_copper_case()), ("objective", "p")),
+    "linear_marginal": (lambda _: build_problem(linear_marginal_case()), ("objective", "p")),
+    "pinned": (lambda _: build_problem(pinned_case()), ("objective", "p")),
 }
 
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from sesopf import acnetwork, casemodel, solver
 from sesopf.casemodel import (
-    Aggregator, Bus, CaseData, Generator, Line, builtin_case, scale_ses,
+    Aggregator, Generator, Line, builtin_case, scale_ses,
 )
 from sesopf.formulation import Problem, build_problem
 from sesopf.solver import (
@@ -22,8 +22,8 @@ from sesopf.solver import (
 )
 
 from conftest import (
-    assembled_hessian, copperize, random_interior_state, single_bus_case,
-    three_bus_copper_case, toy_case, two_bus_copper_case,
+    assembled_hessian, copperize, linear_marginal_case, pinned_case, random_interior_state,
+    single_bus_case, three_bus_copper_case, toy_case, two_bus_copper_case,
 )
 
 
@@ -93,31 +93,14 @@ def test_solver_matches_oracle_on_a_copper_plate_rts24(rts24):
     assert abs(solution.objective - oracle_obj) / max(1.0, abs(oracle_obj)) < 1e-6
 
 
-def _pinned_case():
-    """Capacity equals total critical demand: both demands sit at p_c."""
-    gen = Generator(1, 0.1, 1.0, 0.0, 0.0, 60.0, 0.0, 0.0)
-    aggs = (Aggregator(1, 5.0, 40.0, 0.2, 50.0, 30.0, 0.0, 0.0),
-            Aggregator(1, 9.0, 40.0, 0.2, 50.0, 30.0, 0.0, 0.0))
-    return CaseData("pinned", 100.0, (Bus(1, is_slack=True),), (), (gen,), aggs)
-
-
-def _linear_marginal_case():
-    """A linear-cost unit (a = 0, b = 10) sets the price: demand 50 - P
-    meets the unit's step at 10 $/MWh, so P = 40 MW and the weighted
-    welfare is 50*40 - 40**2/2 - 10*40 = 800 $/h."""
-    gen = Generator(1, 0.0, 10.0, 0.0, 0.0, 100.0, 0.0, 0.0)
-    agg = Aggregator(1, 1.0, 50.0, 1.0, 100.0, 0.0, 0.0, 0.0)
-    return single_bus_case(gen, agg, "linear_marginal")
-
-
 def test_oracle_pins_demands_at_critical_when_capacity_is_exhausted():
-    p_a, p_g, _ = copper_plate_oracle(_pinned_case())
+    p_a, p_g, _ = copper_plate_oracle(pinned_case())
     assert np.allclose(p_a, [30.0, 30.0], atol=1e-6)
     assert np.sum(p_g) == pytest.approx(60.0, abs=1e-6)
 
 
 def test_oracle_solves_a_linear_cost_marginal_unit():
-    case = _linear_marginal_case()
+    case = linear_marginal_case()
     p_a, p_g, obj = copper_plate_oracle(case)
     assert p_a[0] == pytest.approx(40.0, abs=1e-9)
     assert p_g[0] == pytest.approx(40.0, abs=1e-9)
@@ -129,7 +112,7 @@ def test_oracle_solves_a_linear_cost_marginal_unit():
 
 
 @pytest.mark.parametrize("builder", [
-    toy_case, two_bus_copper_case, three_bus_copper_case, _pinned_case, _linear_marginal_case,
+    toy_case, two_bus_copper_case, three_bus_copper_case, pinned_case, linear_marginal_case,
     lambda: copperize(builtin_case("five_bus")), lambda: builtin_case("five_bus"),
     lambda: builtin_case("rts24")],
     ids=["toy", "two_bus", "three_bus", "pinned", "linear_marginal", "five_bus_copper",
@@ -1428,7 +1411,7 @@ _BACKWARD_FLOOR = 1e-18
 
 @pytest.mark.parametrize("build", [
     lambda: builtin_case("rts24"), lambda: builtin_case("five_bus"), toy_case,
-    _linear_marginal_case], ids=["rts24", "five_bus", "toy", "linear_marginal"])
+    linear_marginal_case], ids=["rts24", "five_bus", "toy", "linear_marginal"])
 def test_the_reduced_step_solves_the_condensed_system(build, monkeypatch):
     """Every KKT system of a solve, on rts24 as the solve runs it and on the
     smaller cases through ``_ReducedKKT`` directly: the reduced inertia
@@ -1449,7 +1432,7 @@ def test_the_pivot_test_keeps_a_linear_cost_unit(monkeypatch):
     regardless (alpha = 0), the late steps lose ~7 digits of backward error
     and the solve takes almost three times the iterations to a worse
     dispatch."""
-    problem = build_problem(_linear_marginal_case())
+    problem = build_problem(linear_marginal_case())
     systems = _kkt_systems(problem, monkeypatch)
     pg = problem.layout.pg.start
     kept = [pg in columns for columns, _, _ in _both_paths(problem, systems)]
