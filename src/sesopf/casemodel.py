@@ -12,7 +12,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -72,7 +72,7 @@ class CaseData:
 
     @cached_property
     def _bus_positions(self) -> dict[int, int]:
-        ids = self.view._values["buses"][::4]  # reversed: a duplicate id keeps its first position
+        ids = self.view._values["buses"]["id"]  # reversed: a duplicate id keeps its first position
         return {bus_id: k for k, bus_id in reversed(tuple(enumerate(ids)))}
 
     def bus_index(self, bus_id: int) -> int:
@@ -87,43 +87,46 @@ class CaseData:
     def view(self) -> SimpleNamespace:
         """The records as arrays, built on first use and read by every layer: per
         table a namespace of read-only float columns in case order (``view.lines.r``),
-        and privately the values they were read from (``view._values["lines"]``)."""
-        tables = {kind: _columns(getattr(self, kind), cls.__match_args__)
-                  for kind, cls in _TABLES.items()}
-        return SimpleNamespace(**{kind: table for kind, (_, table) in tables.items()},
-                               _values={kind: values for kind, (values, _) in tables.items()})
+        and privately the values they were read from by field name
+        (``view._values["lines"]["r"]``) and the (fields, records) array of the columns
+        (``view._arrays["lines"]``)."""
+        parts = zip(*(_columns(getattr(self, kind), kind) for kind in _FIELDS))
+        values, arrays, tables = (dict(zip(_FIELDS, part)) for part in parts)
+        return SimpleNamespace(**tables, _values=values, _arrays=arrays)
 
     @cached_property
     def positions(self) -> SimpleNamespace:
         """The read-only bus positions of the generators, aggregators and line ends, by
         ``bus_index`` of the view's values: an unknown bus raises, so read after validation."""
-        values = self.view._values  # a unit's bus leads its 8 values, a line's ends its 5
-        ids = values["generators"][::8] + values["aggregators"][::8]
-        ids += values["lines"][::5] + values["lines"][1::5]
-        at = np.fromiter(map(self.bus_index, ids), int, len(ids))
+        v = self.view._values
+        ids = {"generators": v["generators"]["bus"], "aggregators": v["aggregators"]["bus"],
+               "line_from": v["lines"]["from_bus"], "line_to": v["lines"]["to_bus"]}
+        ends = [0, *accumulate(map(len, ids.values()))]
+        at = np.fromiter(map(self.bus_index, chain(*ids.values())), int, ends[-1])
         at.flags.writeable = False
-        ng, na, nl = len(self.generators), len(self.aggregators), len(self.lines)
-        return SimpleNamespace(generators=at[:ng], aggregators=at[ng:ng + na],
-                               line_from=at[ng + na:ng + na + nl], line_to=at[ng + na + nl:])
+        return SimpleNamespace(**{key: at[a:b] for key, a, b in zip(ids, ends, ends[1:])})
 
 
-# the record class of each table, in validation order, and its fields' types
+# the record class of each table, in validation order, and the (name, type) of
+# each of its fields, in record order
 _TABLES = {"buses": Bus, "lines": Line, "generators": Generator, "aggregators": Aggregator}
-_TYPES = {kind: [f.type for f in fields(cls)] for kind, cls in _TABLES.items()}
+_FIELDS = {kind: tuple((f.name, f.type) for f in fields(cls)) for kind, cls in _TABLES.items()}
 
 
-def _columns(records: tuple, names: tuple) -> tuple[list, SimpleNamespace]:
-    """The values of the fields ``names`` (a record class's ``__match_args__``) of
-    ``records``, record by record, from the one walk over them, and their columns,
-    NaN where ``float()`` cannot read a value, which only a record built in Python holds."""
-    values = list(chain.from_iterable(map(attrgetter(*names), records)))
+def _columns(records: tuple, kind: str) -> tuple[dict, np.ndarray, SimpleNamespace]:
+    """The values of the ``kind`` ``records``' fields by name, from the one walk over
+    them, the (fields, records) array of them and its rows as the table's columns, NaN
+    where ``float()`` cannot read a value, which only a record built in Python holds."""
+    names = [name for name, _ in _FIELDS[kind]]
+    columns = list(zip(*map(attrgetter(*names), records))) or [()] * len(names)
+    size = len(names) * len(records)
     try:
-        flat = np.fromiter(values, float, len(values))
+        flat = np.fromiter(chain.from_iterable(columns), float, size)
     except (TypeError, ValueError, OverflowError):
-        flat = np.fromiter(map(_number, values), float, len(values))
-    table = flat.reshape(-1, len(names)).T.copy()
-    table.flags.writeable = False
-    return values, SimpleNamespace(**dict(zip(names, table)))
+        flat = np.fromiter(map(_number, chain.from_iterable(columns)), float, size)
+    array = flat.reshape(len(names), len(records))
+    array.flags.writeable = False
+    return dict(zip(names, columns)), array, SimpleNamespace(**dict(zip(names, array)))
 
 
 def _number(value) -> float:
@@ -204,28 +207,25 @@ def validate_case(case: CaseData) -> list[str]:
         out.append("multiple slack buses")
 
     for kind, (tag, rules) in _RULES.items():
-        table, records, types = getattr(view, kind), getattr(case, kind), _TYPES[kind]
-        names, values, mistyped = _TABLES[kind].__match_args__, view._values[kind], {}
-        columns, kinds = np.array([getattr(table, name) for name in names]), np.array(types)
-        finite = np.isfinite(columns)
-        broken = np.concatenate([~finite & (kinds == "float")[:, None],
+        table, records, schema = getattr(view, kind), getattr(case, kind), _FIELDS[kind]
+        values, columns, mistyped = view._values[kind], view._arrays[kind], {}
+        finite, kinds = np.isfinite(columns), np.array([[t] for _, t in schema])
+        broken = np.concatenate([~finite & (kinds == "float"),
                                  [rule(table, known) for rule, _ in rules]])
-        refused = {(j, t) for j in range(len(names))
-                   for t in set(map(type, values[j::len(names)])) if not _takes(t, types[j])}
         # an int field's value that the view reads as no integral number (bus=1.5),
         # unless it is an int too large for a float
-        fractional = {(k, j) for j, k in np.argwhere(
-            ~(finite & (columns == np.trunc(columns))) & (kinds == "int")[:, None]).tolist()
-            if not isinstance(values[k * len(names) + j], numbers.Integral)}
-        if refused or fractional:
-            for (k, j), value in zip(np.ndindex(len(records), len(names)), values):
-                if (j, type(value)) in refused or (k, j) in fractional:
+        fractional = ~(finite & (columns == np.trunc(columns))) & (kinds == "int")
+        for j, (name, t) in enumerate(schema):
+            refused = {u for u in set(map(type, values[name])) if not _takes(u, t)}
+            for k, value in enumerate(values[name]) if refused or fractional[j].any() else ():
+                if type(value) in refused or (
+                        fractional[j, k] and not isinstance(value, numbers.Integral)):
                     try:
-                        _check_type(tag.format(k=k, r=records[k]), names[j], value, types[j])
+                        _check_type(tag.format(k=k, r=records[k]), name, value, t)
                     except ValueError as exc:
                         mistyped[k, j], broken[j, k] = str(exc), True
         if broken.any():
-            messages = [f"{name} must be finite, got {{r.{name}!r}}" for name in names]
+            messages = [f"{name} must be finite, got {{r.{name}!r}}" for name, _ in schema]
             messages += [message for _, message in rules]
             out += [mistyped.get((k, j)) or
                     f"{tag.format(k=k, r=records[k])}: {messages[j].format(r=records[k])}"
@@ -259,12 +259,12 @@ def _connected(case: CaseData) -> bool:
 
 
 def scale_ses(case: CaseData, factor: float) -> CaseData:
-    """Return a copy with every aggregator sigma multiplied by ``factor``."""
+    """Return a copy with every aggregator sigma multiplied by ``float(factor)``."""
     if not math.isfinite(factor):
         raise ValueError(f"SES scale factor must be finite, got {factor}")
     if factor <= 0:
         raise ValueError("SES scale factor must be positive")
-    aggs = tuple(replace(a, sigma=a.sigma * factor) for a in case.aggregators)
+    aggs = tuple(replace(a, sigma=a.sigma * float(factor)) for a in case.aggregators)
     return replace(case, aggregators=aggs)
 
 
@@ -484,9 +484,8 @@ _JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float)}
 
 def case_to_dict(case: CaseData) -> dict:
     """The file form of a case, each field value as ``_saved`` writes it."""
-    tables = {kind: [{name: _saved(getattr(r, name), t) for name, t in zip(cls.__match_args__,
-                                                                          _TYPES[kind])}
-                     for r in getattr(case, kind)] for kind, cls in _TABLES.items()}
+    tables = {kind: [{name: _saved(getattr(r, name), t) for name, t in schema}
+                     for r in getattr(case, kind)] for kind, schema in _FIELDS.items()}
     return {"name": case.name, "s_base": _saved(case.s_base, "float"), **tables,
             "metadata": case.metadata}
 
@@ -524,16 +523,15 @@ def _entries(doc: dict, key: str, cls) -> tuple:
     rows = doc.get(key)
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError(f"case needs '{key}' as a list of objects")
-    typed = [(f.name, _JSON_TYPES.get(f.type, ()), f.type) for f in fields(cls)]
     out = []
     for k, row in enumerate(rows):
         try:
             out.append(cls(**row))
         except TypeError as exc:
             raise ValueError(f"{key}[{k}]: {exc}") from None
-        for name, exact, kind in typed:
+        for name, kind in _FIELDS[key]:
             value = getattr(out[-1], name)
-            if type(value) not in exact:  # a float subclass, say, or a wrong type
+            if type(value) not in _JSON_TYPES[kind]:  # a float subclass, say, or a wrong type
                 _check_type(f"{key}[{k}]", name, value, kind)
     return tuple(out)
 

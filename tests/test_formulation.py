@@ -360,7 +360,7 @@ def test_evaluators_equal_their_per_call_forms_bit_for_bit(network_problem):
                      _per_call_lagrangian_hessian(p, x, lam_eq, lam_ineq))
 
 
-@pytest.mark.parametrize("factor", [0.1, 0.7, 1.0, 1.5])
+@pytest.mark.parametrize("factor", [0.1, 0.7, 1.0, 1.5, np.float32(0.7)])
 @pytest.mark.parametrize("name", ["five_bus", "rts24"])
 def test_a_scaled_problem_is_the_problem_of_the_scaled_case(request, name, factor):
     """The premise of ``Problem.scaled``: the re-scored Problem of a case is
